@@ -23,7 +23,7 @@ from .congruence import (
     solve_lambda,
     verify_congruence,
 )
-from .elliptic import delta_expansion, elliptic_eisenstein, ramanujan_tau
+from .elliptic import elliptic_eisenstein, ramanujan_tau
 from .errors import EiscongError
 from .expansion import exp_parse, exp_serialize, phi_operator
 from .hermitian import (
@@ -169,7 +169,13 @@ def _cmd_expand(args) -> int:
     text = exp_serialize(f)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(text)
+        # rename into place: a crash or a second writer leaves no partial file
+        tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, cache_path)
+        finally:
+            tmp.unlink(missing_ok=True)
     _emit(text, args.out)
     return 0
 
@@ -218,7 +224,6 @@ def _checks_result(checks) -> int:
 def _reproduce_1():
     from .arith import divisor_power_sum
 
-    delta_expansion(200)
     ok = all(
         (divisor_power_sum(11, n) - ramanujan_tau(n)) % 691 == 0
         for n in range(1, 201)

@@ -24,11 +24,12 @@ from .elliptic import decompose_into_e4_e6
 from .errors import (
     AllZeroRhs,
     NonIntegralCoefficient,
-    SpaceMismatch,
-    WeightMismatch,
+    NonInvertibleReference,
     WitnessSearchExhausted,
 )
-from .expansion import TruncatedExpansion, exp_add, exp_scale, phi_operator
+from .expansion import (
+    TruncatedExpansion, _check_compatible, exp_add, exp_scale, phi_operator,
+)
 from .hermitian import hermitian_expansion, imag_quad_field
 from .siegel import siegel_expansion
 
@@ -84,13 +85,6 @@ def reduce_mod_p(f: TruncatedExpansion, modulus: int) -> dict:
     return out
 
 
-def _check_compatible(f: TruncatedExpansion, g: TruncatedExpansion):
-    if f.lattice.space != g.lattice.space or f.lattice.disc != g.lattice.disc:
-        raise SpaceMismatch(f"{f.lattice} vs {g.lattice}")
-    if f.weight != g.weight:
-        raise WeightMismatch(f"{f.weight} vs {g.weight}")
-
-
 def verify_congruence(
     f: TruncatedExpansion, g: TruncatedExpansion, modulus: int, multiplier: int
 ) -> CongruenceReport:
@@ -125,7 +119,7 @@ def solve_lambda(
         if rhs == 0:
             continue
         if gcd(rhs, modulus) != 1:
-            raise ValueError(
+            raise NonInvertibleReference(
                 f"reference coefficient at {key} is not invertible mod {modulus}"
             )
         lam = _residue(f.coefficient(idx), modulus, key) * pow(rhs, -1, modulus)

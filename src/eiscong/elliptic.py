@@ -51,8 +51,16 @@ def delta_expansion(n_max: int) -> TruncatedExpansion:
     return exp_scale(Fraction(1, 1728), num)
 
 
+_delta_bound = 0  # bound of the Delta expansion ramanujan_tau reads
+
+
 def ramanujan_tau(n: int) -> Fraction:
-    return delta_expansion(n).coefficient(n)
+    """tau(n) from one shared Delta expansion, regrown to max(n, 2 * bound)."""
+    global _delta_bound
+    bound = _delta_bound
+    if n > bound:
+        bound = _delta_bound = max(n, 2 * bound)
+    return delta_expansion(bound).coefficient(n)
 
 
 @dataclass(frozen=True)

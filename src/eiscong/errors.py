@@ -58,6 +58,10 @@ class AllZeroRhs(EiscongError):
     pass
 
 
+class NonInvertibleReference(EiscongError):
+    pass
+
+
 class UnsupportedFieldForm(EiscongError):
     pass
 

@@ -1,16 +1,20 @@
 """Truncated Fourier expansions over an abstract psd lattice index.
 
-A lattice object supplies index enumeration, summand decomposition and the
+A lattice object supplies index enumeration, index addition and the
 canonical ordering; expansions are finite index -> Fraction maps truncated
-at a trace bound.  Multiplication enumerates psd summand pairs, which is
-exact inside the truncation because psd summands cannot exceed the target
-trace.
+at a trace bound.  Multiplication sums integer numerators over the support
+pairs whose traces add up to at most the bound, which is exact inside the
+truncation because psd + psd is psd and the trace is additive.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import islice
+from math import lcm
+from typing import Mapping
 
 from .arith import format_rational, parse_rational
 from .errors import (
@@ -35,14 +39,11 @@ class EllipticLattice:
     def is_psd(self, t):
         return isinstance(t, int) and t >= 0
 
-    def sub(self, t, s):
-        return t - s
+    def add(self, t, s):
+        return t + s
 
     def enumerate_all(self, bound):
         return list(range(bound + 1))
-
-    def enumerate_summands(self, t):
-        return list(range(t + 1))
 
     def sort_key(self, t):
         return (t, (t,))
@@ -162,11 +163,15 @@ def constant_one(lattice, trace_bound) -> TruncatedExpansion:
     return TruncatedExpansion(lattice, 0, trace_bound, {lattice.zero: Fraction(1)})
 
 
-def exp_add(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpansion:
+def _check_compatible(f: TruncatedExpansion, g: TruncatedExpansion):
     if not _same_lattice(f.lattice, g.lattice):
         raise SpaceMismatch(f"{f.lattice} vs {g.lattice}")
     if f.weight != g.weight:
         raise WeightMismatch(f"{f.weight} vs {g.weight}")
+
+
+def exp_add(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpansion:
+    _check_compatible(f, g)
     bound = min(f.trace_bound, g.trace_bound)
     coeffs: dict = {}
     for idx in set(f.coeffs) | set(g.coeffs):
@@ -186,22 +191,30 @@ def exp_scale(c, f: TruncatedExpansion) -> TruncatedExpansion:
     )
 
 
+def _common_denominator(f: TruncatedExpansion):
+    """(den, [(index, numerator)]) with every coefficient = numerator / den."""
+    den = lcm(*(v.denominator for v in f.coeffs.values()))
+    return den, [(idx, v.numerator * (den // v.denominator)) for idx, v in f.coeffs.items()]
+
+
 def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpansion:
     if not _same_lattice(f.lattice, g.lattice):
         raise SpaceMismatch(f"{f.lattice} vs {g.lattice}")
     lat = f.lattice
+    trace = lat.trace
+    add = lat.add
     bound = min(f.trace_bound, g.trace_bound)
-    coeffs: dict = {}
-    for t in lat.enumerate_all(bound):
-        acc = Fraction(0)
-        for s in lat.enumerate_summands(t):
-            a = f.coeffs.get(s)
-            if a:
-                b = g.coeffs.get(lat.sub(t, s))
-                if b:
-                    acc += a * b
-        if acc:
-            coeffs[t] = acc
+    fden, fterms = _common_denominator(f)
+    gden, gterms = _common_denominator(g)
+    gterms.sort(key=lambda term: trace(term[0]))
+    gtraces = [trace(u) for u, _ in gterms]
+    acc = defaultdict(int)
+    for s, a in fterms:
+        # the g terms of trace <= bound - trace(s); islice does not copy them
+        for u, b in islice(gterms, bisect_right(gtraces, bound - trace(s))):
+            acc[add(s, u)] += a * b
+    den = fden * gden
+    coeffs = {t: Fraction(n, den) for t, n in acc.items() if n}
     return TruncatedExpansion(lat, f.weight + g.weight, bound, coeffs)
 
 

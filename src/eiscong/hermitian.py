@@ -72,8 +72,8 @@ class HermitianLattice:
         a, x, y, c = h
         return a >= 0 and c >= 0 and -self.disc * a * c >= self.field.norm(x, y)
 
-    def sub(self, h, s):
-        return (h[0] - s[0], h[1] - s[1], h[2] - s[2], h[3] - s[3])
+    def add(self, h, s):
+        return (h[0] + s[0], h[1] + s[1], h[2] + s[2], h[3] + s[3])
 
     def _norm_points(self, bound):
         # lattice points with N(x, y) <= bound; the norm form is positive
@@ -99,18 +99,6 @@ class HermitianLattice:
             for c in range(bound - a + 1):
                 for x, y in self._norm_points(-self.disc * a * c):
                     out.append((a, x, y, c))
-        return out
-
-    def enumerate_summands(self, h):
-        a, x, y, c = h
-        d = self.disc
-        out = []
-        for a1 in range(a + 1):
-            for c1 in range(c + 1):
-                rem = -d * (a - a1) * (c - c1)
-                for x1, y1 in self._norm_points(-d * a1 * c1):
-                    if self.field.norm(x - x1, y - y1) <= rem:
-                        out.append((a1, x1, y1, c1))
         return out
 
     def sort_key(self, h):

@@ -40,8 +40,8 @@ class SiegelLattice:
         a, b2, c = t
         return a >= 0 and c >= 0 and 4 * a * c - b2 * b2 >= 0
 
-    def sub(self, t, s):
-        return (t[0] - s[0], t[1] - s[1], t[2] - s[2])
+    def add(self, t, s):
+        return (t[0] + s[0], t[1] + s[1], t[2] + s[2])
 
     def enumerate_all(self, bound):
         out = []
@@ -49,18 +49,6 @@ class SiegelLattice:
             for c in range(bound - a + 1):
                 m = isqrt(4 * a * c)
                 out.extend((a, b2, c) for b2 in range(-m, m + 1))
-        return out
-
-    def enumerate_summands(self, t):
-        a, b2, c = t
-        out = []
-        for a1 in range(a + 1):
-            for c1 in range(c + 1):
-                m = isqrt(4 * a1 * c1)
-                rem = 4 * (a - a1) * (c - c1)
-                for b1 in range(-m, m + 1):
-                    if (b2 - b1) * (b2 - b1) <= rem:
-                        out.append((a1, b1, c1))
         return out
 
     def sort_key(self, t):

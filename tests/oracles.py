@@ -2,10 +2,13 @@
 
 These deliberately take different routes than the library: Bernoulli
 numbers via the Akiyama-Tanigawa triangle and via tangent numbers, Delta
-via the eta product, chi values via Euler's criterion.
+via the eta product, chi values via Euler's criterion, expansion products
+target by target over every index pair.
 """
 
 from fractions import Fraction
+
+from eiscong.expansion import TruncatedExpansion
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -83,3 +86,27 @@ def chi_via_euler_criterion(D: int, q: int) -> int:
 
 def sigma_bruteforce(m: int, N: int) -> int:
     return sum(d**m for d in range(1, N + 1) if N % d == 0)
+
+
+def _index_difference(t, s):
+    if isinstance(t, int):
+        return t - s
+    return tuple(x - y for x, y in zip(t, s))
+
+
+def reference_product(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpansion:
+    """f * g target by target: each in-bound index t collects f[s] g[t - s]
+    over every in-bound index s, with t - s taken componentwise.  A
+    difference outside the psd cone is simply absent from g."""
+    lat = f.lattice
+    bound = min(f.trace_bound, g.trace_bound)
+    indices = lat.enumerate_all(bound)
+    coeffs = {}
+    for t in indices:
+        acc = Fraction(0)
+        for s in indices:
+            a = f.coeffs.get(s)
+            if a is not None:
+                acc += a * g.coeffs.get(_index_difference(t, s), 0)
+        coeffs[t] = acc
+    return TruncatedExpansion(lat, f.weight + g.weight, bound, coeffs)

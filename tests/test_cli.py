@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface, driven in-process."""
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,28 @@ class TestExpand:
         assert code == 0
         assert second == first
 
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EISCONG_CACHE_DIR", str(tmp_path))
+        args = ("expand", "--space", "siegel", "--form", "E",
+                "--weight", "4", "--trace-bound", "2")
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(self, text, *a, **kw):
+            real_write_text(self, text[: len(text) // 2], *a, **kw)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        code, _, _ = run(capsys, *args)
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        monkeypatch.setenv("EISCONG_CACHE_DIR", str(tmp_path))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == exp_serialize(siegel_expansion("E", 4, 2))
+        [cached] = tmp_path.iterdir()
+        assert cached.read_text() == out
+
     def test_named_form_rejects_conflicting_weight(self, capsys):
         code, _, _ = run(
             capsys, "expand", "--space", "siegel", "--form", "X10",
@@ -150,6 +173,20 @@ class TestCongruence:
             "--mod", "43867",
         )
         assert code == 2
+
+    def test_non_invertible_reference_is_computation_error(self, tmp_path, capsys):
+        # valid input whose reference coefficient 2 has no inverse mod 4
+        lhs = tmp_path / "lhs.exp"
+        rhs = tmp_path / "rhs.exp"
+        header = "space elliptic\nweight 4\ntrace_bound 1\ncoefficients\n"
+        lhs.write_text(header + "0 1\n1 1\n")
+        rhs.write_text(header + "0 2\n1 3\n")
+        code, _, err = run(
+            capsys, "congruence", "solve", "--lhs", str(lhs), "--rhs", str(rhs),
+            "--mod", "4",
+        )
+        assert code == 3
+        assert "not invertible mod 4" in err
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(

@@ -1,5 +1,6 @@
 """Tests for classical level one modular forms on the upper half plane."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,16 @@ class TestDelta:
         assert ramanujan_tau(6) == ramanujan_tau(2) * ramanujan_tau(3)
         # Hecke relation at the prime 2: tau(4) = tau(2)^2 - 2^11
         assert ramanujan_tau(4) == ramanujan_tau(2) ** 2 - 2**11
+
+    def test_tau_in_any_order_reads_one_growing_delta(self):
+        eta = delta_eta_product(120)
+        order = list(range(1, 121))
+        random.Random(0).shuffle(order)
+        builds = delta_expansion.cache_info().misses
+        for n in order:
+            assert ramanujan_tau(n) == eta[n]
+        # the bound at least doubles on each rebuild
+        assert delta_expansion.cache_info().misses - builds <= 8
 
     def test_tau_691_congruence(self):
         # tau(n) = sigma_11(n) mod 691

@@ -30,6 +30,8 @@ from eiscong.errors import (
     WeightMismatch,
 )
 
+from .oracles import reference_product
+
 
 def small_elliptic(weight, bound, values):
     return TruncatedExpansion(ELLIPTIC, weight, bound, dict(enumerate(values)))
@@ -236,13 +238,61 @@ class TestLatticeRegistry:
         with pytest.raises(ValueError):
             lattice_for("hermitian")
 
-    def test_summand_closure(self):
-        # every summand pair produced for an index must add back to it
-        # and stay inside the positive semidefinite cone
-        for lat, bound in ((SIEGEL, 3), (hermitian_lattice(-3), 2)):
-            for t in lat.enumerate_all(bound):
-                for s in lat.enumerate_summands(t):
-                    r = lat.sub(t, s)
-                    assert lat.is_psd(s)
-                    assert lat.is_psd(r)
-                    assert lat.sub(t, r) == s
+
+# index lattices with the largest trace bound the quadratic oracle handles
+# quickly on each
+KERNEL_LATTICES = {
+    ELLIPTIC: 8,
+    SIEGEL: 4,
+    hermitian_lattice(-3): 3,
+    hermitian_lattice(-4): 3,
+    hermitian_lattice(-163): 2,
+}
+
+# negative values, large denominators and zeros
+sparse_value = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@st.composite
+def sparse_expansion(draw, lat, bound, weight):
+    indices = lat.enumerate_all(bound)
+    chosen = draw(st.lists(st.sampled_from(indices), unique=True, max_size=12))
+    return TruncatedExpansion(lat, weight, bound, {t: draw(sparse_value) for t in chosen})
+
+
+@st.composite
+def factor_pairs(draw):
+    lat = draw(st.sampled_from(list(KERNEL_LATTICES)))
+    top = KERNEL_LATTICES[lat]
+    f = draw(sparse_expansion(lat, draw(st.integers(0, top)), 4))
+    g = draw(sparse_expansion(lat, draw(st.integers(0, top)), 6))
+    return f, g
+
+
+def parity_twist(f):
+    """g[t] = (-1)^trace(t) f[t]: in f * g the pairs (s, r) and (r, s) of
+    an odd-trace target cancel, so every odd-trace coefficient is zero."""
+    lat = f.lattice
+    return TruncatedExpansion(lat, f.weight, f.trace_bound, {
+        t: -v if lat.trace(t) % 2 else v for t, v in f.coeffs.items()
+    })
+
+
+class TestProductKernel:
+    @given(factor_pairs())
+    def test_product_matches_reference(self, pair):
+        f, g = pair
+        fg = exp_multiply(f, g)
+        assert fg == reference_product(f, g)
+        assert fg == exp_multiply(g, f)
+
+    @given(factor_pairs())
+    def test_cancelling_terms_are_dropped(self, pair):
+        f, _ = pair
+        g = parity_twist(f)
+        fg = exp_multiply(f, g)
+        assert fg == reference_product(f, g)
+        assert all(f.lattice.trace(t) % 2 == 0 for t in fg.coeffs)
