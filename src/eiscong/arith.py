@@ -60,18 +60,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes(limit: Optional[int] = None) -> Iterator[int]:
-    """Yield primes in increasing order, optionally stopping below ``limit``."""
-    yield from (p for p in (2, 3) if limit is None or p < limit)
-    c = 5
-    step = 2
-    while limit is None or c < limit:
-        if is_prime(c):
-            yield c
-        c += step
-        step = 6 - step
-
-
 def _wheel_candidates() -> Iterator[int]:
     # 2, 3 and then the 6k+-1 wheel; composites in the stream are harmless
     # for trial division because their prime factors come first.
@@ -83,6 +71,15 @@ def _wheel_candidates() -> Iterator[int]:
         yield c
         c += step
         step = 6 - step
+
+
+def primes(limit: Optional[int] = None) -> Iterator[int]:
+    """Yield primes in increasing order, optionally stopping below ``limit``."""
+    for c in _wheel_candidates():
+        if limit is not None and c >= limit:
+            return
+        if is_prime(c):
+            yield c
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -292,7 +289,7 @@ def g_value(D: int, m: int, N: int) -> int:
     """(sigma_{m,chi_D}(N) - sigma*_{m,chi_D}(N)) / (1 + |chi_D(N)|),
     always an exact integer."""
     chi = kronecker_character(D)
-    diff = divisor_power_sum(m, N, chi) - divisor_power_sum(m, N, chi, star=True)
+    diff = sum((chi(d) - chi(N // d)) * d**m for d in divisors(N))
     q, r = divmod(diff, 1 + abs(chi(N)))
     if r:
         raise IntegralityViolation(f"g_value({D}, {m}, {N}) is not integral")

@@ -23,7 +23,7 @@ from .congruence import (
     solve_lambda,
     verify_congruence,
 )
-from .elliptic import elliptic_eisenstein, ramanujan_tau
+from .elliptic import CUSP_FORMS, elliptic_eisenstein, ramanujan_tau
 from .errors import EiscongError
 from .expansion import exp_parse, exp_serialize, phi_operator
 from .hermitian import (
@@ -45,8 +45,6 @@ from .reference_values import (
 from .siegel import igusa_x10, igusa_x12, siegel_expansion, siegel_g_coefficient
 
 CACHE_ENV = "EISCONG_CACHE_DIR"
-
-_NAMED_FORMS = {"X10": 10, "X12": 12, "CHI8": 8, "F10": 10, "F12": 12}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
     s.add_argument("--disc", type=int)
     s.add_argument("--form", required=True,
-                   choices=["G", "E", "X10", "X12", "CHI8", "F10", "F12"])
+                   choices=["G", "E", *dict.fromkeys(n for _, _, n in CUSP_FORMS)])
     s.add_argument("--weight", type=int)
     s.add_argument("--trace-bound", type=int, default=3)
     s.add_argument("--out")
@@ -126,21 +124,19 @@ def _parse_matrix(text: str, length: int):
 
 
 def _build_expansion(space, disc, form, weight, bound):
-    if form in _NAMED_FORMS:
-        expected = _NAMED_FORMS[form]
+    if space == "hermitian" and disc is None:
+        raise ValueError("hermitian space needs --disc")
+    if form not in ("G", "E"):
+        key = (space, disc if space == "hermitian" else None, form)
+        if key not in CUSP_FORMS:
+            over = f" over disc {disc}" if space == "hermitian" else ""
+            raise ValueError(f"form {form} is not a {space} form{over}")
+        expected = CUSP_FORMS[key][0]
         if weight is not None and weight != expected:
             raise ValueError(f"form {form} has weight {expected}")
         if space == "siegel":
-            if form == "X10":
-                return igusa_x10(bound)
-            if form == "X12":
-                return igusa_x12(bound)
-            raise ValueError(f"form {form} is not a siegel form")
-        if space == "hermitian":
-            if disc is None:
-                raise ValueError("hermitian space needs --disc")
-            return hermitian_cusp_form(form, disc, bound)
-        raise ValueError(f"form {form} is not an elliptic form")
+            return igusa_x10(bound) if form == "X10" else igusa_x12(bound)
+        return hermitian_cusp_form(form, disc, bound)
     if weight is None:
         raise ValueError("--weight is required for form G/E")
     if space == "elliptic":
@@ -149,8 +145,6 @@ def _build_expansion(space, disc, form, weight, bound):
         return elliptic_eisenstein(weight, bound)
     if space == "siegel":
         return siegel_expansion(form, weight, bound)
-    if disc is None:
-        raise ValueError("hermitian space needs --disc")
     return hermitian_expansion(form, disc, weight, bound)
 
 

@@ -11,6 +11,7 @@ from math import gcd
 from typing import Optional
 
 from .arith import (
+    _wheel_candidates,
     bernoulli,
     factorize,
     generalized_bernoulli,
@@ -170,18 +171,7 @@ def _prime_factors_bounded(n: int, bound: int) -> set[int]:
     found: set[int] = set()
     if n <= 1:
         return found
-    candidates = [2, 3]
-
-    def wheel():
-        yield from candidates
-        c = 5
-        step = 2
-        while True:
-            yield c
-            c += step
-            step = 6 - step
-
-    for c in wheel():
+    for c in _wheel_candidates():
         if c > bound or c * c > n:
             break
         if n % c == 0:

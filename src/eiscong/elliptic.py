@@ -1,11 +1,12 @@
 """Degree-1 q-expansions: Eisenstein series, Delta / tau, and the exact
-decomposition of a level-1 form into E4^a E6^b monomials."""
+decomposition of a level-1 form into E4^a E6^b monomials; also the table
+of degree-2 cusp forms, each built from E_k minus its degree-1 relation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .arith import bernoulli, divisor_power_sum
 from .errors import InvalidWeight, NotInSpace
@@ -63,6 +64,13 @@ def ramanujan_tau(n: int) -> Fraction:
     return delta_expansion(bound).coefficient(n)
 
 
+def _monomial(e4: TruncatedExpansion, e6: TruncatedExpansion, a: int, b: int):
+    """E4^a E6^b; the constant one only for the empty product."""
+    if a == b == 0:
+        return constant_one(e4.lattice, min(e4.trace_bound, e6.trace_bound))
+    return reduce(exp_multiply, [e4] * a + [e6] * b)
+
+
 @dataclass(frozen=True)
 class IsobaricPolynomial:
     """Polynomial in (E4, E6) with every monomial of total weight k:
@@ -97,13 +105,40 @@ class IsobaricPolynomial:
         lat = e4.lattice
         acc = zero_expansion(lat, self.weight, bound)
         for (a, b), c in self.terms:
-            mono = constant_one(lat, bound)
-            for _ in range(a):
-                mono = exp_multiply(mono, e4)
-            for _ in range(b):
-                mono = exp_multiply(mono, e6)
-            acc = exp_add(acc, exp_scale(c, mono))
+            acc = exp_add(acc, exp_scale(c, _monomial(e4, e6, a, b)))
         return acc
+
+
+# E_k = Q_k(E4, E6) in degree 1, for the weights of the cusp forms below
+_BOUNDARY_RELATIONS = {
+    8: IsobaricPolynomial.from_dict(8, {(2, 0): 1}),
+    10: IsobaricPolynomial.from_dict(10, {(1, 1): 1}),
+    12: IsobaricPolynomial.from_dict(
+        12, {(3, 0): Fraction(441, 691), (0, 2): Fraction(250, 691)}
+    ),
+}
+
+# (space, disc, name) -> (weight k, front): the cusp form is
+# front * (E_k - Q_k(E4, E6)) with the degree-2 Eisenstein series E_k
+CUSP_FORMS = {
+    ("siegel", None, "X10"): (10, Fraction(-43867, 2**10 * 3**5 * 5**2 * 7 * 53)),
+    ("siegel", None, "X12"): (
+        12, Fraction(-691 * 131 * 593, 2**11 * 3**6 * 5**3 * 7**2 * 337)
+    ),
+    ("hermitian", -4, "CHI8"): (8, Fraction(-61, 230400)),
+    ("hermitian", -4, "F10"): (10, Fraction(-277, 2419200)),
+    ("hermitian", -3, "F10"): (10, Fraction(-809, 21772800)),
+    ("hermitian", -3, "F12"): (12, Fraction(-1276277, 36578304000)),
+}
+
+
+def cusp_form(key, eis) -> TruncatedExpansion:
+    """The CUSP_FORMS entry ``key``, where eis(k) gives the degree-2 E_k."""
+    k, front = CUSP_FORMS[key]
+    q = _BOUNDARY_RELATIONS[k]
+    e4 = eis(4)
+    e6 = eis(6) if any(b for (_, b), _ in q.terms) else e4  # Q_8 = E4^2 needs no E6
+    return exp_scale(front, exp_add(eis(k), exp_scale(-1, q.evaluate(e4, e6))))
 
 
 def isobaric_monomials(k: int) -> list[tuple[int, int]]:
@@ -165,11 +200,7 @@ def decompose_into_e4_e6(f: TruncatedExpansion, k: int) -> IsobaricPolynomial:
     e6 = elliptic_eisenstein(6, n_max)
     columns = []
     for a, b in monos:
-        mono = constant_one(ELLIPTIC, n_max)
-        for _ in range(a):
-            mono = exp_multiply(mono, e4)
-        for _ in range(b):
-            mono = exp_multiply(mono, e6)
+        mono = _monomial(e4, e6, a, b)
         columns.append([mono.coefficient(n) for n in range(n_max + 1)])
     rows = [[columns[j][n] for j in range(len(monos))] for n in range(n_max + 1)]
     rhs = [f.coefficient(n) for n in range(n_max + 1)]

@@ -23,8 +23,9 @@ from .arith import (
     generalized_bernoulli,
     kronecker_character,
 )
+from .elliptic import CUSP_FORMS, cusp_form
 from .errors import InvalidWeight, NotPositiveSemidefinite, UnsupportedFieldForm
-from .expansion import TruncatedExpansion, exp_add, exp_multiply, exp_scale
+from .expansion import TruncatedExpansion, exp_scale
 
 CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
@@ -169,22 +170,16 @@ def hermitian_g_coefficient(field: ImagQuadField, k: int, h) -> Fraction:
     return Fraction(total)
 
 
+def _e_scale(disc: int, k: int) -> Fraction:
+    """E_{k,K} / G_{k,K}: one over the constant term of G_{k,K}."""
+    return Fraction(4 * k * (k - 1)) / (
+        bernoulli(k) * generalized_bernoulli(k - 1, disc)
+    )
+
+
 def hermitian_e_coefficient(field: ImagQuadField, k: int, h) -> Fraction:
     """Coefficient of E_{k,K}, normalized to constant term 1."""
-    _check(field, k, h)
-    d = field.disc
-    if h == (0, 0, 0, 0):
-        return Fraction(1)
-    det = det_scaled(field, h)
-    eps = content(h)
-    if det == 0:
-        return Fraction(-2 * k) / bernoulli(k) * divisor_power_sum(k - 1, eps)
-    total = 0
-    for e in divisors(eps):
-        total += e ** (k - 1) * g_value(d, k - 2, det // (e * e))
-    return Fraction(4 * k * (k - 1)) / (
-        bernoulli(k) * generalized_bernoulli(k - 1, d)
-    ) * total
+    return hermitian_g_coefficient(field, k, h) * _e_scale(field.disc, k)
 
 
 @lru_cache(maxsize=None)
@@ -194,46 +189,20 @@ def hermitian_expansion(
     """Truncated expansion of G_{k,K} or E_{k,K}."""
     if form not in ("G", "E"):
         raise ValueError(f"form must be 'G' or 'E', got {form!r}")
+    if form == "E":
+        g = hermitian_expansion("G", disc, k, trace_bound)
+        return exp_scale(_e_scale(disc, k), g)
     field = imag_quad_field(disc)
     lat = hermitian_lattice(disc)
-    coeff = hermitian_g_coefficient if form == "G" else hermitian_e_coefficient
-    coeffs = {h: coeff(field, k, h) for h in lat.enumerate_all(trace_bound)}
+    coeffs = {h: hermitian_g_coefficient(field, k, h)
+              for h in lat.enumerate_all(trace_bound)}
     return TruncatedExpansion(lat, k, trace_bound, coeffs)
-
-
-# (name, disc) -> (weight, leading rational, [(coefficient, [factor weights])])
-# Each cusp form is a rational multiple of a difference of Eisenstein
-# products, exactly as constructed for these two fields.
-_CUSP_WEIGHTS = {("CHI8", -4): 8, ("F10", -4): 10, ("F10", -3): 10, ("F12", -3): 12}
 
 
 @lru_cache(maxsize=None)
 def hermitian_cusp_form(name: str, disc: int, trace_bound: int) -> TruncatedExpansion:
     """The cusp forms CHI8 (disc -4), F10 (disc -3 or -4), F12 (disc -3)."""
-    if (name, disc) not in _CUSP_WEIGHTS:
+    key = ("hermitian", disc, name)
+    if key not in CUSP_FORMS:
         raise UnsupportedFieldForm(f"no cusp form {name!r} over disc {disc}")
-
-    def eis(k):
-        return hermitian_expansion("E", disc, k, trace_bound)
-
-    if name == "CHI8":
-        e4 = eis(4)
-        diff = exp_add(eis(8), exp_scale(-1, exp_multiply(e4, e4)))
-        return exp_scale(Fraction(-61, 230400), diff)
-    if name == "F10":
-        diff = exp_add(eis(10), exp_scale(-1, exp_multiply(eis(4), eis(6))))
-        front = Fraction(-277, 2419200) if disc == -4 else Fraction(-809, 21772800)
-        return exp_scale(front, diff)
-    # F12 over disc -3
-    e4 = eis(4)
-    e6 = eis(6)
-    e4cubed = exp_multiply(exp_multiply(e4, e4), e4)
-    e6sq = exp_multiply(e6, e6)
-    comb = exp_add(
-        eis(12),
-        exp_add(
-            exp_scale(Fraction(-441, 691), e4cubed),
-            exp_scale(Fraction(-250, 691), e6sq),
-        ),
-    )
-    return exp_scale(Fraction(-1276277, 36578304000), comb)
+    return cusp_form(key, lambda k: hermitian_expansion("E", disc, k, trace_bound))

@@ -22,8 +22,9 @@ from .arith import (
     kronecker_character,
     mobius,
 )
+from .elliptic import cusp_form
 from .errors import InvalidWeight, NotPositiveSemidefinite
-from .expansion import TruncatedExpansion, exp_add, exp_multiply, exp_scale
+from .expansion import TruncatedExpansion, exp_scale
 
 
 class SiegelLattice:
@@ -123,10 +124,14 @@ def siegel_g_coefficient(k: int, t) -> Fraction:
     return generalized_bernoulli(k - 1, D) / (k - 1) * total
 
 
+def _e_scale(k: int) -> Fraction:
+    """E_k / G_k: one over the constant term of G_k."""
+    return Fraction(4 * k * (k - 1)) / (-bernoulli(k) * bernoulli(2 * k - 2))
+
+
 def siegel_e_coefficient(k: int, t) -> Fraction:
     """Coefficient of E_k, normalized so the constant term is 1."""
-    scale = Fraction(4 * k * (k - 1)) / (-bernoulli(k) * bernoulli(2 * k - 2))
-    return scale * siegel_g_coefficient(k, t)
+    return siegel_g_coefficient(k, t) * _e_scale(k)
 
 
 @lru_cache(maxsize=None)
@@ -135,31 +140,23 @@ def siegel_expansion(form: str, k: int, trace_bound: int) -> TruncatedExpansion:
     _check_weight(k)
     if form not in ("G", "E"):
         raise ValueError(f"form must be 'G' or 'E', got {form!r}")
-    coeff = siegel_g_coefficient if form == "G" else siegel_e_coefficient
-    coeffs = {t: coeff(k, t) for t in SIEGEL.enumerate_all(trace_bound)}
+    if form == "E":
+        return exp_scale(_e_scale(k), siegel_expansion("G", k, trace_bound))
+    coeffs = {t: siegel_g_coefficient(k, t) for t in SIEGEL.enumerate_all(trace_bound)}
     return TruncatedExpansion(SIEGEL, k, trace_bound, coeffs)
+
+
+def _siegel_eisenstein(trace_bound: int):
+    return lambda k: siegel_expansion("E", k, trace_bound)
 
 
 @lru_cache(maxsize=None)
 def igusa_x10(trace_bound: int) -> TruncatedExpansion:
     """Weight-10 Igusa cusp form, normalized to 1 at (1, 1/2; 1/2, 1)."""
-    e10 = siegel_expansion("E", 10, trace_bound)
-    e4 = siegel_expansion("E", 4, trace_bound)
-    e6 = siegel_expansion("E", 6, trace_bound)
-    diff = exp_add(e10, exp_scale(-1, exp_multiply(e4, e6)))
-    return exp_scale(Fraction(-43867, 2**10 * 3**5 * 5**2 * 7 * 53), diff)
+    return cusp_form(("siegel", None, "X10"), _siegel_eisenstein(trace_bound))
 
 
 @lru_cache(maxsize=None)
 def igusa_x12(trace_bound: int) -> TruncatedExpansion:
     """Weight-12 Igusa cusp form."""
-    e12 = siegel_expansion("E", 12, trace_bound)
-    e4 = siegel_expansion("E", 4, trace_bound)
-    e6 = siegel_expansion("E", 6, trace_bound)
-    e4cubed = exp_multiply(exp_multiply(e4, e4), e4)
-    e6sq = exp_multiply(e6, e6)
-    comb = exp_add(
-        exp_add(exp_scale(3**2 * 7**2, e4cubed), exp_scale(2 * 5**3, e6sq)),
-        exp_scale(-691, e12),
-    )
-    return exp_scale(Fraction(131 * 593, 2**11 * 3**6 * 5**3 * 7**2 * 337), comb)
+    return cusp_form(("siegel", None, "X12"), _siegel_eisenstein(trace_bound))

@@ -1,0 +1,58 @@
+"""Record sha256 digests of ``exp_serialize`` for the Eisenstein series
+and the named cusp forms, so refactors of their construction can be held
+byte for byte against the commit the digests come from.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tests/data/capture_forms_goldens.py
+
+It writes ``forms_goldens.json`` beside this script.
+"""
+
+import hashlib
+import json
+import os
+
+from eiscong.expansion import exp_serialize
+from eiscong.hermitian import hermitian_cusp_form, hermitian_expansion
+from eiscong.siegel import igusa_x10, igusa_x12, siegel_expansion
+
+TRACE_BOUNDS = range(5)
+WEIGHTS = range(4, 13, 2)
+HERMITIAN_DISCS = (-3, -4, -7)
+
+
+def cases():
+    """(label, zero-argument builder) for every recorded expansion."""
+    for b in TRACE_BOUNDS:
+        for form in ("G", "E"):
+            for k in WEIGHTS:
+                yield (f"siegel/{form}{k}/b{b}",
+                       lambda form=form, k=k, b=b: siegel_expansion(form, k, b))
+                for d in HERMITIAN_DISCS:
+                    yield (f"hermitian{d}/{form}{k}/b{b}",
+                           lambda form=form, d=d, k=k, b=b:
+                           hermitian_expansion(form, d, k, b))
+        yield f"siegel/X10/b{b}", lambda b=b: igusa_x10(b)
+        yield f"siegel/X12/b{b}", lambda b=b: igusa_x12(b)
+        for name, d in (("CHI8", -4), ("F10", -4), ("F10", -3), ("F12", -3)):
+            yield (f"hermitian{d}/{name}/b{b}",
+                   lambda name=name, d=d, b=b: hermitian_cusp_form(name, d, b))
+
+
+def digest(f) -> str:
+    return hashlib.sha256(exp_serialize(f).encode()).hexdigest()
+
+
+def main():
+    out = {label: digest(build()) for label, build in cases()}
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "forms_goldens.json")
+    with open(path, "w") as fh:
+        json.dump(out, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(out)} digests written to {path}")
+
+
+if __name__ == "__main__":
+    main()

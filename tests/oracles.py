@@ -3,12 +3,21 @@
 These deliberately take different routes than the library: Bernoulli
 numbers via the Akiyama-Tanigawa triangle and via tangent numbers, Delta
 via the eta product, chi values via Euler's criterion, expansion products
-target by target over every index pair.
+target by target over every index pair, Hermitian E_k coefficients by their
+own closed form rather than as a multiple of G_k.
 """
 
 from fractions import Fraction
 
+from eiscong.arith import (
+    bernoulli,
+    divisor_power_sum,
+    divisors,
+    g_value,
+    generalized_bernoulli,
+)
 from eiscong.expansion import TruncatedExpansion
+from eiscong.hermitian import content, det_scaled
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -110,3 +119,21 @@ def reference_product(f: TruncatedExpansion, g: TruncatedExpansion) -> Truncated
                 acc += a * g.coeffs.get(_index_difference(t, s), 0)
         coeffs[t] = acc
     return TruncatedExpansion(lat, f.weight + g.weight, bound, coeffs)
+
+
+def hermitian_e_closed_form(field, k: int, h) -> Fraction:
+    """Coefficient of E_{k,K} at h, rank by rank: 1 at the zero index,
+    -2k/B_k sigma_{k-1}(content) in rank 1, and in rank 2 the divisor sum
+    of g values times 4k(k-1) / (B_k B_{k-1,chi})."""
+    d = field.disc
+    if h == (0, 0, 0, 0):
+        return Fraction(1)
+    det = det_scaled(field, h)
+    eps = content(h)
+    if det == 0:
+        return Fraction(-2 * k) / bernoulli(k) * divisor_power_sum(k - 1, eps)
+    total = sum(e ** (k - 1) * g_value(d, k - 2, det // (e * e))
+                for e in divisors(eps))
+    return Fraction(4 * k * (k - 1)) / (
+        bernoulli(k) * generalized_bernoulli(k - 1, d)
+    ) * total

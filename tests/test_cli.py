@@ -118,6 +118,18 @@ class TestExpand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("place", [
+        ("--space", "hermitian", "--disc", "-4", "--form", "X10"),
+        ("--space", "hermitian", "--disc", "-7", "--form", "F10"),
+        ("--space", "hermitian", "--disc", "-3", "--form", "CHI8"),
+        ("--space", "siegel", "--form", "CHI8"),
+        ("--space", "elliptic", "--form", "X12"),
+    ])
+    def test_named_form_outside_its_space_is_usage_error(self, capsys, place):
+        code, _, err = run(capsys, "expand", *place, "--trace-bound", "1")
+        assert code == 2
+        assert "computation error" not in err
+
     def test_hermitian_without_disc_fails(self, capsys):
         code, _, _ = run(
             capsys, "expand", "--space", "hermitian", "--form", "E",
@@ -243,7 +255,7 @@ class TestTablesAndReproduce:
         assert code == 0
         assert "-1/2" in out  # B_{1,chi}
 
-    @pytest.mark.parametrize("section", ["1", "4.1", "4.2"])
+    @pytest.mark.parametrize("section", ["1", "4.1", "4.2", "5"])
     def test_reproduce_sections_pass(self, capsys, section):
         code, out, _ = run(capsys, "reproduce", "--section", section)
         assert code == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eiscong.elliptic import (
     IsobaricPolynomial,
+    _BOUNDARY_RELATIONS,
     decompose_into_e4_e6,
     delta_expansion,
     dim_level_one,
@@ -122,6 +123,12 @@ class TestDecomposition:
             (3, 0): Fraction(441, 691),
             (0, 2): Fraction(250, 691),
         }
+
+    @pytest.mark.parametrize("k", sorted(_BOUNDARY_RELATIONS))
+    def test_boundary_relations_are_what_the_solver_finds(self, k):
+        # the cusp-form table's Q_k, checked against the linear solver
+        q = decompose_into_e4_e6(elliptic_eisenstein(k, 4), k)
+        assert _BOUNDARY_RELATIONS[k] == q
 
     def test_delta_decomposition(self):
         q = decompose_into_e4_e6(delta_expansion(4), 12)

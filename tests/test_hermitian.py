@@ -29,6 +29,8 @@ from eiscong.hermitian import (
     rank,
 )
 
+from .oracles import hermitian_e_closed_form
+
 # identity-like indices: diag(1, 1) with and without off-diagonal entries
 EISENSTEIN_INDICES = {
     -3: [(1, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 2), (1, 0, 0, 2)],
@@ -135,10 +137,12 @@ class TestEisensteinCoefficients:
                 scale = bernoulli(k) * generalized_bernoulli(k - 1, d) / (
                     4 * k * (k - 1)
                 )
+                e_expansion = hermitian_expansion("E", d, k, 2)
                 for h in hermitian_lattice(d).enumerate_all(2):
-                    assert hermitian_g_coefficient(f, k, h) == scale * (
-                        hermitian_e_coefficient(f, k, h)
-                    )
+                    e = hermitian_e_closed_form(f, k, h)
+                    assert hermitian_e_coefficient(f, k, h) == e
+                    assert e_expansion.coefficient(h) == e
+                    assert hermitian_g_coefficient(f, k, h) == scale * e
 
     def test_rank_two_g_coefficients_are_integers(self):
         for d in CLASS_NUMBER_ONE_DISCRIMINANTS:

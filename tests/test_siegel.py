@@ -147,6 +147,8 @@ class TestEisensteinCoefficients:
     def test_invalid_inputs(self):
         with pytest.raises(InvalidWeight):
             siegel_g_coefficient(7, IDENTITY)
+        with pytest.raises(InvalidWeight):  # B_5 = 0: no division first
+            siegel_e_coefficient(5, IDENTITY)
         with pytest.raises(NotPositiveSemidefinite):
             siegel_g_coefficient(10, (1, 5, 1))
         with pytest.raises(ValueError):
