@@ -4,11 +4,19 @@ Bernoulli numbers and polynomials, Kronecker characters of fundamental
 discriminants, character-twisted divisor sums, and p-adic valuations of
 rationals.  Everything is computed over ``fractions.Fraction`` / Python
 integers; no floating point enters anywhere.
+
+The even Bernoulli numbers live in one shared table built from tangent
+numbers in integers only, by the in-place recurrence of Brent and Harvey
+(*Fast computation of Bernoulli, Tangent and Secant numbers*, 2011), and
+each entry is formed once as a ``Fraction``.  Rationals print and parse
+exactly at any size, past the interpreter's int/str digit limit.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,18 +131,33 @@ def squarefree(n: int) -> bool:
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-# B_0, B_2, B_4, ... ; grown on demand under a lock so concurrent first use
-# cannot interleave appends.
+# B_0, B_2, B_4, ... ; only ever extended, under a lock, so concurrent first
+# use cannot interleave appends and an entry once read never changes.
 _BERN_EVEN: list[Fraction] = [Fraction(1)]
 _BERN_LOCK = threading.Lock()
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, ..., T_n], the tangent numbers, by the in-place recurrence of
+    Brent and Harvey: O(n^2) integer operations, no fractions."""
+    T = [0, 1]
+    for k in range(2, n + 1):
+        T.append((k - 1) * T[k - 1])
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return T
 
 
 def bernoulli(m: int) -> Fraction:
     """The m-th Bernoulli number, convention B_1 = -1/2.
 
-    Computed by the binomial-sum recurrence sum_j C(n+1, j) B_j = 0,
-    restricted to even indices (odd ones vanish beyond B_1); all values
-    are cached.
+    Even indices come from a cached table built from tangent numbers
+    (Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
+    numbers", 2011): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  A miss
+    rebuilds the tangent numbers up to max(k, 2 * len) and appends the new
+    entries, so a run of growing requests costs a few builds, not one each.
+    Odd indices beyond B_1 vanish.
     """
     if m < 0:
         raise ValueError("bernoulli expects m >= 0")
@@ -145,12 +168,16 @@ def bernoulli(m: int) -> Fraction:
     k = m // 2
     if k >= len(_BERN_EVEN):
         with _BERN_LOCK:
-            while len(_BERN_EVEN) <= k:
-                n = 2 * len(_BERN_EVEN)
-                acc = Fraction(-(n + 1), 2)  # the j = 1 term, B_1 = -1/2
-                for j, b in enumerate(_BERN_EVEN):
-                    acc += comb(n + 1, 2 * j) * b
-                _BERN_EVEN.append(-acc / (n + 1))
+            have = len(_BERN_EVEN)
+            if k >= have:
+                n = max(k, 2 * have)
+                T = _tangent_numbers(n)
+                new = []
+                for i in range(have, n + 1):
+                    four_i = 4**i
+                    b = Fraction(2 * i * T[i], four_i * (four_i - 1))
+                    new.append(b if i % 2 else -b)
+                _BERN_EVEN.extend(new)
     return _BERN_EVEN[k]
 
 
@@ -353,11 +380,37 @@ class PrimeLocalization:
 # ---------------------------------------------------------------------------
 
 
+# str(int) and int(str) refuse more digits than sys.get_int_max_str_digits()
+# (4300 by default).  decimal converts exactly at any size; a context of its
+# own keeps the conversion independent of the caller's decimal settings.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_CANONICAL_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def format_rational(q: Fraction) -> str:
-    """"num/den" in lowest terms, denominator positive; integers as "n"."""
+    """"num/den" in lowest terms, denominator positive; integers as "n".
+    Exact at any size, past the interpreter's int-to-str digit limit too."""
     q = Fraction(q)
-    return str(q)
+    try:
+        return str(q)
+    except ValueError:  # beyond the digit limit
+        num = str(_EXACT.create_decimal(q.numerator))
+        if q.denominator == 1:
+            return num
+        return f"{num}/{_EXACT.create_decimal(q.denominator)}"
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """Inverse of format_rational, at any size; also reads every other form
+    ``Fraction`` accepts."""
+    s = s.strip()
+    try:
+        return Fraction(s)
+    except ValueError:
+        match = _CANONICAL_RATIONAL.fullmatch(s)
+        if match is None:
+            raise
+    num, den = (int(_EXACT.create_decimal(g or 1)) for g in match.groups())
+    if den == 0:  # Fraction would put the numerator's digits in its message
+        raise ZeroDivisionError(f"zero denominator in {s[:20]}...")
+    return Fraction(num, den)

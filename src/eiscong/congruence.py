@@ -155,8 +155,11 @@ def irregular_pairs(p_max: int) -> list[tuple[int, int]]:
     the numerator of B_m."""
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
+    ps = list(primes(p_max + 1))
+    if ps[-1] > 3:
+        bernoulli(ps[-1] - 3)  # the largest B_m tested: one table build, not a chain
     out = []
-    for p in primes(p_max + 1):
+    for p in ps:
         for m in range(2, p - 2, 2):
             if bernoulli(m).numerator % p == 0:
                 out.append((p, m))

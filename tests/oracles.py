@@ -1,13 +1,16 @@
 """Independent oracles used by the tests.
 
 These deliberately take different routes than the library: Bernoulli
-numbers via the Akiyama-Tanigawa triangle and via tangent numbers, Delta
+numbers via the binomial-sum recurrence (``bernoulli_binomial_recurrence``,
+the library's route before it built its table from tangent numbers), via
+the Akiyama-Tanigawa triangle and via Seidel's zigzag triangle, Delta
 via the eta product, chi values via Euler's criterion, expansion products
 target by target over every index pair, Hermitian E_k coefficients by their
 own closed form rather than as a multiple of G_k.
 """
 
 from fractions import Fraction
+from math import comb
 
 from eiscong.arith import (
     bernoulli,
@@ -18,6 +21,24 @@ from eiscong.arith import (
 )
 from eiscong.expansion import TruncatedExpansion
 from eiscong.hermitian import content, det_scaled
+
+
+def bernoulli_binomial_recurrence(n: int) -> list[Fraction]:
+    """B_0..B_n with the B_1 = -1/2 convention, by the binomial-sum
+    recurrence sum_j C(m+1, j) B_j = 0 restricted to even indices (odd ones
+    vanish beyond B_1)."""
+    even = [Fraction(1)]  # B_0, B_2, B_4, ...
+    while 2 * len(even) <= n:
+        m = 2 * len(even)
+        acc = Fraction(-(m + 1), 2)  # the j = 1 term, B_1 = -1/2
+        for j, b in enumerate(even):
+            acc += comb(m + 1, 2 * j) * b
+        even.append(-acc / (m + 1))
+    out = [Fraction(0)] * (n + 1)
+    out[0::2] = even
+    if n >= 1:
+        out[1] = Fraction(-1, 2)
+    return out
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:

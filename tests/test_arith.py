@@ -33,6 +33,7 @@ from eiscong.errors import InvalidDiscriminantResidue, NonFundamentalDiscriminan
 
 from .oracles import (
     bernoulli_akiyama_tanigawa,
+    bernoulli_binomial_recurrence,
     bernoulli_tangent,
     chi_via_euler_criterion,
     sigma_bruteforce,
@@ -97,6 +98,10 @@ class TestBernoulli:
         at = bernoulli_akiyama_tanigawa(40)
         for m in range(41):
             assert bernoulli(m) == at[m]
+
+    def test_against_binomial_recurrence_oracle(self):
+        for m, value in enumerate(bernoulli_binomial_recurrence(300)):
+            assert bernoulli(m) == value
 
     def test_against_tangent_number_oracle(self):
         for m, value in bernoulli_tangent(60).items():
@@ -319,3 +324,20 @@ class TestRationalFormat:
     @given(st.fractions())
     def test_roundtrip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+    def test_roundtrip_beyond_int_str_digit_limit(self):
+        # 7**20000 has 16902 digits, far past Python's default limit of 4300
+        # on int <-> str conversion
+        for q in (Fraction(7**20000), Fraction(-(7**20000), 3), Fraction(5, 7**20000)):
+            text = format_rational(q)
+            assert parse_rational(text) == q
+            assert parse_rational(f" {text}\n") == q
+        assert format_rational(Fraction(-(7**20000), 3)).endswith("/3")
+        assert format_rational(Fraction(7**20000))[:6] == "913692"
+
+    def test_malformed_long_text_is_rejected(self):
+        for text in ("1" * 5000 + "x", "1" * 5000 + "/", "/" + "1" * 5000, "1 " + "1" * 5000):
+            with pytest.raises(ValueError):
+                parse_rational(text)
+        with pytest.raises(ZeroDivisionError):
+            parse_rational("1" * 5000 + "/0")

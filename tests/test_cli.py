@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from eiscong.arith import bernoulli, parse_rational
 from eiscong.cli import main
 from eiscong.expansion import exp_parse, exp_serialize
 from eiscong.siegel import siegel_expansion, igusa_x10
@@ -21,6 +22,15 @@ class TestScalarCommands:
         code, out, _ = run(capsys, "bernoulli", "--index", "12")
         assert code == 0
         assert out.strip() == "-691/2730"
+
+    def test_bernoulli_beyond_int_str_digit_limit(self, capsys):
+        # B_2100 has a 4419-digit numerator, past Python's default limit of
+        # 4300 digits on int <-> str conversion
+        code, out, _ = run(capsys, "bernoulli", "--index", "2100")
+        assert code == 0
+        value = parse_rational(out)
+        assert value == bernoulli(2100)
+        assert len(out.split("/")[0].lstrip("-")) == 4419
 
     def test_gen_bernoulli(self, capsys):
         code, out, _ = run(capsys, "gen-bernoulli", "--disc", "-7", "--index", "9")

@@ -1,12 +1,14 @@
 """Tests for modular reduction, congruence verification and the prime
 scanners."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eiscong.arith import primes
 from eiscong.congruence import (
     bruinier_search,
     condition_a_check,
@@ -23,7 +25,7 @@ from eiscong.errors import AllZeroRhs, NonIntegralCoefficient, WeightMismatch
 from eiscong.hermitian import hermitian_cusp_form, hermitian_expansion
 from eiscong.siegel import igusa_x10, igusa_x12, siegel_expansion
 
-from .oracles import bernoulli_tangent
+from .oracles import bernoulli_binomial_recurrence, bernoulli_tangent
 
 
 class TestReduction:
@@ -168,13 +170,30 @@ class TestIrregularPairs:
         # numerators
         oracle = bernoulli_tangent(100)
         expected = []
-        from eiscong.arith import primes
-
         for p in primes(104):
             for m in range(2, p - 2, 2):
                 if oracle[m].numerator % p == 0:
                     expected.append((p, m))
         assert irregular_pairs(103) == expected
+
+    def test_agrees_with_binomial_recurrence_oracle(self):
+        oracle = bernoulli_binomial_recurrence(400)
+        expected = [
+            (p, m)
+            for p in primes(401)
+            for m in range(2, p - 2, 2)
+            if oracle[m].numerator % p == 0
+        ]
+        assert irregular_pairs(400) == expected
+
+    def test_up_to_1000_unchanged(self):
+        # sha256 of repr(irregular_pairs(1000)) as computed by the binomial
+        # recurrence before the table was built from tangent numbers
+        got = irregular_pairs(1000)
+        assert len(got) == 81
+        assert got[-3:] == [(929, 820), (953, 156), (971, 166)]
+        digest = hashlib.sha256(repr(got).encode()).hexdigest()
+        assert digest == "ae946d6dd6f3ec55189913f5e0fc05f1f9597a2af982b85502d5f4c21c49ca65"
 
 
 class TestConditionScanners:

@@ -199,6 +199,13 @@ class TestSerialization:
         for f in forms:
             assert exp_parse(exp_serialize(f)) == f
 
+    def test_roundtrip_beyond_int_str_digit_limit(self):
+        # a 16902-digit numerator, past Python's default int <-> str limit
+        f = small_elliptic(12, 2, [1, Fraction(7**20000, 5), -(7**20000)])
+        text = exp_serialize(f)
+        assert exp_parse(text) == f
+        assert exp_serialize(exp_parse(text)) == text
+
     def test_byte_determinism(self):
         a = exp_serialize(siegel_expansion("E", 4, 3))
         b = exp_serialize(exp_parse(a))
