@@ -10,6 +10,18 @@ numbers in integers only, by the in-place recurrence of Brent and Harvey
 (*Fast computation of Bernoulli, Tangent and Secant numbers*, 2011), and
 each entry is formed once as a ``Fraction``.  Rationals print and parse
 exactly at any size, past the interpreter's int/str digit limit.
+
+The generalized Bernoulli numbers B_{n,chi} behind Cohen's function
+H(k-1, N) (H. Cohen, *Sums involving the values at negative integers of
+L-functions of quadratic characters*, Math. Ann. 1975) are sums over the
+nonvanishing even terms of
+
+    B_{n,chi} = sum_{j=0}^{n} C(n, j) B_j f^(j-1) S_{n-j},
+    S_i = sum_{a=1}^{f} chi(a) a^i,
+
+the definition f^(n-1) sum_a chi(a) B_n(a/f) of Washington (*Introduction
+to Cyclotomic Fields*, Prop. 4.1) with B_n(x) expanded once: about n/2
+``Fraction`` terms over exact integer power sums, not f*n.
 """
 
 from __future__ import annotations
@@ -35,10 +47,9 @@ INFINITE_VALUATION = math.inf
 
 # Witnesses that make Miller-Rabin deterministic for n < 3.317e24.
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 # Beyond the deterministic range we add further fixed bases; the answer is
-# then "probable prime", which is only ever reached for inputs far above
-# anything the scanners certify.
+# then "probable prime", and ``scan condition-b`` marks such primes.
 _MR_BASES_LARGE = _MR_BASES_SMALL + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
 
 
@@ -54,7 +65,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    bases = _MR_BASES_SMALL if n < _MR_DETERMINISTIC_BOUND else _MR_BASES_LARGE
+    bases = _MR_BASES_SMALL if n < MR_DETERMINISTIC_BOUND else _MR_BASES_LARGE
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -279,17 +290,29 @@ def kronecker_chi(D: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def generalized_bernoulli(n: int, D: int) -> Fraction:
-    """B_{n,chi_D} = f^(n-1) sum_{a=1}^{f} chi_D(a) B_n(a/f), f = |D|."""
+    """B_{n,chi_D} for a fundamental discriminant D, f = |D|.
+
+    By definition (Washington, *Introduction to Cyclotomic Fields*, Prop. 4.1)
+    B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f).  Expanding B_n(x) once,
+    outside the sum over residues, gives
+
+        B_{n,chi} = sum_{j=0}^{n} C(n, j) B_j f^(j-1) S_{n-j},
+        S_i = sum_{a=1}^{f} chi(a) a^i,
+
+    with exact integer power sums S_i and only the j = 0, 1 and even j terms,
+    since B_j vanishes for odd j > 1.
+    """
     if n < 1:
         raise ValueError("generalized_bernoulli expects n >= 1")
     chi = kronecker_character(D)
     f = abs(D)
+    bernoulli(n - n % 2)  # the largest B_j used: one table build, not a chain
+    support = [(a, c) for a in range(1, f + 1) if (c := chi(a))]
     acc = Fraction(0)
-    for a in range(1, f + 1):
-        c = chi(a)
-        if c:
-            acc += c * bernoulli_polynomial(n, Fraction(a, f))
-    return Fraction(f) ** (n - 1) * acc
+    for j in (0, 1, *range(2, n + 1, 2)):
+        s = sum(c * a ** (n - j) for a, c in support)
+        acc += comb(n, j) * f**j * s * bernoulli(j)
+    return acc / f
 
 
 def divisor_power_sum(

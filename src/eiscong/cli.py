@@ -11,10 +11,13 @@ import os
 import sys
 from pathlib import Path
 
-from .arith import format_rational, bernoulli, generalized_bernoulli
+from .arith import (
+    MR_DETERMINISTIC_BOUND, bernoulli, format_rational, generalized_bernoulli,
+)
 from .congruence import (
     bruinier_search,
     condition_a_check,
+    condition_b_factors,
     condition_b_primes,
     cusp_correction,
     irregular_pairs,
@@ -355,13 +358,18 @@ def _cmd_scan(args) -> int:
             print(f"{p} {m}")
         return 0
     if args.scan_command == "condition-b":
-        result = condition_b_primes(args.disc, args.max_k)
-        for k, ps in result.items():
+        for k, (ps, rest) in condition_b_factors(args.disc, args.max_k).items():
             marks = ",".join(
-                f"{p}{'' if condition_a_check(args.disc, p) else '*'}" for p in ps
+                f"{p}{'' if condition_a_check(args.disc, p) else '*'}"
+                f"{'?' if p >= MR_DETERMINISTIC_BOUND else ''}" for p in ps
             )
-            print(f"k={k}: [{marks}]")
+            unfactored = "" if rest == 1 else f" unfactored {rest}"
+            print(f"k={k}: [{marks}]{unfactored}")
         print("(* marks primes failing condition (A))")
+        print("(? marks probable primes, above the deterministic Miller-Rabin "
+              "range 3.3e24)")
+        print("(unfactored: a composite cofactor with no prime factor below 1e7, "
+              "or 0 when the number vanishes)")
         return 0
     if args.scan_command == "witness":
         w = nontriviality_witness(args.disc, args.weight, args.mod)

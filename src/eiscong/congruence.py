@@ -7,11 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Optional
+from math import gcd, isqrt
+from typing import Iterator, Optional
 
 from .arith import (
-    _wheel_candidates,
     bernoulli,
     factorize,
     generalized_bernoulli,
@@ -166,15 +165,38 @@ def irregular_pairs(p_max: int) -> list[tuple[int, int]]:
     return out
 
 
-def _prime_factors_bounded(n: int, bound: int) -> set[int]:
-    """Prime factors of |n| found by trial division below ``bound``, plus a
-    leftover cofactor when it certifies prime.  Composite leftovers beyond
-    the bound are dropped."""
+def _prime_factors_bounded(n: int, bound: int) -> tuple[set[int], int]:
+    """Prime factors of |n| found by trial division up to ``bound``, plus a
+    leftover cofactor when it tests prime; and the cofactor left over
+    unfactored: 1 when |n| factors completely, a composite with no prime
+    factor up to ``bound`` otherwise, and 0 for n = 0.
+
+    Division stops at the bound, once c^2 > n, or once the cofactor is
+    prime.  Past 2 and 3 the candidates are the classes 6k - 1 and 6k + 1,
+    tested a chunk at a time in C; only a chunk that holds a divisor is
+    walked in Python, lazily.  Chunks double from 64 to 2^14 per class, so a
+    small factor is still met early.
+    """
     n = abs(n)
     found: set[int] = set()
     if n <= 1:
-        return found
-    for c in _wheel_candidates():
+        return found, n
+
+    def candidates() -> Iterator[int]:
+        # reads the current n, which shrinks as factors are divided out
+        yield 2
+        yield 3
+        a, width = 5, 64
+        while a <= min(bound, isqrt(n)):
+            b = min(a + 6 * width, bound + 1, isqrt(n) + 1)
+            if not (all(map(n.__mod__, range(a, b, 6)))
+                    and all(map(n.__mod__, range(a + 2, b, 6)))):
+                for c in range(a, b, 6):
+                    yield c
+                    yield c + 2
+            a, width = b, min(2 * width, 2**14)
+
+    for c in candidates():
         if c > bound or c * c > n:
             break
         if n % c == 0:
@@ -189,20 +211,33 @@ def _prime_factors_bounded(n: int, bound: int) -> set[int]:
                 break
     if n > 1 and is_prime(n):
         found.add(n)
-    return found
+        n = 1
+    return found, n
+
+
+def condition_b_factors(
+    disc: int, k_max: int, *, k_min: int = 4, trial_bound: int = 10**7
+) -> dict[int, tuple[list[int], int]]:
+    """For each even weight k, the primes p > k + 1 found dividing the
+    numerator of the (k-1)-th generalized Bernoulli number of the field
+    character, and the cofactor of that numerator left unfactored: 1, or a
+    composite with no prime factor up to ``trial_bound`` (0 if the number
+    vanishes)."""
+    out: dict[int, tuple[list[int], int]] = {}
+    for k in range(k_min, k_max + 1, 2):
+        num = generalized_bernoulli(k - 1, disc).numerator
+        ps, rest = _prime_factors_bounded(num, trial_bound)
+        out[k] = (sorted(p for p in ps if p > k + 1), rest)
+    return out
 
 
 def condition_b_primes(
     disc: int, k_max: int, *, k_min: int = 4, trial_bound: int = 10**7
 ) -> dict[int, list[int]]:
-    """For each even weight k, the primes p > k + 1 dividing the numerator
-    of the (k-1)-th generalized Bernoulli number of the field character."""
-    out: dict[int, list[int]] = {}
-    for k in range(k_min, k_max + 1, 2):
-        num = generalized_bernoulli(k - 1, disc).numerator
-        ps = _prime_factors_bounded(num, trial_bound)
-        out[k] = sorted(p for p in ps if p > k + 1)
-    return out
+    """The primes of ``condition_b_factors``, without the unfactored
+    cofactors."""
+    rows = condition_b_factors(disc, k_max, k_min=k_min, trial_bound=trial_bound)
+    return {k: ps for k, (ps, _) in rows.items()}
 
 
 def condition_a_check(disc: int, p: int) -> bool:

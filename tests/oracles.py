@@ -6,18 +6,27 @@ the library's route before it built its table from tangent numbers), via
 the Akiyama-Tanigawa triangle and via Seidel's zigzag triangle, Delta
 via the eta product, chi values via Euler's criterion, expansion products
 target by target over every index pair, Hermitian E_k coefficients by their
-own closed form rather than as a multiple of G_k.
+own closed form rather than as a multiple of G_k, generalized Bernoulli
+numbers from a Bernoulli polynomial at every residue
+(``generalized_bernoulli_by_polynomials``, the library's route before it
+summed integer powers), and bounded factoring by a candidate-by-candidate
+walk of the 6k+-1 wheel (``prime_factors_by_wheel``, the library's route
+before it tested whole chunks of the wheel at once).
 """
 
 from fractions import Fraction
 from math import comb
 
 from eiscong.arith import (
+    _wheel_candidates,
     bernoulli,
+    bernoulli_polynomial,
     divisor_power_sum,
     divisors,
     g_value,
     generalized_bernoulli,
+    is_prime,
+    kronecker_character,
 )
 from eiscong.expansion import TruncatedExpansion
 from eiscong.hermitian import content, det_scaled
@@ -89,6 +98,46 @@ def bernoulli_tangent(n_max: int) -> dict[int, Fraction]:
             b = -b
         out[2 * n] = b
     return out
+
+
+def generalized_bernoulli_by_polynomials(n: int, D: int) -> Fraction:
+    """B_{n,chi_D} = f^(n-1) sum_{a=1}^{f} chi_D(a) B_n(a/f), f = |D|."""
+    if n < 1:
+        raise ValueError("generalized_bernoulli expects n >= 1")
+    chi = kronecker_character(D)
+    f = abs(D)
+    acc = Fraction(0)
+    for a in range(1, f + 1):
+        c = chi(a)
+        if c:
+            acc += c * bernoulli_polynomial(n, Fraction(a, f))
+    return Fraction(f) ** (n - 1) * acc
+
+
+def prime_factors_by_wheel(n: int, bound: int) -> set[int]:
+    """Prime factors of |n| found by trial division below ``bound``, plus a
+    leftover cofactor when it certifies prime.  Composite leftovers beyond
+    the bound are dropped."""
+    n = abs(n)
+    found: set[int] = set()
+    if n <= 1:
+        return found
+    for c in _wheel_candidates():
+        if c > bound or c * c > n:
+            break
+        if n % c == 0:
+            found.add(c)
+            while n % c == 0:
+                n //= c
+            if n == 1:
+                break
+            if is_prime(n):
+                found.add(n)
+                n = 1
+                break
+    if n > 1 and is_prime(n):
+        found.add(n)
+    return found
 
 
 def delta_eta_product(n_max: int) -> list[int]:

@@ -36,6 +36,7 @@ from .oracles import (
     bernoulli_binomial_recurrence,
     bernoulli_tangent,
     chi_via_euler_criterion,
+    generalized_bernoulli_by_polynomials,
     sigma_bruteforce,
 )
 
@@ -215,6 +216,27 @@ class TestGeneralizedBernoulli:
         for d in (-3, -4, -7):
             for n in range(2, 11, 2):
                 assert generalized_bernoulli(n, d) == 0
+
+    def test_agrees_with_polynomial_oracle(self):
+        # every fundamental D in [-120, 60], D = 1 included, against the sum
+        # of Bernoulli polynomials over residues that the power sums replace
+        discs = [d for d in range(-120, 61) if is_fundamental_discriminant(d)]
+        assert 1 in discs and -120 in discs and 60 in discs
+        for d in discs:
+            for n in range(1, 15):
+                assert generalized_bernoulli(n, d) == generalized_bernoulli_by_polynomials(n, d), (n, d)
+
+    @pytest.mark.parametrize("n, d", [(61, -163), (40, -67)])
+    def test_agrees_with_polynomial_oracle_at_large_index(self, n, d):
+        assert generalized_bernoulli(n, d) == generalized_bernoulli_by_polynomials(n, d)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            generalized_bernoulli(0, -4)
+        with pytest.raises(ValueError):  # the index is checked first
+            generalized_bernoulli(0, -12)
+        with pytest.raises(NonFundamentalDiscriminant):
+            generalized_bernoulli(3, -12)
 
 
 class TestDivisorSums:

@@ -113,3 +113,22 @@ def test_irregular_scan_builds_the_table_once():
         print(json.dumps({"builds": builds, "table_len": len(arith._BERN_EVEN)}))
     """)
     assert got == {"builds": [98], "table_len": 99}
+
+
+def test_generalized_bernoulli_builds_the_table_once():
+    # B_201,chi(-163) uses B_j for j <= 200, so one build to k = 100
+    got = fresh_interpreter("""
+        import json
+        from eiscong import arith
+        builds = []
+        build = arith._tangent_numbers
+
+        def counted(n):
+            builds.append(n)
+            return build(n)
+
+        arith._tangent_numbers = counted
+        arith.generalized_bernoulli(201, -163)
+        print(json.dumps({"builds": builds, "table_len": len(arith._BERN_EVEN)}))
+    """)
+    assert got == {"builds": [100], "table_len": 101}

@@ -10,6 +10,8 @@ from eiscong.cli import main
 from eiscong.expansion import exp_parse, exp_serialize
 from eiscong.siegel import siegel_expansion, igusa_x10
 
+from .oracles import generalized_bernoulli_by_polynomials
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -36,6 +38,11 @@ class TestScalarCommands:
         code, out, _ = run(capsys, "gen-bernoulli", "--disc", "-7", "--index", "9")
         assert code == 0
         assert out.strip() == "-5086656/7"
+
+    def test_gen_bernoulli_large_index(self, capsys):
+        code, out, _ = run(capsys, "gen-bernoulli", "--disc", "-163", "--index", "201")
+        assert code == 0
+        assert parse_rational(out) == generalized_bernoulli_by_polynomials(201, -163)
 
     def test_coeff_siegel(self, capsys):
         code, out, _ = run(
@@ -245,6 +252,29 @@ class TestScan:
                            "--max-k", "10")
         assert code == 0
         assert "61" in out and "277" in out
+
+    def test_condition_b_reports_unfactored_cofactor(self, capsys):
+        # B_15,chi(-67) has numerator 2^a 3^b 5^c times a composite with no
+        # prime factor below 1e7
+        code, out, _ = run(capsys, "scan", "condition-b", "--disc", "-67",
+                           "--max-k", "16")
+        assert code == 0
+        lines = out.splitlines()
+        assert "k=16: [] unfactored 27911403950873192228229911" in lines
+        assert "k=14: [73,1439,56783,226088481721]" in lines
+        assert any(line.startswith("(unfactored: ") for line in lines)
+
+    def test_condition_b_marks_probable_primes(self, capsys):
+        # the largest prime factor of the numerator of B_15,chi(-163) lies
+        # above the deterministic Miller-Rabin range 3.317e24
+        code, out, _ = run(capsys, "scan", "condition-b", "--disc", "-163",
+                           "--max-k", "16")
+        assert code == 0
+        lines = out.splitlines()
+        assert "k=16: [358181,6185071975972339006627199?]" in lines
+        assert "k=14: [103,172357,1097359,1883639,2464211]" in lines
+        assert any(line.startswith("(? marks probable primes") for line in lines)
+        assert not any("unfactored" in line for line in lines if line.startswith("k="))
 
     def test_witness(self, capsys):
         code, out, _ = run(capsys, "scan", "witness", "--disc", "-3",

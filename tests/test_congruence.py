@@ -2,16 +2,20 @@
 scanners."""
 
 import hashlib
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eiscong.arith import primes
+from eiscong.arith import MR_DETERMINISTIC_BOUND, generalized_bernoulli, is_prime, primes
 from eiscong.congruence import (
+    _prime_factors_bounded,
     bruinier_search,
     condition_a_check,
+    condition_b_factors,
     condition_b_primes,
     cusp_correction,
     irregular_pairs,
@@ -23,9 +27,10 @@ from eiscong.congruence import (
 from eiscong.expansion import exp_scale, phi_operator
 from eiscong.errors import AllZeroRhs, NonIntegralCoefficient, WeightMismatch
 from eiscong.hermitian import hermitian_cusp_form, hermitian_expansion
+from eiscong.reference_values import CONDITION_B_TABLES
 from eiscong.siegel import igusa_x10, igusa_x12, siegel_expansion
 
-from .oracles import bernoulli_binomial_recurrence, bernoulli_tangent
+from .oracles import bernoulli_binomial_recurrence, bernoulli_tangent, prime_factors_by_wheel
 
 
 class TestReduction:
@@ -212,6 +217,22 @@ class TestConditionScanners:
         for k, ps in condition_b_primes(-3, 16).items():
             assert all(p > k + 1 for p in ps)
 
+    def test_condition_b_factors_report_the_cofactor(self):
+        rows = condition_b_factors(-67, 16)
+        assert rows[16] == ([], 27911403950873192228229911)
+        assert not is_prime(27911403950873192228229911)
+        assert all(rest == 1 for k, (_, rest) in rows.items() if k < 16)
+        ps, rest = condition_b_factors(-163, 16)[16]
+        assert rest == 1
+        assert ps == [358181, 6185071975972339006627199]
+        assert ps[-1] > MR_DETERMINISTIC_BOUND
+
+    def test_condition_b_unchanged_for_the_nine_fields(self):
+        # sha256 of the scan as the candidate-by-candidate wheel walk gave it
+        got = [(d, condition_b_primes(d, 16)) for d in CONDITION_B_TABLES]
+        digest = hashlib.sha256(repr(got).encode()).hexdigest()
+        assert digest == "de3d34af5d1755eb9f9a8a724fdc33832d712faf38d5869cb64f2a46d094ddd2"
+
     def test_condition_a(self):
         assert condition_a_check(-3, 809)
         assert condition_a_check(-4, 61)
@@ -222,6 +243,74 @@ class TestConditionScanners:
         assert bruinier_search(10, 43867, 100) == -3
         assert bruinier_search(12, 131, 100) == -3
         assert bruinier_search(10, 2, 3) is None
+
+
+def _near(bound, count=5):
+    """The ``count`` largest primes <= bound and the ``count`` smallest above."""
+    below = itertools.islice(filter(is_prime, range(bound, 1, -1)), count)
+    above = itertools.islice(filter(is_prime, itertools.count(bound + 1)), count)
+    return [*below, *above]
+
+
+NEAR_BOUND = {10**3: _near(10**3), 10**5: _near(10**5)}
+
+
+class TestBoundedFactoring:
+    """Trial division that skips whole chunks of the 6k+-1 wheel, against
+    the candidate-by-candidate walk it replaced, and the cofactor it now
+    reports."""
+
+    @staticmethod
+    def check(n, bound):
+        found, rest = _prime_factors_bounded(n, bound)
+        assert found == prime_factors_by_wheel(n, bound), (n, bound)
+        if n == 0:
+            assert (found, rest) == (set(), 0)
+            return
+        m = abs(n)
+        for p in found:
+            assert is_prime(p)
+            while m % p == 0:
+                m //= p
+        assert m == rest, (n, bound)
+        if rest > 1:  # unfactored: composite, no prime factor up to the bound
+            assert not is_prime(rest)
+            assert all(map(rest.__mod__, range(2, bound + 1)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(sorted(NEAR_BOUND)),
+        st.integers(min_value=1, max_value=10**6),
+        st.lists(st.integers(min_value=0, max_value=9), max_size=3),
+        st.booleans(),
+    )
+    def test_planted_factors_near_the_bound(self, bound, small, picks, negative):
+        n = small * math.prod(NEAR_BOUND[bound][i] for i in picks)
+        self.check(-n if negative else n, bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=-10**15, max_value=10**15),
+           st.integers(min_value=0, max_value=3000))
+    def test_any_value_and_small_bound(self, n, bound):
+        self.check(n, bound)
+
+    @pytest.mark.parametrize("bound", [10**3, 10**5])
+    def test_edge_values(self, bound):
+        above = [p for p in NEAR_BOUND[bound] if p > bound]
+        below = [p for p in NEAR_BOUND[bound] if p <= bound]
+        values = [0, 1, -1, 2, 3, 5, 7, 25, 1009, 99991, 10**9 + 7, 2**89 - 1,
+                  above[0] ** 2, above[0] * above[1], -above[2] * above[3],
+                  below[0] ** 2, below[0] * above[0], 2**40 * above[0] ** 2,
+                  6 * above[0] * above[1] * above[2]]
+        for n in values:
+            self.check(n, bound)
+        assert _prime_factors_bounded(above[0] * above[1], bound) == (
+            set(), above[0] * above[1])
+
+    def test_nine_fields_at_the_condition_b_bound(self):
+        for d in CONDITION_B_TABLES:
+            for k in range(4, 17, 2):
+                self.check(generalized_bernoulli(k - 1, d).numerator, 10**7)
 
 
 class TestWitness:
