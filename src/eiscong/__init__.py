@@ -3,15 +3,12 @@ Eisenstein series, their cusp forms, and Ramanujan-type congruences."""
 
 from .arith import (
     KroneckerCharacter,
-    PrimeLocalization,
     bernoulli,
-    bernoulli_polynomial,
     divisor_power_sum,
     format_rational,
     fundamental_decomposition,
     g_value,
     generalized_bernoulli,
-    is_p_integral,
     kronecker_chi,
     mobius,
     p_valuation,

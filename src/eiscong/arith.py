@@ -1,8 +1,8 @@
 """Exact scalar kernel.
 
-Bernoulli numbers and polynomials, Kronecker characters of fundamental
-discriminants, character-twisted divisor sums, and p-adic valuations of
-rationals.  Everything is computed over ``fractions.Fraction`` / Python
+Bernoulli numbers, Kronecker characters of fundamental discriminants,
+character-twisted divisor sums, and p-adic valuations of rationals.
+Everything is computed over ``fractions.Fraction`` / Python
 integers; no floating point enters anywhere.
 
 The even Bernoulli numbers live in one shared table built from tangent
@@ -13,15 +13,9 @@ exactly at any size, past the interpreter's int/str digit limit.
 
 The generalized Bernoulli numbers B_{n,chi} behind Cohen's function
 H(k-1, N) (H. Cohen, *Sums involving the values at negative integers of
-L-functions of quadratic characters*, Math. Ann. 1975) are sums over the
-nonvanishing even terms of
-
-    B_{n,chi} = sum_{j=0}^{n} C(n, j) B_j f^(j-1) S_{n-j},
-    S_i = sum_{a=1}^{f} chi(a) a^i,
-
-the definition f^(n-1) sum_a chi(a) B_n(a/f) of Washington (*Introduction
-to Cyclotomic Fields*, Prop. 4.1) with B_n(x) expanded once: about n/2
-``Fraction`` terms over exact integer power sums, not f*n.
+L-functions of quadratic characters*, Math. Ann. 1975) are about n/2
+``Fraction`` terms over exact integer power sums of the character (see
+``generalized_bernoulli``), not f*n polynomial evaluations.
 """
 
 from __future__ import annotations
@@ -33,6 +27,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, gcd, isqrt
 from typing import Iterator, Optional
 
@@ -166,8 +161,9 @@ def bernoulli(m: int) -> Fraction:
     Even indices come from a cached table built from tangent numbers
     (Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
     numbers", 2011): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  A miss
-    rebuilds the tangent numbers up to max(k, 2 * len) and appends the new
-    entries, so a run of growing requests costs a few builds, not one each.
+    rebuilds the tangent numbers up to max(k, len + len // 4) and appends the
+    new entries: growing requests cost a few builds, not one each, and one
+    just past the table does not double it.
     Odd indices beyond B_1 vanish.
     """
     if m < 0:
@@ -181,7 +177,7 @@ def bernoulli(m: int) -> Fraction:
         with _BERN_LOCK:
             have = len(_BERN_EVEN)
             if k >= have:
-                n = max(k, 2 * have)
+                n = max(k, have + have // 4)
                 T = _tangent_numbers(n)
                 new = []
                 for i in range(have, n + 1):
@@ -190,17 +186,6 @@ def bernoulli(m: int) -> Fraction:
                     new.append(b if i % 2 else -b)
                 _BERN_EVEN.extend(new)
     return _BERN_EVEN[k]
-
-
-def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
-    """B_n(x) = sum_j C(n, j) B_j x^(n-j), exact."""
-    if n < 0:
-        raise ValueError("bernoulli_polynomial expects n >= 0")
-    x = Fraction(x)
-    acc = Fraction(0)
-    for j in range(n + 1):
-        acc += comb(n, j) * bernoulli(j) * x ** (n - j)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +275,25 @@ def kronecker_chi(D: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def generalized_bernoulli(n: int, D: int) -> Fraction:
-    """B_{n,chi_D} for a fundamental discriminant D, f = |D|.
+    """B_{n,chi_D} for a fundamental discriminant D, f = |D|: the definition
+    f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f) (Washington, *Introduction to
+    Cyclotomic Fields*, Prop. 4.1) with B_n(x) expanded once,
 
-    By definition (Washington, *Introduction to Cyclotomic Fields*, Prop. 4.1)
-    B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f).  Expanding B_n(x) once,
-    outside the sum over residues, gives
+        B_{n,chi} = sum_{j=0}^{n} C(n, j) B_j f^(j-1) S_{n-j},  S_i = sum_{a=1}^{f} chi(a) a^i,
 
-        B_{n,chi} = sum_{j=0}^{n} C(n, j) B_j f^(j-1) S_{n-j},
-        S_i = sum_{a=1}^{f} chi(a) a^i,
-
-    with exact integer power sums S_i and only the j = 0, 1 and even j terms,
-    since B_j vanishes for odd j > 1.
+    over exact integer power sums and the j = 0, 1 and even j terms only.
     """
     if n < 1:
         raise ValueError("generalized_bernoulli expects n >= 1")
     chi = kronecker_character(D)
     f = abs(D)
     bernoulli(n - n % 2)  # the largest B_j used: one table build, not a chain
-    support = [(a, c) for a in range(1, f + 1) if (c := chi(a))]
+    values = chi._table[1:] + chi._table[:1]  # chi(1), ..., chi(f)
+    plus = [a for a, c in enumerate(values, 1) if c == 1]
+    minus = [a for a, c in enumerate(values, 1) if c == -1]
     acc = Fraction(0)
     for j in (0, 1, *range(2, n + 1, 2)):
-        s = sum(c * a ** (n - j) for a, c in support)
+        s = sum(map(pow, plus, repeat(n - j))) - sum(map(pow, minus, repeat(n - j)))
         acc += comb(n, j) * f**j * s * bernoulli(j)
     return acc / f
 
@@ -375,27 +358,6 @@ def p_valuation(q: Fraction, p: int):
     if q == 0:
         return INFINITE_VALUATION
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
-
-
-def is_p_integral(q: Fraction, p: int) -> bool:
-    return p_valuation(q, p) >= 0
-
-
-@dataclass(frozen=True)
-class PrimeLocalization:
-    """Membership tests for the local ring Z_(p)."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def valuation(self, q: Fraction):
-        return p_valuation(q, self.p)
-
-    def is_integral(self, q: Fraction) -> bool:
-        return is_p_integral(q, self.p)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,12 @@ from .congruence import (
     cusp_correction,
     irregular_pairs,
     nontriviality_witness,
-    reduce_mod_p,
     solve_lambda,
     verify_congruence,
 )
 from .elliptic import CUSP_FORMS, elliptic_eisenstein, ramanujan_tau
 from .errors import EiscongError
-from .expansion import exp_parse, exp_serialize, phi_operator
+from .expansion import exp_parse, exp_serialize
 from .hermitian import (
     CLASS_NUMBER_ONE_DISCRIMINANTS,
     hermitian_cusp_form,
@@ -228,46 +227,33 @@ def _reproduce_1():
     return [("sigma_11(n) = tau(n) mod 691 for n <= 200", ok)]
 
 
-def _reproduce_41():
+def _reproduce_congruences(cases):
+    """Published coefficients and multipliers of G_k = lambda * cusp form;
+    a case is (k, tag, cusp form name, G_k, cusp form, indices, data)."""
     checks = []
-    for k, data in SIEGEL_EXAMPLES.items():
-        eis = siegel_expansion("G", k, 3)
-        cusp = igusa_x10(3) if k == 10 else igusa_x12(3)
-        for t, gval, xval in zip(SIEGEL_EXAMPLE_INDICES, data["eis"], data["cusp"]):
-            checks.append((
-                f"a_G{k}{t} = {format_rational(gval)}",
-                eis.coefficient(t) == gval,
-            ))
-            checks.append((f"a_X{k}{t} = {xval}", cusp.coefficient(t) == xval))
+    for k, tag, name, eis, cusp, indices, data in cases:
+        for t, gval, cval in zip(indices, data["eis"], data["cusp"]):
+            checks.append((f"a_G{k}{tag}{t} = {format_rational(gval)}",
+                           eis.coefficient(t) == gval))
+            checks.append((f"a_{name}{tag}{t} = {cval}", cusp.coefficient(t) == cval))
         report = solve_lambda(eis, cusp, data["modulus"])
-        checks.append((
-            f"G{k} = {data['lambda']} * X{k} mod {data['modulus']}",
-            report.verified and report.multiplier == data["lambda"],
-        ))
+        checks.append((f"G{k}{tag} = {data['lambda']} * {name} mod {data['modulus']}",
+                       report.verified and report.multiplier == data["lambda"]))
     return checks
+
+
+def _reproduce_41():
+    return _reproduce_congruences(
+        (k, "", f"X{k}", siegel_expansion("G", k, 3),
+         igusa_x10(3) if k == 10 else igusa_x12(3), SIEGEL_EXAMPLE_INDICES, data)
+        for k, data in SIEGEL_EXAMPLES.items())
 
 
 def _reproduce_42():
-    checks = []
-    for (disc, k), data in HERMITIAN_EXAMPLES.items():
-        eis = hermitian_expansion("G", disc, k, 3)
-        cusp = hermitian_cusp_form(data["cusp_form"], disc, 3)
-        for h, gval, cval in zip(HERMITIAN_EXAMPLE_INDICES[disc], data["eis"],
-                                 data["cusp"]):
-            checks.append((
-                f"a_G{k},disc={disc}{h} = {gval}", eis.coefficient(h) == gval,
-            ))
-            checks.append((
-                f"a_{data['cusp_form']},disc={disc}{h} = {cval}",
-                cusp.coefficient(h) == cval,
-            ))
-        report = solve_lambda(eis, cusp, data["modulus"])
-        checks.append((
-            f"G{k},disc={disc} = {data['lambda']} * {data['cusp_form']} "
-            f"mod {data['modulus']}",
-            report.verified and report.multiplier == data["lambda"],
-        ))
-    return checks
+    return _reproduce_congruences(
+        (k, f",disc={disc}", data["cusp_form"], hermitian_expansion("G", disc, k, 3),
+         hermitian_cusp_form(data["cusp_form"], disc, 3), HERMITIAN_EXAMPLE_INDICES[disc], data)
+        for (disc, k), data in HERMITIAN_EXAMPLES.items())
 
 
 def _reproduce_5():
@@ -330,11 +316,12 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
             print(f"disc {args.disc}: n, B_n, condition-B primes (k = n + 1)")
-            scanned = condition_b_primes(args.disc, 16)
+            rows = _condition_b_rows(args.disc, 16)
             for n in range(1, 16, 2):
                 val = format_rational(generalized_bernoulli(n, args.disc))
-                ps = ", ".join(str(p) for p in scanned.get(n + 1, [])) or "-"
-                print(f"{n:3d}  {val}  [{ps}]")
+                marks, unfactored = rows.get(n + 1, ([], ""))
+                print(f"{n:3d}  {val}  [{', '.join(marks) or '-'}]{unfactored}")
+            print(_CONDITION_B_LEGEND)
             return 0
         if args.command == "reproduce":
             section = {
@@ -352,24 +339,29 @@ def main(argv=None) -> int:
     return 2
 
 
+_CONDITION_B_LEGEND = """\
+(* marks primes failing condition (A))
+(? marks probable primes, above the deterministic Miller-Rabin range 3.3e24)
+(unfactored: a composite cofactor with no prime factor below 1e7, or 0 when the number vanishes)"""
+
+
+def _condition_b_rows(disc, k_max):
+    """k -> (marked primes of condition_b_factors, " unfactored N" or "")."""
+    return {k: ([f"{p}{'' if condition_a_check(disc, p) else '*'}"
+                 f"{'?' if p >= MR_DETERMINISTIC_BOUND else ''}" for p in ps],
+                "" if rest == 1 else f" unfactored {rest}")
+            for k, (ps, rest) in condition_b_factors(disc, k_max).items()}
+
+
 def _cmd_scan(args) -> int:
     if args.scan_command == "irregular":
         for p, m in irregular_pairs(args.max_prime):
             print(f"{p} {m}")
         return 0
     if args.scan_command == "condition-b":
-        for k, (ps, rest) in condition_b_factors(args.disc, args.max_k).items():
-            marks = ",".join(
-                f"{p}{'' if condition_a_check(args.disc, p) else '*'}"
-                f"{'?' if p >= MR_DETERMINISTIC_BOUND else ''}" for p in ps
-            )
-            unfactored = "" if rest == 1 else f" unfactored {rest}"
-            print(f"k={k}: [{marks}]{unfactored}")
-        print("(* marks primes failing condition (A))")
-        print("(? marks probable primes, above the deterministic Miller-Rabin "
-              "range 3.3e24)")
-        print("(unfactored: a composite cofactor with no prime factor below 1e7, "
-              "or 0 when the number vanishes)")
+        for k, (marks, unfactored) in _condition_b_rows(args.disc, args.max_k).items():
+            print(f"k={k}: [{','.join(marks)}]{unfactored}")
+        print(_CONDITION_B_LEGEND)
         return 0
     if args.scan_command == "witness":
         w = nontriviality_witness(args.disc, args.weight, args.mod)

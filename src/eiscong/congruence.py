@@ -222,7 +222,9 @@ def condition_b_factors(
     numerator of the (k-1)-th generalized Bernoulli number of the field
     character, and the cofactor of that numerator left unfactored: 1, or a
     composite with no prime factor up to ``trial_bound`` (0 if the number
-    vanishes)."""
+    vanishes).  A positive ``disc``, a real quadratic field, is a ValueError."""
+    if disc > 0:
+        raise ValueError(f"condition B needs an imaginary quadratic field, got disc {disc}")
     out: dict[int, tuple[list[int], int]] = {}
     for k in range(k_min, k_max + 1, 2):
         num = generalized_bernoulli(k - 1, disc).numerator

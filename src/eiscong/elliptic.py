@@ -1,12 +1,25 @@
 """Degree-1 q-expansions: Eisenstein series, Delta / tau, and the exact
 decomposition of a level-1 form into E4^a E6^b monomials; also the table
-of degree-2 cusp forms, each built from E_k minus its degree-1 relation."""
+of degree-2 cusp forms front * (E_k - Q_k(E4, E6)), Q_k the degree-1 relation,
+built as Maass lifts from alpha alone.  A Maass form F is the pair (phi0,
+alpha) of its boundary q-series and its coefficients at Fourier-Jacobi index
+1 as a function of det N.  An index of Fourier-Jacobi index 1 splits only
+as diag(i, 0) plus another of index 1, so (Eichler and Zagier, §6)
+
+    phi0(FG) = phi0(F) phi0(G),
+    alpha_FG(N) = sum_{0 <= i <= N/m} phi0_F(i) alpha_G(N - m i) + alpha_F(N - m i) phi0_G(i)
+
+with m the lattice's Fourier-Jacobi stride and alpha = 0 below 0; every
+factor of Q_k is E4 or E6, so each monomial's alpha depends on N alone.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
+from operator import mul
 
 from .arith import bernoulli, divisor_power_sum
 from .errors import InvalidWeight, NotInSpace
@@ -17,6 +30,7 @@ from .expansion import (
     exp_add,
     exp_multiply,
     exp_scale,
+    lift,
     zero_expansion,
 )
 
@@ -132,13 +146,38 @@ CUSP_FORMS = {
 }
 
 
-def cusp_form(key, eis) -> TruncatedExpansion:
-    """The CUSP_FORMS entry ``key``, where eis(k) gives the degree-2 E_k."""
+def _maass_factor(j: int, stride: int, n_max: int, alpha, constant):
+    """The degree-2 E_j as (den, phi0, alpha), integer numerators over den."""
+    p = n_max // stride
+    scale = 1 / constant(j)
+    values = [*map(elliptic_eisenstein(j, p).coefficient, range(p + 1))]
+    values += [scale * alpha(j, N) for N in range(n_max + 1)]
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    return den, nums[:p + 1], nums[p + 1:]
+
+
+def _maass_product(f, g, m: int):
+    """(den, phi0, alpha) of the product of two Maass forms, m the stride."""
+    (fden, fphi, falpha), (gden, gphi, galpha) = f, g
+    phi = [sum(map(mul, fphi[:n + 1], gphi[n::-1])) for n in range(len(fphi))]
+    alpha = [sum(map(mul, fphi, galpha[N::-m])) + sum(map(mul, gphi, falpha[N::-m]))
+             for N in range(len(falpha))]
+    return fden * gden, phi, alpha
+
+
+def cusp_form(key, lattice, trace_bound: int, alpha, constant) -> TruncatedExpansion:
+    """The CUSP_FORMS entry ``key``, from alpha(j, N) and constant(j) of G_j."""
     k, front = CUSP_FORMS[key]
-    q = _BOUNDARY_RELATIONS[k]
-    e4 = eis(4)
-    e6 = eis(6) if any(b for (_, b), _ in q.terms) else e4  # Q_8 = E4^2 needs no E6
-    return exp_scale(front, exp_add(eis(k), exp_scale(-1, q.evaluate(e4, e6))))
+    m = lattice.fj_stride
+    factors = {j: _maass_factor(j, m, m * trace_bound**2 // 4, alpha, constant)
+               for j in {4, 6, k}}
+    pieces = [(1, factors[k])] + [
+        (-c, reduce(lambda f, g: _maass_product(f, g, m), [factors[4]] * a + [factors[6]] * b))
+        for (a, b), c in _BOUNDARY_RELATIONS[k].terms
+    ]
+    return lift(lattice, k, trace_bound,
+                lambda N: front * sum(c * Fraction(v[N], d) for c, (d, _, v) in pieces), 0)
 
 
 def isobaric_monomials(k: int) -> list[tuple[int, int]]:

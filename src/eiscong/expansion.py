@@ -5,6 +5,11 @@ canonical ordering; expansions are finite index -> Fraction maps truncated
 at a trace bound.  Multiplication sums integer numerators over the support
 pairs whose traces add up to at most the bound, which is exact inside the
 truncation because psd + psd is psd and the trace is additive.
+
+Every degree-2 form here is a Maass lift (Maass 1979; Eichler and Zagier,
+*The Theory of Jacobi Forms*, §6; Krieg, Math. Ann. 1991): for T != 0,
+a(T) = sum over d | content(T) of d^(k-1) alpha(det(T) / d^2), with alpha a
+function of one integer and det the lattice's integral determinant.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from itertools import islice
 from math import lcm
 from typing import Mapping
 
-from .arith import format_rational, parse_rational
+from .arith import divisors, format_rational, parse_rational
 from .errors import (
     NotPositiveSemidefinite,
     OutOfTruncation,
@@ -216,6 +221,25 @@ def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpan
     den = fden * gden
     coeffs = {t: Fraction(n, den) for t, n in acc.items() if n}
     return TruncatedExpansion(lat, f.weight + g.weight, bound, coeffs)
+
+
+def lift_coefficient(lattice, k: int, t, alpha, constant):
+    """The Maass lift's coefficient at t: ``constant`` at the zero index."""
+    if t == lattice.zero:
+        return constant
+    det, e = lattice.det(t), lattice.content(t)
+    if e == 1:
+        return alpha(det)
+    return sum(d ** (k - 1) * alpha(det // (d * d)) for d in divisors(e))
+
+
+def lift(lattice, k: int, trace_bound: int, alpha, constant) -> TruncatedExpansion:
+    """The weight-k Maass lift of alpha over every index; det <= m B^2 / 4
+    with m the lattice's Fourier-Jacobi stride and B the trace bound."""
+    at = [alpha(N) for N in range(lattice.fj_stride * trace_bound**2 // 4 + 1)].__getitem__
+    coeffs = {t: lift_coefficient(lattice, k, t, at, constant)
+              for t in lattice.enumerate_all(trace_bound)}
+    return TruncatedExpansion(lattice, k, trace_bound, coeffs)
 
 
 def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:

@@ -1,6 +1,8 @@
 """Degree-2 Hermitian Fourier indices over the nine class-number-one
-imaginary quadratic fields, with the closed-form Eisenstein coefficients
-and the associated cusp forms.
+imaginary quadratic fields, with the Eisenstein series and the associated
+cusp forms, all Maass lifts (see ``expansion.lift``) in det_scaled: the
+alpha of G_{k,K} at N > 0 is g_value(d, k - 2, N) (Krieg, *The Maaß spaces
+on the Hermitian half-space of degree 2*, 1991).
 
 An index is (a, x, y, c): diagonal a, c and off-diagonal entry beta/sqrt(d)
 with beta = x + y*omega, omega = (d + sqrt(d))/2 the integral basis
@@ -12,20 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, isqrt
 
-from .arith import (
-    bernoulli,
-    divisor_power_sum,
-    divisors,
-    g_value,
-    generalized_bernoulli,
-    kronecker_character,
-)
+from .arith import bernoulli, g_value, generalized_bernoulli
 from .elliptic import CUSP_FORMS, cusp_form
-from .errors import InvalidWeight, NotPositiveSemidefinite, UnsupportedFieldForm
-from .expansion import TruncatedExpansion, exp_scale
+from .errors import NotPositiveSemidefinite, UnsupportedFieldForm
+from .expansion import TruncatedExpansion, exp_scale, lift, lift_coefficient
+from .siegel import _check_weight
 
 CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
@@ -46,14 +42,16 @@ class ImagQuadField:
         d = self.disc
         return x * x + d * x * y + (d * d - d) // 4 * y * y
 
-    @property
-    def character(self):
-        return kronecker_character(self.disc)
-
 
 @lru_cache(maxsize=None)
 def imag_quad_field(disc: int) -> ImagQuadField:
     return ImagQuadField(disc)
+
+
+def content(h) -> int:
+    if h == (0, 0, 0, 0):
+        raise ValueError("content of the zero index is undefined")
+    return gcd(gcd(h[0], h[3]), gcd(h[1], h[2]))
 
 
 class HermitianLattice:
@@ -61,10 +59,15 @@ class HermitianLattice:
 
     space = "hermitian"
     zero = (0, 0, 0, 0)
+    content = staticmethod(content)
 
     def __init__(self, field: ImagQuadField):
         self.field = field
         self.disc = field.disc
+        self.fj_stride = -field.disc  # det_scaled of (n, x, y, 1) is |d| n - N(x, y)
+
+    def det(self, h):
+        return det_scaled(self.field, h)
 
     def trace(self, h):
         return h[0] + h[3]
@@ -132,71 +135,51 @@ def det_scaled(field: ImagQuadField, h) -> int:
     return -field.disc * a * c - field.norm(x, y)
 
 
-def content(h) -> int:
-    if h == (0, 0, 0, 0):
-        raise ValueError("content of the zero index is undefined")
-    return gcd(gcd(h[0], h[3]), gcd(h[1], h[2]))
-
-
 def rank(field: ImagQuadField, h) -> int:
     if h == (0, 0, 0, 0):
         return 0
     return 1 if det_scaled(field, h) == 0 else 2
 
 
-def _check(field: ImagQuadField, k: int, h):
-    if k < 4 or k % 2 == 1:
-        raise InvalidWeight(f"even weight >= 4 required, got {k}")
-    if not hermitian_lattice(field.disc).is_psd(h):
-        raise NotPositiveSemidefinite(f"{h} is not psd over disc {field.disc}")
+@lru_cache(maxsize=None)
+def _g_alpha(disc: int, k: int, N: int) -> Fraction:
+    """alpha of G_{k,K} at det_scaled = N."""
+    if N == 0:
+        return -generalized_bernoulli(k - 1, disc) / (2 * k - 2)
+    return Fraction(g_value(disc, k - 2, N))
+
+
+def _g_constant(disc: int, k: int) -> Fraction:
+    return bernoulli(k) * generalized_bernoulli(k - 1, disc) / (4 * k * (k - 1))
 
 
 def hermitian_g_coefficient(field: ImagQuadField, k: int, h) -> Fraction:
     """Coefficient of the Bernoulli-normalized Eisenstein series: integral
     of rank 2, where it is a plain divisor sum of integer values."""
-    _check(field, k, h)
-    d = field.disc
-    if h == (0, 0, 0, 0):
-        return bernoulli(k) * generalized_bernoulli(k - 1, d) / (4 * k * (k - 1))
-    det = det_scaled(field, h)
-    eps = content(h)
-    if det == 0:
-        return -generalized_bernoulli(k - 1, d) / (2 * k - 2) * divisor_power_sum(
-            k - 1, eps
-        )
-    total = 0
-    for e in divisors(eps):
-        total += e ** (k - 1) * g_value(d, k - 2, det // (e * e))
-    return Fraction(total)
-
-
-def _e_scale(disc: int, k: int) -> Fraction:
-    """E_{k,K} / G_{k,K}: one over the constant term of G_{k,K}."""
-    return Fraction(4 * k * (k - 1)) / (
-        bernoulli(k) * generalized_bernoulli(k - 1, disc)
-    )
+    _check_weight(k)
+    lat = hermitian_lattice(field.disc)
+    if not lat.is_psd(h):
+        raise NotPositiveSemidefinite(f"{h} is not psd over disc {field.disc}")
+    return lift_coefficient(lat, k, h, partial(_g_alpha, field.disc, k),
+                            _g_constant(field.disc, k))
 
 
 def hermitian_e_coefficient(field: ImagQuadField, k: int, h) -> Fraction:
     """Coefficient of E_{k,K}, normalized to constant term 1."""
-    return hermitian_g_coefficient(field, k, h) * _e_scale(field.disc, k)
+    return hermitian_g_coefficient(field, k, h) / _g_constant(field.disc, k)
 
 
 @lru_cache(maxsize=None)
-def hermitian_expansion(
-    form: str, disc: int, k: int, trace_bound: int
-) -> TruncatedExpansion:
+def hermitian_expansion(form: str, disc: int, k: int, trace_bound: int) -> TruncatedExpansion:
     """Truncated expansion of G_{k,K} or E_{k,K}."""
     if form not in ("G", "E"):
         raise ValueError(f"form must be 'G' or 'E', got {form!r}")
-    if form == "E":
+    if form == "E":  # G first: it rejects an odd weight, where the scale divides by 0
         g = hermitian_expansion("G", disc, k, trace_bound)
-        return exp_scale(_e_scale(disc, k), g)
-    field = imag_quad_field(disc)
+        return exp_scale(1 / _g_constant(disc, k), g)
     lat = hermitian_lattice(disc)
-    coeffs = {h: hermitian_g_coefficient(field, k, h)
-              for h in lat.enumerate_all(trace_bound)}
-    return TruncatedExpansion(lat, k, trace_bound, coeffs)
+    _check_weight(k)
+    return lift(lat, k, trace_bound, partial(_g_alpha, disc, k), _g_constant(disc, k))
 
 
 @lru_cache(maxsize=None)
@@ -205,4 +188,5 @@ def hermitian_cusp_form(name: str, disc: int, trace_bound: int) -> TruncatedExpa
     key = ("hermitian", disc, name)
     if key not in CUSP_FORMS:
         raise UnsupportedFieldForm(f"no cusp form {name!r} over disc {disc}")
-    return cusp_form(key, lambda k: hermitian_expansion("E", disc, k, trace_bound))
+    return cusp_form(key, hermitian_lattice(disc), trace_bound,
+                     partial(_g_alpha, disc), partial(_g_constant, disc))

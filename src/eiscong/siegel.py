@@ -1,21 +1,20 @@
-"""Degree-2 Siegel Fourier indices and Eisenstein / Igusa expansions.
+"""Degree-2 Siegel Fourier indices and Eisenstein / Igusa expansions, all
+Maass lifts in det4(T) = 4 det(T) (``expansion.lift``).
 
 Indices are half-integral symmetric 2x2 matrices stored as integer triples
-(a, b2, c) with b2 = twice the off-diagonal entry.  The rank-2 Eisenstein
-coefficient involves the character of the fundamental discriminant attached
-to -4 det(T); the inner Moebius summation variable is called g here to
-avoid colliding with the square part f(T).
+(a, b2, c) with b2 = twice the off-diagonal entry.  The alpha of G_k at
+N > 0, with -N = D f^2 and D a fundamental discriminant, is
+B_{k-1,chi_D} / (k-1) * sum_{g | f} mu(g) chi_D(g) g^(k-2) sigma_{2k-3}(f/g).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, isqrt
 
 from .arith import (
     bernoulli,
-    divisor_power_sum,
     divisors,
     fundamental_decomposition,
     generalized_bernoulli,
@@ -24,7 +23,19 @@ from .arith import (
 )
 from .elliptic import cusp_form
 from .errors import InvalidWeight, NotPositiveSemidefinite
-from .expansion import TruncatedExpansion, exp_scale
+from .expansion import TruncatedExpansion, exp_scale, lift, lift_coefficient
+
+
+def det4(t) -> int:
+    """4 det(T) = 4ac - b2^2."""
+    return 4 * t[0] * t[2] - t[1] * t[1]
+
+
+def content(t) -> int:
+    """Largest l with T/l still half-integral; undefined at 0."""
+    if t == (0, 0, 0):
+        raise ValueError("content of the zero index is undefined")
+    return gcd(gcd(t[0], t[1]), t[2])
 
 
 class SiegelLattice:
@@ -33,6 +44,9 @@ class SiegelLattice:
     space = "siegel"
     disc = None
     zero = (0, 0, 0)
+    fj_stride = 4  # det4 of (n, r, 1) is 4n - r^2
+    det = staticmethod(det4)
+    content = staticmethod(content)
 
     def trace(self, t):
         return t[0] + t[2]
@@ -74,18 +88,6 @@ class SiegelLattice:
 SIEGEL = SiegelLattice()
 
 
-def det4(t) -> int:
-    """4 det(T) = 4ac - b2^2."""
-    return 4 * t[0] * t[2] - t[1] * t[1]
-
-
-def content(t) -> int:
-    """Largest l with T/l still half-integral; undefined at 0."""
-    if t == SIEGEL.zero:
-        raise ValueError("content of the zero index is undefined")
-    return gcd(gcd(t[0], t[1]), t[2])
-
-
 def rank(t) -> int:
     if t == SIEGEL.zero:
         return 0
@@ -97,41 +99,43 @@ def _check_weight(k: int):
         raise InvalidWeight(f"even weight >= 4 required, got {k}")
 
 
+@lru_cache(maxsize=None)
+def _discriminant_terms(N: int):
+    """-N = D f^2: D, and (g, mu(g) chi_D(g), divisors of f/g) where nonzero."""
+    D, f = fundamental_decomposition(-N)
+    chi = kronecker_character(D)
+    return D, [(g, mc, divisors(f // g))
+               for g in divisors(f) if (mc := mobius(g) * chi(g))]
+
+
+@lru_cache(maxsize=None)
+def _g_alpha(k: int, N: int) -> Fraction:
+    """alpha of G_k at det4 = N; 0 where no index has that det4."""
+    if N == 0:
+        return bernoulli(2 * k - 2) / (2 * k - 2)
+    if N % 4 in (1, 2):
+        return Fraction(0)
+    D, terms = _discriminant_terms(N)
+    inner = sum(mc * g ** (k - 2) * sum(e ** (2 * k - 3) for e in divs)
+                for g, mc, divs in terms)
+    return generalized_bernoulli(k - 1, D) / (k - 1) * inner
+
+
+def _g_constant(k: int) -> Fraction:
+    return -bernoulli(k) * bernoulli(2 * k - 2) / (4 * k * (k - 1))
+
+
 def siegel_g_coefficient(k: int, t) -> Fraction:
     """Fourier coefficient of the normalized Eisenstein series G_k at T."""
     _check_weight(k)
     if not SIEGEL.is_psd(t):
         raise NotPositiveSemidefinite(f"{t} is not psd")
-    if t == SIEGEL.zero:
-        return -bernoulli(k) * bernoulli(2 * k - 2) / (4 * k * (k - 1))
-    if det4(t) == 0:
-        return bernoulli(2 * k - 2) / (2 * k - 2) * divisor_power_sum(k - 1, content(t))
-    D, f = fundamental_decomposition(-det4(t))
-    chi = kronecker_character(D)
-    eps = content(t)
-    total = 0
-    for d in divisors(eps):
-        inner = 0
-        for g in divisors(f // d):
-            mg = mobius(g)
-            if mg == 0:
-                continue
-            cg = chi(g)
-            if cg == 0:
-                continue
-            inner += mg * cg * g ** (k - 2) * divisor_power_sum(2 * k - 3, f // (g * d))
-        total += d ** (k - 1) * inner
-    return generalized_bernoulli(k - 1, D) / (k - 1) * total
-
-
-def _e_scale(k: int) -> Fraction:
-    """E_k / G_k: one over the constant term of G_k."""
-    return Fraction(4 * k * (k - 1)) / (-bernoulli(k) * bernoulli(2 * k - 2))
+    return lift_coefficient(SIEGEL, k, t, partial(_g_alpha, k), _g_constant(k))
 
 
 def siegel_e_coefficient(k: int, t) -> Fraction:
     """Coefficient of E_k, normalized so the constant term is 1."""
-    return siegel_g_coefficient(k, t) * _e_scale(k)
+    return siegel_g_coefficient(k, t) / _g_constant(k)
 
 
 @lru_cache(maxsize=None)
@@ -141,22 +145,17 @@ def siegel_expansion(form: str, k: int, trace_bound: int) -> TruncatedExpansion:
     if form not in ("G", "E"):
         raise ValueError(f"form must be 'G' or 'E', got {form!r}")
     if form == "E":
-        return exp_scale(_e_scale(k), siegel_expansion("G", k, trace_bound))
-    coeffs = {t: siegel_g_coefficient(k, t) for t in SIEGEL.enumerate_all(trace_bound)}
-    return TruncatedExpansion(SIEGEL, k, trace_bound, coeffs)
-
-
-def _siegel_eisenstein(trace_bound: int):
-    return lambda k: siegel_expansion("E", k, trace_bound)
+        return exp_scale(1 / _g_constant(k), siegel_expansion("G", k, trace_bound))
+    return lift(SIEGEL, k, trace_bound, partial(_g_alpha, k), _g_constant(k))
 
 
 @lru_cache(maxsize=None)
 def igusa_x10(trace_bound: int) -> TruncatedExpansion:
     """Weight-10 Igusa cusp form, normalized to 1 at (1, 1/2; 1/2, 1)."""
-    return cusp_form(("siegel", None, "X10"), _siegel_eisenstein(trace_bound))
+    return cusp_form(("siegel", None, "X10"), SIEGEL, trace_bound, _g_alpha, _g_constant)
 
 
 @lru_cache(maxsize=None)
 def igusa_x12(trace_bound: int) -> TruncatedExpansion:
     """Weight-12 Igusa cusp form."""
-    return cusp_form(("siegel", None, "X12"), _siegel_eisenstein(trace_bound))
+    return cusp_form(("siegel", None, "X12"), SIEGEL, trace_bound, _g_alpha, _g_constant)

@@ -11,25 +11,38 @@ numbers from a Bernoulli polynomial at every residue
 (``generalized_bernoulli_by_polynomials``, the library's route before it
 summed integer powers), and bounded factoring by a candidate-by-candidate
 walk of the 6k+-1 wheel (``prime_factors_by_wheel``, the library's route
-before it tested whole chunks of the wheel at once).
+before it tested whole chunks of the wheel at once).  The degree-2 forms
+have the library's routes from before it built them as Maass lifts: G_k
+coefficients index by index, by the Siegel closed form with its Moebius
+inner sum (``siegel_g_closed_form``) and the Hermitian one with its divisor
+sum of g values (``hermitian_g_closed_form``), and the cusp forms as
+front * (E_k - Q_k(E4, E6)) with full degree-2 products
+(``cusp_form_by_products``).  ``bernoulli_polynomial``, ``is_p_integral``
+and ``PrimeLocalization`` were library names that nothing in the library
+called; they serve the tests from here.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from eiscong.arith import (
     _wheel_candidates,
     bernoulli,
-    bernoulli_polynomial,
     divisor_power_sum,
     divisors,
+    fundamental_decomposition,
     g_value,
     generalized_bernoulli,
     is_prime,
     kronecker_character,
+    mobius,
+    p_valuation,
 )
-from eiscong.expansion import TruncatedExpansion
+from eiscong.elliptic import _BOUNDARY_RELATIONS, CUSP_FORMS
+from eiscong.expansion import TruncatedExpansion, exp_add, exp_scale
 from eiscong.hermitian import content, det_scaled
+from eiscong.siegel import content as siegel_content, det4
 
 
 def bernoulli_binomial_recurrence(n: int) -> list[Fraction]:
@@ -98,6 +111,17 @@ def bernoulli_tangent(n_max: int) -> dict[int, Fraction]:
             b = -b
         out[2 * n] = b
     return out
+
+
+def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
+    """B_n(x) = sum_j C(n, j) B_j x^(n-j), exact."""
+    if n < 0:
+        raise ValueError("bernoulli_polynomial expects n >= 0")
+    x = Fraction(x)
+    acc = Fraction(0)
+    for j in range(n + 1):
+        acc += comb(n, j) * bernoulli(j) * x ** (n - j)
+    return acc
 
 
 def generalized_bernoulli_by_polynomials(n: int, D: int) -> Fraction:
@@ -207,3 +231,85 @@ def hermitian_e_closed_form(field, k: int, h) -> Fraction:
     return Fraction(4 * k * (k - 1)) / (
         bernoulli(k) * generalized_bernoulli(k - 1, d)
     ) * total
+
+
+def siegel_g_closed_form(k: int, t) -> Fraction:
+    """Coefficient of the Siegel G_k at a psd index t: the rank-0 and rank-1
+    closed forms, and in rank 2 the divisor sum over the content with the
+    Moebius inner sum over the square part f of -det4(t) = D f^2."""
+    if t == (0, 0, 0):
+        return -bernoulli(k) * bernoulli(2 * k - 2) / (4 * k * (k - 1))
+    if det4(t) == 0:
+        return bernoulli(2 * k - 2) / (2 * k - 2) * divisor_power_sum(
+            k - 1, siegel_content(t))
+    D, f = fundamental_decomposition(-det4(t))
+    chi = kronecker_character(D)
+    eps = siegel_content(t)
+    total = 0
+    for d in divisors(eps):
+        inner = 0
+        for g in divisors(f // d):
+            mg = mobius(g)
+            if mg == 0:
+                continue
+            cg = chi(g)
+            if cg == 0:
+                continue
+            inner += mg * cg * g ** (k - 2) * divisor_power_sum(2 * k - 3, f // (g * d))
+        total += d ** (k - 1) * inner
+    return generalized_bernoulli(k - 1, D) / (k - 1) * total
+
+
+def hermitian_g_closed_form(field, k: int, h) -> Fraction:
+    """Coefficient of the Hermitian G_{k,K} at a psd index h: the rank-0 and
+    rank-1 closed forms, and in rank 2 the divisor sum of g values."""
+    d = field.disc
+    if h == (0, 0, 0, 0):
+        return bernoulli(k) * generalized_bernoulli(k - 1, d) / (4 * k * (k - 1))
+    det = det_scaled(field, h)
+    eps = content(h)
+    if det == 0:
+        return -generalized_bernoulli(k - 1, d) / (2 * k - 2) * divisor_power_sum(
+            k - 1, eps
+        )
+    total = 0
+    for e in divisors(eps):
+        total += e ** (k - 1) * g_value(d, k - 2, det // (e * e))
+    return Fraction(total)
+
+
+def closed_form_expansion(lattice, k: int, bound: int, coefficient) -> TruncatedExpansion:
+    """The expansion of ``coefficient(t)`` over every index of trace <= bound."""
+    return TruncatedExpansion(lattice, k, bound, {
+        t: coefficient(t) for t in lattice.enumerate_all(bound)})
+
+
+def cusp_form_by_products(key, eis) -> TruncatedExpansion:
+    """The CUSP_FORMS entry ``key`` as front * (E_k - Q_k(E4, E6)), with the
+    degree-2 products of Q_k taken in full; eis(k) gives the degree-2 E_k."""
+    k, front = CUSP_FORMS[key]
+    q = _BOUNDARY_RELATIONS[k]
+    e4 = eis(4)
+    e6 = eis(6) if any(b for (_, b), _ in q.terms) else e4  # Q_8 = E4^2 needs no E6
+    return exp_scale(front, exp_add(eis(k), exp_scale(-1, q.evaluate(e4, e6))))
+
+
+def is_p_integral(q: Fraction, p: int) -> bool:
+    return p_valuation(q, p) >= 0
+
+
+@dataclass(frozen=True)
+class PrimeLocalization:
+    """Membership tests for the local ring Z_(p)."""
+
+    p: int
+
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+
+    def valuation(self, q: Fraction):
+        return p_valuation(q, self.p)
+
+    def is_integral(self, q: Fraction) -> bool:
+        return is_p_integral(q, self.p)

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eiscong.arith import (
-    PrimeLocalization,
     bernoulli,
-    bernoulli_polynomial,
     divisor_power_sum,
     divisors,
     factorize,
@@ -19,7 +17,6 @@ from eiscong.arith import (
     g_value,
     generalized_bernoulli,
     is_fundamental_discriminant,
-    is_p_integral,
     is_prime,
     kronecker_character,
     kronecker_chi,
@@ -32,11 +29,14 @@ from eiscong.arith import (
 from eiscong.errors import InvalidDiscriminantResidue, NonFundamentalDiscriminant
 
 from .oracles import (
+    PrimeLocalization,
     bernoulli_akiyama_tanigawa,
     bernoulli_binomial_recurrence,
+    bernoulli_polynomial,
     bernoulli_tangent,
     chi_via_euler_criterion,
     generalized_bernoulli_by_polynomials,
+    is_p_integral,
     sigma_bruteforce,
 )
 

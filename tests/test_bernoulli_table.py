@@ -132,3 +132,27 @@ def test_generalized_bernoulli_builds_the_table_once():
         print(json.dumps({"builds": builds, "table_len": len(arith._BERN_EVEN)}))
     """)
     assert got == {"builds": [100], "table_len": 101}
+
+
+def test_a_request_just_past_the_table_grows_it_by_a_quarter():
+    # B_2000 builds the table to k = 1000; B_2002 then grows it to
+    # k = 1000 + 1000 // 4 at most, i.e. B_2502, not to twice the size
+    got = fresh_interpreter("""
+        import json
+        from eiscong import arith
+        builds = []
+        build = arith._tangent_numbers
+
+        def counted(n):
+            builds.append(n)
+            return build(n)
+
+        arith._tangent_numbers = counted
+        arith.bernoulli(2000)
+        arith.bernoulli(2002)
+        print(json.dumps({"builds": builds, "table_len": len(arith._BERN_EVEN)}))
+    """)
+    assert got["builds"][0] == 1000
+    assert len(got["builds"]) == 2
+    assert 1001 <= got["builds"][1] <= 1251
+    assert got["table_len"] == got["builds"][1] + 1

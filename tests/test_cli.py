@@ -276,6 +276,13 @@ class TestScan:
         assert any(line.startswith("(? marks probable primes") for line in lines)
         assert not any("unfactored" in line for line in lines if line.startswith("k="))
 
+    def test_condition_b_rejects_a_real_quadratic_field(self, capsys):
+        code, out, err = run(capsys, "scan", "condition-b", "--disc", "5",
+                             "--max-k", "8")
+        assert code == 2
+        assert "imaginary quadratic" in err
+        assert "unfactored" not in out
+
     def test_witness(self, capsys):
         code, out, _ = run(capsys, "scan", "witness", "--disc", "-3",
                            "--weight", "10", "--mod", "809")
@@ -294,6 +301,25 @@ class TestTablesAndReproduce:
         code, out, _ = run(capsys, "tables", "--disc", "-4")
         assert code == 0
         assert "-1/2" in out  # B_{1,chi}
+
+    def test_tables_report_unfactored_cofactor(self, capsys):
+        code, out, _ = run(capsys, "tables", "--disc", "-67")
+        assert code == 0
+        lines = out.splitlines()
+        assert " 15  837342118526195766846897330  [-] unfactored 27911403950873192228229911" in lines
+        assert " 13  -35063379577467215039546  [73, 1439, 56783, 226088481721]" in lines
+        assert any(line.startswith("(unfactored: ") for line in lines)
+
+    def test_tables_mark_probable_primes(self, capsys):
+        code, out, _ = run(capsys, "tables", "--disc", "-163")
+        assert code == 0
+        lines = out.splitlines()
+        assert (" 15  332306289813862253659910514752850  "
+                "[358181, 6185071975972339006627199?]") in lines
+        assert any(line.startswith("(? marks probable primes") for line in lines)
+        assert any(line.startswith("(* marks primes failing condition (A))")
+                   for line in lines)
+        assert not any("unfactored" in line for line in lines if line[:1] == " ")
 
     @pytest.mark.parametrize("section", ["1", "4.1", "4.2", "5"])
     def test_reproduce_sections_pass(self, capsys, section):

@@ -227,6 +227,14 @@ class TestConditionScanners:
         assert ps == [358181, 6185071975972339006627199]
         assert ps[-1] > MR_DETERMINISTIC_BOUND
 
+    @pytest.mark.parametrize("disc", [1, 5, 8, 12])
+    def test_condition_b_rejects_a_real_quadratic_field(self, disc):
+        # an even character: every B_{k-1,chi} with k - 1 odd vanishes
+        with pytest.raises(ValueError, match="imaginary quadratic"):
+            condition_b_factors(disc, 8)
+        with pytest.raises(ValueError, match="imaginary quadratic"):
+            condition_b_primes(disc, 8)
+
     def test_condition_b_unchanged_for_the_nine_fields(self):
         # sha256 of the scan as the candidate-by-candidate wheel walk gave it
         got = [(d, condition_b_primes(d, 16)) for d in CONDITION_B_TABLES]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eiscong.arith import PrimeLocalization, bernoulli, generalized_bernoulli
+from eiscong.arith import bernoulli, generalized_bernoulli
 from eiscong.elliptic import elliptic_eisenstein
 from eiscong.expansion import phi_operator
 from eiscong.errors import (
@@ -29,7 +29,7 @@ from eiscong.hermitian import (
     rank,
 )
 
-from .oracles import hermitian_e_closed_form
+from .oracles import PrimeLocalization, hermitian_e_closed_form
 
 # identity-like indices: diag(1, 1) with and without off-diagonal entries
 EISENSTEIN_INDICES = {
@@ -188,6 +188,11 @@ class TestEisensteinCoefficients:
             hermitian_g_coefficient(f, 8, (1, 3, 0, 1))
         with pytest.raises(ValueError):
             hermitian_expansion("X", -4, 8, 2)
+        for form in ("G", "E"):  # E is built from G, which rejects the weight first
+            with pytest.raises(InvalidWeight):
+                hermitian_expansion(form, -3, 7, 2)
+        with pytest.raises(InvalidWeight):
+            hermitian_e_coefficient(f, 7, (1, 0, 0, 1))
 
 
 class TestCuspForms:

@@ -1,0 +1,157 @@
+"""Every degree-2 form as a Maass lift, held against the routes it replaced:
+the per-index closed forms of G_k and the cusp forms built with full
+degree-2 products (``tests/oracles.py``)."""
+
+import sys
+from functools import lru_cache
+from math import gcd
+
+import pytest
+
+from eiscong import elliptic, expansion
+from eiscong.elliptic import CUSP_FORMS
+from eiscong.expansion import exp_scale
+from eiscong.hermitian import (
+    CLASS_NUMBER_ONE_DISCRIMINANTS,
+    hermitian_cusp_form,
+    hermitian_expansion,
+    hermitian_g_coefficient,
+    hermitian_lattice,
+    imag_quad_field,
+)
+from eiscong.siegel import (
+    SIEGEL,
+    igusa_x10,
+    igusa_x12,
+    siegel_expansion,
+    siegel_g_coefficient,
+)
+
+from .oracles import (
+    closed_form_expansion,
+    cusp_form_by_products,
+    hermitian_g_closed_form,
+    siegel_g_closed_form,
+)
+
+WEIGHTS = range(4, 13, 2)
+
+
+@lru_cache(maxsize=None)
+def oracle_g(disc, k, bound):
+    """G_k by its closed form index by index; disc None is Siegel."""
+    if disc is None:
+        return closed_form_expansion(SIEGEL, k, bound, lambda t: siegel_g_closed_form(k, t))
+    field = imag_quad_field(disc)
+    return closed_form_expansion(hermitian_lattice(disc), k, bound,
+                                 lambda h: hermitian_g_closed_form(field, k, h))
+
+
+def oracle_cusp_form(key, bound):
+    _, disc, _ = key
+
+    def eis(k):
+        g = oracle_g(disc, k, bound)
+        return exp_scale(1 / g.coefficient(g.lattice.zero), g)
+
+    return cusp_form_by_products(key, eis)
+
+
+@pytest.mark.parametrize("k", WEIGHTS)
+def test_siegel_g_is_the_closed_form(k):
+    assert siegel_expansion("G", k, 12) == oracle_g(None, k, 12)
+    for t in SIEGEL.enumerate_all(5):
+        assert siegel_g_coefficient(k, t) == siegel_g_closed_form(k, t)
+
+
+@pytest.mark.parametrize("disc", CLASS_NUMBER_ONE_DISCRIMINANTS)
+def test_hermitian_g_is_the_closed_form(disc):
+    field = imag_quad_field(disc)
+    for k in WEIGHTS:
+        assert hermitian_expansion("G", disc, k, 5) == oracle_g(disc, k, 5)
+        for h in hermitian_lattice(disc).enumerate_all(2):
+            assert hermitian_g_coefficient(field, k, h) == hermitian_g_closed_form(field, k, h)
+
+
+@pytest.mark.parametrize("build, key", [
+    (igusa_x10, ("siegel", None, "X10")),
+    (igusa_x12, ("siegel", None, "X12")),
+])
+def test_igusa_forms_are_the_product_built_forms(build, key):
+    assert build(12) == oracle_cusp_form(key, 12)
+
+
+@pytest.mark.parametrize("name, disc", [("CHI8", -4), ("F10", -4), ("F10", -3), ("F12", -3)])
+def test_hermitian_cusp_forms_are_the_product_built_forms(name, disc):
+    assert hermitian_cusp_form(name, disc, 8) == oracle_cusp_form(("hermitian", disc, name), 8)
+
+
+def _maass_relation_holds(form, det, content, on_slice):
+    """The coefficients at the indices with on_slice(t) (the Fourier-Jacobi
+    index 1) depend on det alone, and every index t != 0 whose dets det/d^2
+    all lie on that slice has a(t) = sum_{d | content} d^(k-1) a(slice at
+    det(t)/d^2).  Returns the number of indices checked that way."""
+    k = form.weight
+    lat = form.lattice
+    indices = lat.enumerate_all(form.trace_bound)
+    slice_ = {}
+    for t in filter(on_slice, indices):
+        assert slice_.setdefault(det(t), form.coefficient(t)) == form.coefficient(t)
+    assert form.coefficient(lat.zero) == 0
+    checked = 0
+    for t in indices:
+        if t == lat.zero:
+            continue
+        e = content(t)
+        divs = [d for d in range(1, e + 1) if e % d == 0]
+        if any(det(t) // (d * d) not in slice_ for d in divs):
+            continue
+        assert form.coefficient(t) == sum(d ** (k - 1) * slice_[det(t) // (d * d)]
+                                          for d in divs), t
+        checked += 1
+    return checked
+
+
+def test_maass_relation_of_the_product_built_x10():
+    form = oracle_cusp_form(("siegel", None, "X10"), 8)
+    checked = _maass_relation_holds(
+        form,
+        det=lambda t: 4 * t[0] * t[2] - t[1] ** 2,
+        content=lambda t: gcd(*t),
+        on_slice=lambda t: t[2] == 1,
+    )
+    assert checked > 100
+
+
+def test_maass_relation_of_the_product_built_f10_over_gaussian_integers():
+    field = imag_quad_field(-4)
+    form = oracle_cusp_form(("hermitian", -4, "F10"), 6)
+    checked = _maass_relation_holds(
+        form,
+        det=lambda h: 4 * h[0] * h[3] - field.norm(h[1], h[2]),
+        content=lambda h: gcd(*h),
+        on_slice=lambda h: h[3] == 1,
+    )
+    assert checked > 100
+
+
+def test_cusp_forms_build_without_degree_2_products(monkeypatch):
+    calls = []
+    real = expansion.exp_multiply
+
+    def counted(f, g):
+        calls.append((f.lattice.space, g.lattice.space))
+        return real(f, g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eiscong") and getattr(module, "exp_multiply", None) is real:
+            monkeypatch.setattr(module, "exp_multiply", counted)
+    assert elliptic.exp_multiply is counted
+    for cached in (igusa_x10, igusa_x12, hermitian_cusp_form):
+        cached.cache_clear()
+    for space, disc, name in CUSP_FORMS:
+        if space == "siegel":
+            (igusa_x10 if name == "X10" else igusa_x12)(4)
+        else:
+            hermitian_cusp_form(name, disc, 4)
+    assert calls == []
