@@ -319,9 +319,11 @@ def main(argv=None) -> int:
             rows = _condition_b_rows(args.disc, 16)
             for n in range(1, 16, 2):
                 val = format_rational(generalized_bernoulli(n, args.disc))
-                marks, unfactored = rows.get(n + 1, ([], ""))
-                print(f"{n:3d}  {val}  [{', '.join(marks) or '-'}]{unfactored}")
+                marks, unfactored = rows.get(n + 1, (None, ""))
+                cell = "not scanned" if marks is None else ", ".join(marks) or "-"
+                print(f"{n:3d}  {val}  [{cell}]{unfactored}")
             print(_CONDITION_B_LEGEND)
+            print("(not scanned: k = 2, below the first weight k = 4 of the condition-B scan)")
             return 0
         if args.command == "reproduce":
             section = {

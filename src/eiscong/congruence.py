@@ -1,6 +1,15 @@
 """Mod-p machinery: reduction of expansions, congruence verification and
 multiplier solving, divisibility scanners, non-triviality witnesses, and
-the cusp-correction construction."""
+the cusp-correction construction.
+
+The condition-B scanner factors numerators of B_{k-1,chi} up to a bound.
+It divides out 2, 3, 5 and 7, splits the rest with Brent's variant of
+Pollard rho (Brent, *An improved Monte Carlo factorization algorithm*, BIT
+1980) under a fixed step budget, and walks by trial division only a piece
+that rho cannot split.  The answer is exact whatever rho does: the primes
+up to the bound, plus the leftover when it tests prime, else the leftover
+as an unfactored cofactor (see ``_prime_factors_bounded``).
+"""
 
 from __future__ import annotations
 
@@ -8,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterator, Optional
+from typing import Optional
 
 from .arith import (
     bernoulli,
@@ -165,54 +174,131 @@ def irregular_pairs(p_max: int) -> list[tuple[int, int]]:
     return out
 
 
-def _prime_factors_bounded(n: int, bound: int) -> tuple[set[int], int]:
-    """Prime factors of |n| found by trial division up to ``bound``, plus a
-    leftover cofactor when it tests prime; and the cofactor left over
-    unfactored: 1 when |n| factors completely, a composite with no prime
-    factor up to ``bound`` otherwise, and 0 for n = 0.
+# The 48 residues prime to 210 = 2*3*5*7, from 11 to 211: the trial walk
+# tests a + r for a a multiple of 210.
+_WHEEL_210 = tuple(r for r in range(11, 212) if gcd(r, 210) == 1)
+# Steps of Brent's rho per unit of isqrt(bound); rho meets a prime p after
+# about 1.3*sqrt(p) steps on average, and its rounds double.
+_RHO_STEPS = 8
+_RHO_BATCH = 128  # products |x - y| taken per gcd
 
-    Division stops at the bound, once c^2 > n, or once the cofactor is
-    prime.  Past 2 and 3 the candidates are the classes 6k - 1 and 6k + 1,
-    tested a chunk at a time in C; only a chunk that holds a divisor is
-    walked in Python, lazily.  Chunks double from 64 to 2^14 per class, so a
-    small factor is still met early.
+
+def _brent_split(n: int, budget: int) -> int:
+    """A proper divisor of the composite n by Brent's rho, or 1 once
+    ``budget`` steps of y -> y^2 + c mod n are spent.
+
+    Deterministic: y starts at 2 and c runs 1, 2, ... while a round ends
+    in gcd = n.
+    """
+    steps, c = 0, 0
+    while steps < budget:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps < budget:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys, m = y, min(_RHO_BATCH, r - k)
+                for _ in range(m):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += m
+            steps += r + k
+            r *= 2
+        if g == n:  # the batch overshot: retake it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    return 1
+
+
+def _trial_walk(n: int, bound: int) -> set[int]:
+    """The primes up to ``bound`` that divide n, where n has no factor 2,
+    3, 5 or 7 up to the bound, by trial division.
+
+    The candidates are the 48 classes prime to 210, tested a chunk at a
+    time in C; only a chunk that holds a divisor is walked in Python.
+    Chunks double from 8 to 2^11 steps of 210, so a small factor is still
+    met early.  The walk stops at the bound, once c^2 > n, or once the
+    cofactor is prime.
+    """
+    found: set[int] = set()
+    a, width = 0, 8
+    while a + 11 <= min(bound, isqrt(n)):
+        b = min(a + 210 * width, bound + 1, isqrt(n) + 1)
+        if not all(all(map(n.__mod__, range(a + r, b, 210))) for r in _WHEEL_210):
+            for c in (base + r for base in range(a, b, 210) for r in _WHEEL_210):
+                if c >= b or n % c:
+                    continue
+                found.add(c)
+                while n % c == 0:
+                    n //= c
+                if n == 1 or is_prime(n):
+                    if 1 < n <= bound:
+                        found.add(n)
+                    return found
+        a, width = b, min(2 * width, 2**11)
+    if 1 < n <= bound:  # no factor up to sqrt(n): n is prime
+        found.add(n)
+    return found
+
+
+def _remove_primes(n: int, ps) -> int:
+    for p in ps:
+        while n % p == 0:
+            n //= p
+    return n
+
+
+def _prime_factors_bounded(n: int, bound: int) -> tuple[set[int], int]:
+    """Prime factors of |n| up to ``bound``, plus a leftover cofactor when
+    it tests prime; and the cofactor left over unfactored: 1 when |n|
+    factors completely, a composite with no prime factor up to ``bound``
+    otherwise, and 0 for n = 0.
+
+    Exactly: let S be the primes up to ``bound`` dividing |n| and R be |n|
+    with their powers removed.  The result is (S, 1) when R = 1,
+    (S | {R}, 1) when ``is_prime(R)``, and (S, R) otherwise.
+
+    The factors 2, 3, 5 and 7 are divided out first.  Brent's variant of
+    Pollard rho (Brent, *An improved Monte Carlo factorization algorithm*,
+    BIT 1980) then splits the rest, with a budget of a small multiple of
+    isqrt(bound) steps per piece, enough to meet any prime factor up to
+    the bound with high probability.  Each piece is certified with
+    ``is_prime``.  Only a piece that rho cannot split is walked by trial
+    division to the bound (``_trial_walk``), so the result never depends
+    on rho's luck; above ``MR_DETERMINISTIC_BOUND`` it relies on
+    ``is_prime`` as the walk's early exit does.
     """
     n = abs(n)
-    found: set[int] = set()
     if n <= 1:
-        return found, n
-
-    def candidates() -> Iterator[int]:
-        # reads the current n, which shrinks as factors are divided out
-        yield 2
-        yield 3
-        a, width = 5, 64
-        while a <= min(bound, isqrt(n)):
-            b = min(a + 6 * width, bound + 1, isqrt(n) + 1)
-            if not (all(map(n.__mod__, range(a, b, 6)))
-                    and all(map(n.__mod__, range(a + 2, b, 6)))):
-                for c in range(a, b, 6):
-                    yield c
-                    yield c + 2
-            a, width = b, min(2 * width, 2**14)
-
-    for c in candidates():
-        if c > bound or c * c > n:
-            break
-        if n % c == 0:
-            found.add(c)
-            while n % c == 0:
-                n //= c
-            if n == 1:
-                break
-            if is_prime(n):
-                found.add(n)
-                n = 1
-                break
-    if n > 1 and is_prime(n):
-        found.add(n)
-        n = 1
-    return found, n
+        return set(), n
+    found = {p for p in (2, 3, 5, 7) if p <= bound and n % p == 0}
+    budget = _RHO_STEPS * isqrt(max(bound, 0))
+    pieces = [_remove_primes(n, found)]
+    while pieces:
+        x = pieces.pop()
+        if x == 1:
+            continue
+        if is_prime(x):
+            if x <= bound:
+                found.add(x)
+            continue
+        d = _brent_split(x, budget)
+        if d > 1:
+            pieces += [d, x // d]
+        else:
+            found |= _trial_walk(x, bound)
+    rest = _remove_primes(n, found)
+    if rest > 1 and is_prime(rest):
+        return found | {rest}, 1
+    return found, rest
 
 
 def condition_b_factors(

@@ -310,6 +310,17 @@ class TestTablesAndReproduce:
         assert " 13  -35063379577467215039546  [73, 1439, 56783, 226088481721]" in lines
         assert any(line.startswith("(unfactored: ") for line in lines)
 
+    def test_tables_mark_the_unscanned_weight(self, capsys):
+        # k = 2 lies below the scan; a scanned weight with no primes keeps [-]
+        code, out, _ = run(capsys, "tables", "--disc", "-4")
+        assert code == 0
+        lines = out.splitlines()
+        assert "  3  3/2  [-]" in lines
+        assert [line for line in lines if "not scanned" in line] == [
+            "  1  -1/2  [not scanned]",
+            "(not scanned: k = 2, below the first weight k = 4 of the condition-B scan)",
+        ]
+
     def test_tables_mark_probable_primes(self, capsys):
         code, out, _ = run(capsys, "tables", "--disc", "-163")
         assert code == 0

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eiscong import congruence
 from eiscong.arith import MR_DETERMINISTIC_BOUND, generalized_bernoulli, is_prime, primes
 from eiscong.congruence import (
     _prime_factors_bounded,
@@ -261,12 +262,26 @@ def _near(bound, count=5):
 
 
 NEAR_BOUND = {10**3: _near(10**3), 10**5: _near(10**5)}
+#: primes around isqrt(bound): a product of three of them holds several
+#: factors up to the bound in one piece, which rho must split more than once
+NEAR_ROOT = {bound: _near(math.isqrt(bound)) for bound in NEAR_BOUND}
+#: 2^89 - 1 is prime and above the deterministic Miller-Rabin range
+M89 = 2**89 - 1
+
+
+@st.composite
+def planted_primes(draw):
+    """A bound, and two or three primes from near it and near its root."""
+    bound = draw(st.sampled_from(sorted(NEAR_BOUND)))
+    ps = draw(st.lists(st.sampled_from(NEAR_BOUND[bound] + NEAR_ROOT[bound]),
+                       min_size=2, max_size=3))
+    return bound, ps
 
 
 class TestBoundedFactoring:
-    """Trial division that skips whole chunks of the 6k+-1 wheel, against
-    the candidate-by-candidate walk it replaced, and the cofactor it now
-    reports."""
+    """Brent's rho with the chunked trial walk of the 210 wheel behind it,
+    against the candidate-by-candidate walk of the 6k+-1 wheel it replaced,
+    and the cofactor it reports."""
 
     @staticmethod
     def check(n, bound):
@@ -314,6 +329,52 @@ class TestBoundedFactoring:
             self.check(n, bound)
         assert _prime_factors_bounded(above[0] * above[1], bound) == (
             set(), above[0] * above[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_primes(), st.integers(min_value=1, max_value=10**4), st.booleans())
+    def test_planted_primes_for_rho(self, planted, small, negative):
+        bound, ps = planted
+        n = small * math.prod(ps)
+        self.check(-n if negative else n, bound)
+
+    @pytest.mark.parametrize("bound", [10**3, 10**5])
+    def test_rho_path_cases(self, bound):
+        below = [p for p in NEAR_BOUND[bound] if p <= bound]
+        above = [p for p in NEAR_BOUND[bound] if p > bound]
+        roots = NEAR_ROOT[bound]
+        assert M89 > MR_DETERMINISTIC_BOUND and is_prime(M89)
+        cases = {
+            below[0] * above[0]: ({below[0], above[0]}, 1),
+            below[1] * M89: ({below[1], M89}, 1),
+            above[0] * above[1]: (set(), above[0] * above[1]),
+            above[2] * M89: (set(), above[2] * M89),
+            # rho's gcd returns n on 100003^2, and on 1019^2 inside 1019^3
+            above[0] ** 2: (set(), above[0] ** 2),
+            above[2] ** 3: (set(), above[2] ** 3),
+            roots[0] * roots[1] * roots[2]: (set(roots[:3]), 1),
+            roots[5] * roots[6] * roots[7]: (set(roots[5:8]), 1),
+            roots[4] ** 2 * roots[9] * above[3]: ({roots[4], roots[9], above[3]}, 1),
+            561 * above[0]: ({3, 11, 17, above[0]}, 1),  # Carmichael numbers
+            252601 * above[1] * above[4]: ({41, 61, 101}, above[1] * above[4]),
+        }
+        for n, expected in cases.items():
+            self.check(n, bound)
+            assert _prime_factors_bounded(n, bound) == expected, n
+
+    def test_only_a_cofactor_rho_cannot_split_is_walked(self, monkeypatch):
+        walked = []
+        real = congruence._trial_walk
+
+        def counted(n, bound):
+            walked.append(n)
+            return real(n, bound)
+
+        monkeypatch.setattr(congruence, "_trial_walk", counted)
+        for d in CONDITION_B_TABLES:
+            for k in range(4, 17, 2):
+                _prime_factors_bounded(generalized_bernoulli(k - 1, d).numerator, 10**7)
+        # (-67, 16): 541355166251 * 51558395838661, both beyond rho's budget
+        assert walked == [27911403950873192228229911]
 
     def test_nine_fields_at_the_condition_b_bound(self):
         for d in CONDITION_B_TABLES:
