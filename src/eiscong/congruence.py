@@ -174,9 +174,10 @@ def irregular_pairs(p_max: int) -> list[tuple[int, int]]:
     return out
 
 
-# The 48 residues prime to 210 = 2*3*5*7, from 11 to 211: the trial walk
-# tests a + r for a a multiple of 210.
-_WHEEL_210 = tuple(r for r in range(11, 212) if gcd(r, 210) == 1)
+# The 48 offsets r in [0, 210) with a + r prime to 210 = 2*3*5*7 for
+# a = 10 (mod 210), from 1 to 201: the trial walk keeps every chunk start
+# a in that class, so a chunk [a, b) holds exactly the a + r + 210*j < b.
+_WHEEL_210 = tuple(r for r in range(210) if gcd(10 + r, 210) == 1)
 # Steps of Brent's rho per unit of isqrt(bound); rho meets a prime p after
 # about 1.3*sqrt(p) steps on average, and its rounds double.
 _RHO_STEPS = 8
@@ -225,12 +226,13 @@ def _trial_walk(n: int, bound: int) -> set[int]:
     The candidates are the 48 classes prime to 210, tested a chunk at a
     time in C; only a chunk that holds a divisor is walked in Python.
     Chunks double from 8 to 2^11 steps of 210, so a small factor is still
-    met early.  The walk stops at the bound, once c^2 > n, or once the
-    cofactor is prime.
+    met early, and every chunk start stays at 10 (mod 210), so no class is
+    skipped at a chunk boundary.  The walk stops at the bound, once
+    c^2 > n, or once the cofactor is prime.
     """
     found: set[int] = set()
-    a, width = 0, 8
-    while a + 11 <= min(bound, isqrt(n)):
+    a, width = 10, 8
+    while a + 1 <= min(bound, isqrt(n)):
         b = min(a + 210 * width, bound + 1, isqrt(n) + 1)
         if not all(all(map(n.__mod__, range(a + r, b, 210))) for r in _WHEEL_210):
             for c in (base + r for base in range(a, b, 210) for r in _WHEEL_210):

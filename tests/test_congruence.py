@@ -361,6 +361,35 @@ class TestBoundedFactoring:
             self.check(n, bound)
             assert _prime_factors_bounded(n, bound) == expected, n
 
+    @staticmethod
+    def walk_oracle(n, bound):
+        return {p for p in prime_factors_by_wheel(n, bound) if p <= bound}
+
+    def test_walk_finds_a_prime_at_every_chunk_boundary(self):
+        # The walk alone, since rho would split these products first.  Its
+        # chunks are multiples of 210 wide and double, so primes next to
+        # 1680 * (2^j - 1) sit at their edges; 52081 = 1680 * 31 + 1.
+        big = 10000019  # prime, above the bound
+        assert congruence._trial_walk(52081 * big, 10**7) == {52081}
+        assert congruence._trial_walk(52081 * big, 10**7) == self.walk_oracle(
+            52081 * big, 10**7)
+        window = set(primes(12000))
+        for j in range(3, 7):
+            edge = 1680 * (2**j - 1)
+            window |= {p for p in primes(edge + 230) if p >= edge - 230}
+        for p in sorted(window - {2, 3, 5, 7}):
+            assert congruence._trial_walk(p * big, 10**7) == {p}, p
+
+    @pytest.mark.parametrize("bound", [10**3, 10**5])
+    def test_walk_past_the_bound_against_the_oracle(self, bound):
+        above = [p for p in NEAR_BOUND[bound] if p > bound]
+        rest = above[0] * above[1]  # composite, walked all the way to the bound
+        edges = [q for q in primes(bound + 1) if q % 210 in (1, 11)
+                 and any(abs(q - 1680 * (2**j - 1)) < 2000 for j in range(8))]
+        for p, q in zip(edges, edges[1:]):
+            n = p * q**2 * rest
+            assert congruence._trial_walk(n, bound) == self.walk_oracle(n, bound) == {p, q}
+
     def test_only_a_cofactor_rho_cannot_split_is_walked(self, monkeypatch):
         walked = []
         real = congruence._trial_walk
