@@ -389,6 +389,17 @@ def parse_rational(s: str) -> Fraction:
     """Inverse of format_rational, at any size; also reads every other form
     ``Fraction`` accepts."""
     s = s.strip()
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if s.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+        # the canonical "n" or "n/d": what Fraction(s) would build, without its regex
+        try:
+            n, d = int(num), int(den or 1)
+        except ValueError:  # past the int-to-str digit limit
+            pass
+        else:
+            if d:
+                return Fraction(n, d)
     try:
         return Fraction(s)
     except ValueError:

@@ -26,7 +26,8 @@ from .congruence import (
     verify_congruence,
 )
 from .elliptic import CUSP_FORMS, elliptic_eisenstein, ramanujan_tau
-from .errors import EiscongError
+from . import __version__
+from .errors import EiscongError, ParseError
 from .expansion import exp_parse, exp_serialize
 from .hermitian import (
     CLASS_NUMBER_ONE_DISCRIMINANTS,
@@ -47,6 +48,9 @@ from .reference_values import (
 from .siegel import igusa_x10, igusa_x12, siegel_expansion, siegel_g_coefficient
 
 CACHE_ENV = "EISCONG_CACHE_DIR"
+# Part of every cache file name, with the library version: a file written
+# under another version or layout is never read.
+CACHE_FORMAT = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,20 +154,40 @@ def _build_expansion(space, disc, form, weight, bound):
     return hermitian_expansion(form, disc, weight, bound)
 
 
+def _cached_text(path: Path, args):
+    """The cache file's text if it parses and its header matches the
+    request: space, disc, weight and trace bound; else None."""
+    try:
+        text = path.read_text()
+        f = exp_parse(text)
+    except (OSError, UnicodeDecodeError, ParseError):
+        return None
+    disc = args.disc if args.space == "hermitian" else None
+    if args.form in ("G", "E"):
+        weight = args.weight
+    else:
+        weight = CUSP_FORMS.get((args.space, disc, args.form), (None,))[0]
+    if (f.lattice.space, f.lattice.disc, f.weight, f.trace_bound) != (
+            args.space, disc, weight, args.trace_bound):
+        return None
+    return text
+
+
 def _cmd_expand(args) -> int:
     cache_dir = os.environ.get(CACHE_ENV)
-    cache_path = None
+    cache_path = text = None
     if cache_dir:
-        tag = f"{args.space}_{args.disc or 0}_{args.form}_{args.weight or 0}_{args.trace_bound}.exp"
+        tag = (f"v{__version__}.{CACHE_FORMAT}_{args.space}_{args.disc or 0}_{args.form}"
+               f"_{args.weight or 0}_{args.trace_bound}.exp")
         cache_path = Path(cache_dir) / tag
-        if cache_path.is_file():
-            text = cache_path.read_text()
-            _emit(text, args.out)
-            return 0
+        text = _cached_text(cache_path, args)
+    if text is not None:
+        _emit(text, args.out)
+        return 0
     f = _build_expansion(args.space, args.disc, args.form, args.weight,
                          args.trace_bound)
     text = exp_serialize(f)
-    if cache_path is not None:
+    if cache_path is not None:  # a new entry, or one that failed validation
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         # rename into place: a crash or a second writer leaves no partial file
         tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")

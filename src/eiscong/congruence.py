@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 from .arith import (
@@ -83,15 +83,39 @@ def _residue(value: Fraction, modulus: int, key):
     return num * pow(den, -1, modulus) % modulus
 
 
+def _residues(modulus: int, *expansions) -> list:
+    """For each expansion, a lookup ``at(idx, 0)`` of its coefficient mod
+    ``modulus``, 0 off the support.
+
+    When L, the lcm of every denominator in play, is prime to the modulus
+    (at least 2), each support is reduced up front with one inverse, as
+    a/b = a (L/b) L^-1, and a lookup reads a dict.  Otherwise each lookup
+    reduces its own coefficient, so a canonical walk raises
+    NonIntegralCoefficient where a walk of per-index reductions would.
+    """
+    terms = [[(idx, v.numerator, v.denominator) for idx, v in f.coeffs.items()]
+             for f in expansions]
+    dens = {b for t in terms for _, _, b in t}
+    den = lcm(*dens)
+    if modulus < 2 or gcd(den, modulus) != 1:
+        key = expansions[0].lattice.key_string
+        return [lambda idx, _, c=f.coeffs: _residue(c.get(idx, Fraction(0)), modulus, key(idx))
+                for f in expansions]
+    inverse = pow(den, -1, modulus)
+    scale = {b: den // b * inverse % modulus for b in dens}  # b -> (L/b) L^-1
+    return [{idx: a * scale[b] % modulus for idx, a, b in t}.get for t in terms]
+
+
+def _canonical(lat, bound: int) -> list:
+    return sorted(lat.enumerate_all(bound), key=lat.sort_key)
+
+
 def reduce_mod_p(f: TruncatedExpansion, modulus: int) -> dict:
     """Reduce every in-bound coefficient to [0, modulus); raises
     NonIntegralCoefficient at the first index whose denominator meets the
     modulus."""
-    lat = f.lattice
-    out = {}
-    for idx in sorted(lat.enumerate_all(f.trace_bound), key=lat.sort_key):
-        out[idx] = _residue(f.coefficient(idx), modulus, lat.key_string(idx))
-    return out
+    [at] = _residues(modulus, f)
+    return {idx: at(idx, 0) for idx in _canonical(f.lattice, f.trace_bound)}
 
 
 def verify_congruence(
@@ -100,18 +124,16 @@ def verify_congruence(
     """Check f = multiplier * g mod modulus at every in-bound index."""
     _check_compatible(f, g)
     lat = f.lattice
-    bound = min(f.trace_bound, g.trace_bound)
     multiplier %= modulus
-    checked = 0
+    lhs_at, rhs_at = _residues(modulus, f, g)
+    indices = _canonical(lat, min(f.trace_bound, g.trace_bound))
     failure = None
-    for idx in sorted(lat.enumerate_all(bound), key=lat.sort_key):
-        key = lat.key_string(idx)
-        lhs = _residue(f.coefficient(idx), modulus, key)
-        rhs = _residue(g.coefficient(idx), modulus, key) * multiplier % modulus
-        checked += 1
+    for idx in indices:
+        lhs = lhs_at(idx, 0)
+        rhs = rhs_at(idx, 0) * multiplier % modulus
         if lhs != rhs and failure is None:
-            failure = (key, lhs, rhs)
-    return CongruenceReport(modulus, multiplier, failure is None, checked, failure)
+            failure = (lat.key_string(idx), lhs, rhs)
+    return CongruenceReport(modulus, multiplier, failure is None, len(indices), failure)
 
 
 def solve_lambda(
@@ -121,17 +143,16 @@ def solve_lambda(
     does not vanish mod modulus, then verify everywhere."""
     _check_compatible(f, g)
     lat = f.lattice
-    bound = min(f.trace_bound, g.trace_bound)
-    for idx in sorted(lat.enumerate_all(bound), key=lat.sort_key):
-        key = lat.key_string(idx)
-        rhs = _residue(g.coefficient(idx), modulus, key)
+    lhs_at, rhs_at = _residues(modulus, f, g)
+    for idx in _canonical(lat, min(f.trace_bound, g.trace_bound)):
+        rhs = rhs_at(idx, 0)
         if rhs == 0:
             continue
         if gcd(rhs, modulus) != 1:
             raise NonInvertibleReference(
-                f"reference coefficient at {key} is not invertible mod {modulus}"
+                f"reference coefficient at {lat.key_string(idx)} is not invertible mod {modulus}"
             )
-        lam = _residue(f.coefficient(idx), modulus, key) * pow(rhs, -1, modulus)
+        lam = lhs_at(idx, 0) * pow(rhs, -1, modulus)
         return verify_congruence(f, g, modulus, lam % modulus)
     raise AllZeroRhs(f"rhs vanishes identically mod {modulus}")
 

@@ -53,7 +53,7 @@ def elliptic_eisenstein(k: int, n_max: int) -> TruncatedExpansion:
     coeffs = {0: Fraction(1)}
     for n in range(1, n_max + 1):
         coeffs[n] = scale * divisor_power_sum(k - 1, n)
-    return TruncatedExpansion(ELLIPTIC, k, n_max, coeffs)
+    return TruncatedExpansion._trusted(ELLIPTIC, k, n_max, coeffs)
 
 
 @lru_cache(maxsize=None)

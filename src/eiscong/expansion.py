@@ -73,16 +73,21 @@ def _same_lattice(a, b):
 class TruncatedExpansion:
     """Finite Fourier expansion: map from lattice index to Fraction.
 
-    Zero coefficients are never stored; lookups beyond the trace bound raise
+    ``coeffs`` holds a nonzero Fraction at psd indices of trace at most the
+    bound, and nothing else; lookups beyond the trace bound raise
     OutOfTruncation rather than returning a silent zero.
+
+    The public constructor takes untrusted input: it converts every value
+    to a Fraction and checks each index, raising NotPositiveSemidefinite or
+    OutOfTruncation.  Ring results (sums, scalings, products, restrictions,
+    lifts and the builders) hold by construction, so they go through
+    ``_trusted``, which only drops zeros.
     """
 
     __slots__ = ("lattice", "weight", "trace_bound", "coeffs")
 
     def __init__(self, lattice, weight: int, trace_bound: int, coeffs: Mapping):
-        if trace_bound < 0:
-            raise ValueError("trace_bound must be >= 0")
-        clean = {}
+        self._header(lattice, weight, trace_bound)
         for idx, val in coeffs.items():
             val = Fraction(val)
             if val == 0:
@@ -91,11 +96,24 @@ class TruncatedExpansion:
                 raise NotPositiveSemidefinite(f"index {idx} is not psd")
             if lattice.trace(idx) > trace_bound:
                 raise OutOfTruncation(f"index {idx} exceeds trace bound {trace_bound}")
-            clean[idx] = val
+            self.coeffs[idx] = val
+
+    @classmethod
+    def _trusted(cls, lattice, weight: int, trace_bound: int, coeffs: Mapping):
+        """An expansion from Fraction values at psd indices within the
+        bound, unchecked; zeros are dropped."""
+        self = object.__new__(cls)
+        self._header(lattice, weight, trace_bound)
+        self.coeffs = {i: v for i, v in coeffs.items() if v}
+        return self
+
+    def _header(self, lattice, weight, trace_bound):
+        if trace_bound < 0:
+            raise ValueError("trace_bound must be >= 0")
         self.lattice = lattice
         self.weight = weight
         self.trace_bound = trace_bound
-        self.coeffs = clean
+        self.coeffs = {}
 
     def coefficient(self, idx) -> Fraction:
         if not self.lattice.is_psd(idx):
@@ -115,12 +133,8 @@ class TruncatedExpansion:
     def restrict(self, trace_bound: int) -> "TruncatedExpansion":
         if trace_bound > self.trace_bound:
             raise OutOfTruncation("cannot extend a truncated expansion")
-        kept = {
-            i: v
-            for i, v in self.coeffs.items()
-            if self.lattice.trace(i) <= trace_bound
-        }
-        return TruncatedExpansion(self.lattice, self.weight, trace_bound, kept)
+        return TruncatedExpansion._trusted(
+            self.lattice, self.weight, trace_bound, _within(self, trace_bound))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedExpansion):
@@ -161,11 +175,19 @@ class TruncatedExpansion:
 
 
 def zero_expansion(lattice, weight, trace_bound) -> TruncatedExpansion:
-    return TruncatedExpansion(lattice, weight, trace_bound, {})
+    return TruncatedExpansion._trusted(lattice, weight, trace_bound, {})
 
 
 def constant_one(lattice, trace_bound) -> TruncatedExpansion:
-    return TruncatedExpansion(lattice, 0, trace_bound, {lattice.zero: Fraction(1)})
+    return TruncatedExpansion._trusted(lattice, 0, trace_bound, {lattice.zero: Fraction(1)})
+
+
+def _within(f: TruncatedExpansion, bound: int) -> dict:
+    """The coefficients of f at trace <= bound (f's own dict when that is all)."""
+    if f.trace_bound <= bound:
+        return f.coeffs
+    trace = f.lattice.trace
+    return {i: v for i, v in f.coeffs.items() if trace(i) <= bound}
 
 
 def _check_compatible(f: TruncatedExpansion, g: TruncatedExpansion):
@@ -178,22 +200,19 @@ def _check_compatible(f: TruncatedExpansion, g: TruncatedExpansion):
 def exp_add(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpansion:
     _check_compatible(f, g)
     bound = min(f.trace_bound, g.trace_bound)
-    coeffs: dict = {}
-    for idx in set(f.coeffs) | set(g.coeffs):
-        if f.lattice.trace(idx) > bound:
-            continue
-        coeffs[idx] = f.coeffs.get(idx, 0) + g.coeffs.get(idx, 0)
-    return TruncatedExpansion(f.lattice, f.weight, bound, coeffs)
+    coeffs = dict(_within(f, bound))
+    for idx, v in _within(g, bound).items():
+        coeffs[idx] = coeffs[idx] + v if idx in coeffs else v
+    return TruncatedExpansion._trusted(f.lattice, f.weight, bound, coeffs)
 
 
 def exp_scale(c, f: TruncatedExpansion) -> TruncatedExpansion:
     c = Fraction(c)
-    return TruncatedExpansion(
-        f.lattice,
-        f.weight,
-        f.trace_bound,
-        {idx: c * v for idx, v in f.coeffs.items()},
-    )
+    p, q = c.numerator, c.denominator
+    # Fraction(p a, q b) is c * (a / b), normalized, without Fraction's operator dispatch
+    coeffs = {idx: Fraction(p * v.numerator, q * v.denominator)
+              for idx, v in f.coeffs.items()} if p else {}
+    return TruncatedExpansion._trusted(f.lattice, f.weight, f.trace_bound, coeffs)
 
 
 def _common_denominator(f: TruncatedExpansion):
@@ -220,7 +239,7 @@ def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpan
             acc[add(s, u)] += a * b
     den = fden * gden
     coeffs = {t: Fraction(n, den) for t, n in acc.items() if n}
-    return TruncatedExpansion(lat, f.weight + g.weight, bound, coeffs)
+    return TruncatedExpansion._trusted(lat, f.weight + g.weight, bound, coeffs)
 
 
 def lift_coefficient(lattice, k: int, t, alpha, constant):
@@ -239,7 +258,7 @@ def lift(lattice, k: int, trace_bound: int, alpha, constant) -> TruncatedExpansi
     at = [alpha(N) for N in range(lattice.fj_stride * trace_bound**2 // 4 + 1)].__getitem__
     coeffs = {t: lift_coefficient(lattice, k, t, at, constant)
               for t in lattice.enumerate_all(trace_bound)}
-    return TruncatedExpansion(lattice, k, trace_bound, coeffs)
+    return TruncatedExpansion._trusted(lattice, k, trace_bound, coeffs)
 
 
 def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:
@@ -252,7 +271,7 @@ def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:
         v = f.coeffs.get(f.lattice.diag_embed(t))
         if v:
             coeffs[t] = v
-    return TruncatedExpansion(ELLIPTIC, f.weight, f.trace_bound, coeffs)
+    return TruncatedExpansion._trusted(ELLIPTIC, f.weight, f.trace_bound, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +311,10 @@ def lattice_for(space: str, disc=None):
 
 
 def exp_parse(text: str) -> TruncatedExpansion:
-    header: dict[str, str] = {}
+    """Read the canonical text form.  The text is untrusted: every header
+    field, key and value is checked once, and each fault is a ParseError
+    with the number of the line it sits on."""
+    header: dict[str, tuple[int, str]] = {}  # field -> (line number, value)
     lines = text.splitlines()
     body_start = None
     for i, line in enumerate(lines):
@@ -305,40 +327,49 @@ def exp_parse(text: str) -> TruncatedExpansion:
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ParseError(i + 1, f"malformed header line {line!r}")
-        header[parts[0]] = parts[1]
+        header[parts[0]] = (i + 1, parts[1])
     if body_start is None:
         raise ParseError(len(lines), "missing 'coefficients' sentinel")
-    try:
-        space = header["space"]
-        weight = int(header["weight"])
-        bound = int(header["trace_bound"])
-    except KeyError as exc:
-        raise ParseError(1, f"missing header field {exc}") from None
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
-    disc = int(header["disc"]) if "disc" in header else None
+
+    def field(name, convert):
+        if name not in header:
+            raise ParseError(1, f"missing header field {name!r}")
+        lineno, value = header[name]
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+
+    space = field("space", str)
+    weight = field("weight", int)
+    bound = field("trace_bound", int)
+    if bound < 0:
+        raise ParseError(header["trace_bound"][0], "trace_bound must be >= 0")
+    disc = field("disc", int) if "disc" in header else None
     try:
         lat = lattice_for(space, disc)
     except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+        raise ParseError(header["disc" if "disc" in header else "space"][0], str(exc)) from None
+    trace, is_psd, parse_key = lat.trace, lat.is_psd, lat.parse_key
     coeffs = {}
-    for off, line in enumerate(lines[body_start:]):
-        lineno = body_start + off + 1
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(lines[body_start:], body_start + 1):
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 2:
-            raise ParseError(lineno, f"malformed coefficient line {line!r}")
+            raise ParseError(lineno, f"malformed coefficient line {line.strip()!r}")
         try:
-            idx = lat.parse_key(parts[0])
+            idx = parse_key(parts[0])
             val = parse_rational(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(lineno, str(exc)) from None
         if idx in coeffs:
             raise ParseError(lineno, f"duplicate key {parts[0]}")
         coeffs[idx] = val
-    try:
-        return TruncatedExpansion(lat, weight, bound, coeffs)
-    except (NotPositiveSemidefinite, OutOfTruncation) as exc:
-        raise ParseError(body_start, str(exc)) from None
+        if not val:  # dropped, unchecked, as the public constructor does
+            continue
+        if not is_psd(idx):
+            raise ParseError(lineno, f"index {idx} is not psd")
+        if trace(idx) > bound:
+            raise ParseError(lineno, f"index {idx} exceeds trace bound {bound}")
+    return TruncatedExpansion._trusted(lat, weight, bound, coeffs)

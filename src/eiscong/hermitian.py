@@ -115,7 +115,7 @@ class HermitianLattice:
         parts = s.split(",")
         if len(parts) != 4:
             raise ValueError(f"bad hermitian key {s!r}")
-        return tuple(int(p) for p in parts)
+        return tuple(map(int, parts))
 
     def diag_embed(self, t):
         return (t, 0, 0, 0)

@@ -76,7 +76,7 @@ class SiegelLattice:
         parts = s.split(",")
         if len(parts) != 3:
             raise ValueError(f"bad siegel key {s!r}")
-        return tuple(int(p) for p in parts)
+        return tuple(map(int, parts))
 
     def diag_embed(self, t):
         return (t, 0, 0)

@@ -9,9 +9,13 @@ target by target over every index pair, Hermitian E_k coefficients by their
 own closed form rather than as a multiple of G_k, generalized Bernoulli
 numbers from a Bernoulli polynomial at every residue
 (``generalized_bernoulli_by_polynomials``, the library's route before it
-summed integer powers), and bounded factoring by a candidate-by-candidate
-walk of the 6k+-1 wheel (``prime_factors_by_wheel``, the library's route
-before it tested whole chunks of the wheel at once).  The degree-2 forms
+summed integer powers), bounded factoring by trial division by the primes
+of a sieve of Eratosthenes, with a Miller-Rabin test of its own
+(``prime_factors_by_sieve``; the library splits by Brent's rho and walks a
+wheel), and reduction, verification and solving mod m index by index, one
+modular inverse per coefficient (``reduce_mod_p_by_index``,
+``verify_congruence_by_index`` and ``solve_lambda_by_index``, the library's
+route before it reduced each expansion with one inverse).  The degree-2 forms
 have the library's routes from before it built them as Maass lifts: G_k
 coefficients index by index, by the Siegel closed form with its Moebius
 inner sum (``siegel_g_closed_form``) and the Hermitian one with its divisor
@@ -24,10 +28,12 @@ called; they serve the tests from here.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from itertools import chain, compress, islice, tee
+from math import comb, gcd, isqrt
+from operator import not_
 
 from eiscong.arith import (
-    _wheel_candidates,
     bernoulli,
     divisor_power_sum,
     divisors,
@@ -39,8 +45,10 @@ from eiscong.arith import (
     mobius,
     p_valuation,
 )
+from eiscong.congruence import CongruenceReport
 from eiscong.elliptic import _BOUNDARY_RELATIONS, CUSP_FORMS
-from eiscong.expansion import TruncatedExpansion, exp_add, exp_scale
+from eiscong.errors import AllZeroRhs, NonIntegralCoefficient, NonInvertibleReference
+from eiscong.expansion import TruncatedExpansion, _check_compatible, exp_add, exp_scale
 from eiscong.hermitian import content, det_scaled
 from eiscong.siegel import content as siegel_content, det4
 
@@ -138,28 +146,73 @@ def generalized_bernoulli_by_polynomials(n: int, D: int) -> Fraction:
     return Fraction(f) ** (n - 1) * acc
 
 
-def prime_factors_by_wheel(n: int, bound: int) -> set[int]:
-    """Prime factors of |n| found by trial division below ``bound``, plus a
-    leftover cofactor when it certifies prime.  Composite leftovers beyond
-    the bound are dropped."""
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+@lru_cache(maxsize=None)
+def _odd_sieve(bits: int) -> bytearray:
+    """Byte i is 1 when 2i + 1 is prime, for 2i + 1 < 2^bits: a sieve of
+    Eratosthenes over the odd numbers."""
+    half = 1 << (bits - 1)
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (isqrt(2 * half - 1) + 1) // 2):
+        if sieve[i]:  # strike p^2, p^2 + 2p, ... for p = 2i + 1
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
+    return sieve
+
+
+def primes_up_to(limit: int):
+    """The primes up to ``limit``, in increasing order."""
+    if limit < 2:
+        return iter(())
+    odd = compress(range(3, limit + 1, 2), islice(_odd_sieve(limit.bit_length()), 1, None))
+    return chain([2], odd)
+
+
+def is_strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to every prime base up to 71; a proof below 3.3e24,
+    where the first 13 of those bases already suffice (Sorenson and
+    Webster, Math. Comp. 2017)."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_factors_by_sieve(n: int, bound: int) -> set[int]:
+    """Prime factors of |n| found by trial division by the sieved primes up
+    to ``bound``, plus a leftover cofactor when it is a strong probable
+    prime.  Composite leftovers beyond the bound are dropped."""
     n = abs(n)
     found: set[int] = set()
     if n <= 1:
         return found
-    for c in _wheel_candidates():
-        if c > bound or c * c > n:
+    # the primes dividing |n|, tested as the iterators are drawn; a prime
+    # above p divides |n| exactly when it divides what is left of it after p
+    candidates, tested = tee(primes_up_to(min(bound, isqrt(n))))
+    for p in compress(candidates, map(not_, map(n.__mod__, tested))):
+        found.add(p)
+        while n % p == 0:
+            n //= p
+        if n == 1 or is_strong_probable_prime(n):
             break
-        if n % c == 0:
-            found.add(c)
-            while n % c == 0:
-                n //= c
-            if n == 1:
-                break
-            if is_prime(n):
-                found.add(n)
-                n = 1
-                break
-    if n > 1 and is_prime(n):
+    if n > 1 and is_strong_probable_prime(n):
         found.add(n)
     return found
 
@@ -313,3 +366,57 @@ class PrimeLocalization:
 
     def is_integral(self, q: Fraction) -> bool:
         return is_p_integral(q, self.p)
+
+
+def _residue(value: Fraction, modulus: int, key):
+    num, den = value.numerator, value.denominator
+    if gcd(den, modulus) != 1:
+        raise NonIntegralCoefficient(key, modulus)
+    return num * pow(den, -1, modulus) % modulus
+
+
+def reduce_mod_p_by_index(f: TruncatedExpansion, modulus: int) -> dict:
+    lat = f.lattice
+    out = {}
+    for idx in sorted(lat.enumerate_all(f.trace_bound), key=lat.sort_key):
+        out[idx] = _residue(f.coefficient(idx), modulus, lat.key_string(idx))
+    return out
+
+
+def verify_congruence_by_index(
+    f: TruncatedExpansion, g: TruncatedExpansion, modulus: int, multiplier: int
+) -> CongruenceReport:
+    _check_compatible(f, g)
+    lat = f.lattice
+    bound = min(f.trace_bound, g.trace_bound)
+    multiplier %= modulus
+    checked = 0
+    failure = None
+    for idx in sorted(lat.enumerate_all(bound), key=lat.sort_key):
+        key = lat.key_string(idx)
+        lhs = _residue(f.coefficient(idx), modulus, key)
+        rhs = _residue(g.coefficient(idx), modulus, key) * multiplier % modulus
+        checked += 1
+        if lhs != rhs and failure is None:
+            failure = (key, lhs, rhs)
+    return CongruenceReport(modulus, multiplier, failure is None, checked, failure)
+
+
+def solve_lambda_by_index(
+    f: TruncatedExpansion, g: TruncatedExpansion, modulus: int
+) -> CongruenceReport:
+    _check_compatible(f, g)
+    lat = f.lattice
+    bound = min(f.trace_bound, g.trace_bound)
+    for idx in sorted(lat.enumerate_all(bound), key=lat.sort_key):
+        key = lat.key_string(idx)
+        rhs = _residue(g.coefficient(idx), modulus, key)
+        if rhs == 0:
+            continue
+        if gcd(rhs, modulus) != 1:
+            raise NonInvertibleReference(
+                f"reference coefficient at {key} is not invertible mod {modulus}"
+            )
+        lam = _residue(f.coefficient(idx), modulus, key) * pow(rhs, -1, modulus)
+        return verify_congruence_by_index(f, g, modulus, lam % modulus)
+    raise AllZeroRhs(f"rhs vanishes identically mod {modulus}")

@@ -1,5 +1,6 @@
 """Tests for the exact scalar arithmetic kernel."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -335,6 +336,56 @@ class TestValuations:
     def test_valuation_of_product(self, a, b, p):
         if a != 0 and b != 0:
             assert p_valuation(a * b, p) == p_valuation(a, p) + p_valuation(b, p)
+
+
+def parse_outcome(fn, s):
+    try:
+        q = fn(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(q), q
+
+
+_numeral = st.one_of(st.from_regex(r"[0-9]{1,30}", fullmatch=True),
+                     st.from_regex(r"[0-9]{1,4}(_[0-9]{1,4}){1,3}", fullmatch=True))
+_sign = st.sampled_from(["", "-", "+"])
+rational_tokens = st.one_of(
+    st.builds("{}{}".format, _sign, _numeral),
+    st.builds("{}{}/{}".format, _sign, _numeral, _numeral),  # non-reduced, and d = 0
+    st.builds("{}{}".format, _sign,
+              st.from_regex(r"[0-9]{0,6}\.[0-9]{1,6}([eE][+-]?[0-9]{1,2})?", fullmatch=True)),
+    st.text(alphabet="0123456789+-/_.e x\u0663", max_size=12),  # mostly malformed
+)
+
+
+class TestRationalParse:
+    """parse_rational reads the canonical token without Fraction's regex;
+    every token must read exactly as Fraction reads it."""
+
+    @settings(max_examples=400)
+    @given(st.sampled_from(["", " ", "\t"]), rational_tokens, st.sampled_from(["", " ", "\n"]))
+    def test_matches_fraction(self, before, token, after):
+        s = before + token + after  # parse_rational strips s, as its messages show
+        assert parse_outcome(parse_rational, s) == parse_outcome(Fraction, s.strip())
+
+    @pytest.mark.parametrize("s", ["0", "-0", "007", "-5/10", "5/0", "-5/00", "+3", "1/-2",
+                                   "--1", "1/", "/2", "1//2", "1 /2", "", "-", "1_0/2_0",
+                                   "\u0663", "3/\u0663", "1e3", ".5", "0x10", "nan", "inf"])
+    def test_edge_tokens(self, s):
+        assert parse_outcome(parse_rational, s) == parse_outcome(Fraction, s)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(4301, 6000), st.integers(1, 6000), st.sampled_from(["", "-"]),
+           st.from_regex(r"[1-9][0-9]{19}", fullmatch=True))
+    def test_beyond_the_digit_limit_matches_the_decimal_path(self, nlen, dlen, sign, chunk):
+        exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                Emin=decimal.MIN_EMIN)
+        num, den = (chunk * 300)[:nlen], ("7" + chunk * 300)[:dlen]
+        want = Fraction(int(exact.create_decimal(sign + num)), int(exact.create_decimal(den)))
+        assert parse_rational(f"{sign}{num}/{den}") == want
+        assert parse_rational(f"{sign}{num}") == int(exact.create_decimal(sign + num))
+        with pytest.raises(ZeroDivisionError):
+            parse_rational(f"{sign}{num}/0")
 
 
 class TestRationalFormat:

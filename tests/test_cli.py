@@ -128,6 +128,52 @@ class TestExpand:
         [cached] = tmp_path.iterdir()
         assert cached.read_text() == out
 
+    G10 = ("expand", "--space", "siegel", "--form", "G", "--weight", "10",
+           "--trace-bound", "1")
+
+    @pytest.mark.parametrize("bad", ["garbage\n", "\xff\xfe", "",
+                                     "space siegel\nweight 10\ntrace_bound 1\ncoefficients\n0,0,0 1/0\n"],
+                             ids=["garbage", "not-utf8", "empty", "zero-denominator"])
+    def test_corrupt_cache_entry_is_rebuilt(self, tmp_path, capsys, monkeypatch, bad):
+        monkeypatch.setenv("EISCONG_CACHE_DIR", str(tmp_path))
+        code, fresh, _ = run(capsys, *self.G10)
+        [cached] = tmp_path.iterdir()
+        cached.write_bytes(bad.encode("latin-1"))
+        code, out, _ = run(capsys, *self.G10)
+        assert code == 0
+        assert out == fresh == exp_serialize(siegel_expansion("G", 10, 1))
+        assert cached.read_text() == fresh  # rewritten
+        assert [p.name for p in tmp_path.iterdir()] == [cached.name]  # no leftover temp file
+
+    @pytest.mark.parametrize("other", [
+        ("siegel", "G", "12", "1"), ("siegel", "G", "10", "2"), ("hermitian", "G", "10", "1"),
+    ])
+    def test_cache_entry_for_another_request_is_rebuilt(self, tmp_path, capsys, monkeypatch,
+                                                        other):
+        monkeypatch.setenv("EISCONG_CACHE_DIR", str(tmp_path))
+        space, form, weight, bound = other
+        run(capsys, "expand", "--space", space, "--disc", "-4", "--form", form,
+            "--weight", weight, "--trace-bound", bound)
+        [wrong] = tmp_path.iterdir()
+        code, fresh, _ = run(capsys, *self.G10)
+        [target] = set(tmp_path.iterdir()) - {wrong}
+        target.write_text(wrong.read_text())  # a valid file under the wrong name
+        code, out, _ = run(capsys, *self.G10)
+        assert code == 0
+        assert out == fresh == target.read_text()
+
+    def test_cache_name_carries_the_version(self, tmp_path, capsys, monkeypatch):
+        # an entry named as before the cache was versioned is never read
+        from eiscong import __version__
+
+        monkeypatch.setenv("EISCONG_CACHE_DIR", str(tmp_path))
+        (tmp_path / "siegel_0_G_10_1.exp").write_text("garbage\n")
+        code, out, _ = run(capsys, *self.G10)
+        assert code == 0
+        assert out == exp_serialize(siegel_expansion("G", 10, 1))
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["siegel_0_G_10_1.exp", f"v{__version__}.2_siegel_0_G_10_1.exp"]
+
     def test_named_form_rejects_conflicting_weight(self, capsys):
         code, _, _ = run(
             capsys, "expand", "--space", "siegel", "--form", "X10",
@@ -216,6 +262,23 @@ class TestCongruence:
         )
         assert code == 3
         assert "not invertible mod 4" in err
+
+    @pytest.mark.parametrize("header", [
+        "space hermitian\ndisc x\nweight 4\ntrace_bound 1\n",
+        "space siegel\nweight 4\ntrace_bound -1\n",
+        "space siegel\nweight x\ntrace_bound 1\n",
+    ], ids=["disc-x", "negative-trace-bound", "weight-x"])
+    def test_malformed_header_is_a_parse_error(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.exp"
+        bad.write_text(header + "coefficients\n")
+        good, _ = self.make_files(tmp_path, capsys)
+        for lhs, rhs in ((bad, good), (good, bad)):
+            code, _, err = run(capsys, "congruence", "solve", "--lhs", str(lhs),
+                               "--rhs", str(rhs), "--mod", "43867")
+            assert code == 3
+            assert "computation error: line" in err
+        code, _, err = run(capsys, "cusp-correct", "--in", str(bad))
+        assert code == 3
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(

@@ -25,13 +25,26 @@ from eiscong.congruence import (
     solve_lambda,
     verify_congruence,
 )
-from eiscong.expansion import exp_scale, phi_operator
-from eiscong.errors import AllZeroRhs, NonIntegralCoefficient, WeightMismatch
-from eiscong.hermitian import hermitian_cusp_form, hermitian_expansion
+from eiscong.expansion import TruncatedExpansion, exp_add, exp_scale, phi_operator
+from eiscong.errors import (
+    AllZeroRhs,
+    NonIntegralCoefficient,
+    NonInvertibleReference,
+    WeightMismatch,
+)
+from eiscong.hermitian import hermitian_cusp_form, hermitian_expansion, hermitian_lattice
 from eiscong.reference_values import CONDITION_B_TABLES
-from eiscong.siegel import igusa_x10, igusa_x12, siegel_expansion
+from eiscong.siegel import SIEGEL, igusa_x10, igusa_x12, siegel_expansion
 
-from .oracles import bernoulli_binomial_recurrence, bernoulli_tangent, prime_factors_by_wheel
+from .oracles import (
+    bernoulli_binomial_recurrence,
+    bernoulli_tangent,
+    prime_factors_by_sieve,
+    primes_up_to,
+    reduce_mod_p_by_index,
+    solve_lambda_by_index,
+    verify_congruence_by_index,
+)
 
 
 class TestReduction:
@@ -55,6 +68,91 @@ class TestReduction:
         assert table[(1, 0, 1)] == Fraction(50521, 2).numerator * pow(
             2, -1, 77683
         ) % 77683
+
+
+# moduli prime and composite, some meeting the denominators below (2, 3, 9,
+# 27, 691 and the products), 43867 and 77683 = 131 * 593 from the paper
+MODULI = (43867, 77683, 691, 1009, 2, 3, 4, 6, 9, 12, 27, 30, 2 * 691, 1)
+MODP_LATTICES = (SIEGEL, hermitian_lattice(-3), hermitian_lattice(-4), hermitian_lattice(-7))
+denominators = st.sampled_from((1, 1, 1, 1, 2, 3, 5, 9, 27, 691))
+
+
+@st.composite
+def modp_expansion(draw, lat, integral=False, min_size=0):
+    bound = draw(st.integers(0, 3))
+    chosen = draw(st.lists(st.sampled_from(lat.enumerate_all(bound)),
+                           unique=True, min_size=min_size, max_size=10))
+    return TruncatedExpansion(lat, 10, bound, {
+        t: Fraction(draw(st.integers(-60, 60)), 1 if integral else draw(denominators))
+        for t in chosen})
+
+
+@st.composite
+def congruence_cases(draw):
+    """(f, g, modulus, multiplier): f is often lambda g + m h with h integral,
+    so that it holds where the denominators allow; terms of the sum cancel."""
+    lat = draw(st.sampled_from(MODP_LATTICES))
+    m = draw(st.sampled_from(MODULI))
+    lam = draw(st.integers(0, 2 * m))
+    g = draw(modp_expansion(lat, min_size=1))
+    if draw(st.booleans()):
+        f = exp_add(exp_scale(lam, g), exp_scale(m, draw(modp_expansion(lat, integral=True))))
+    else:
+        f = draw(modp_expansion(lat))
+    if draw(st.booleans()):
+        f, g = exp_add(f, exp_scale(-1, g)), exp_add(g, exp_scale(-1, f))
+    return f, g, m, lam
+
+
+def outcome(fn, *args):
+    """A result, or the exception's type with its key or message."""
+    try:
+        return fn(*args)
+    except NonIntegralCoefficient as exc:
+        return NonIntegralCoefficient, exc.key, exc.modulus
+    except (AllZeroRhs, NonInvertibleReference) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstPerIndexOracle:
+    """One inverse per expansion against one per coefficient: the same
+    reports, tables and exception keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(congruence_cases())
+    def test_random_expansions(self, case):
+        f, g, m, lam = case
+        assert outcome(solve_lambda, f, g, m) == outcome(solve_lambda_by_index, f, g, m)
+        assert outcome(verify_congruence, f, g, m, lam) == outcome(
+            verify_congruence_by_index, f, g, m, lam)
+        assert outcome(reduce_mod_p, f, m) == outcome(reduce_mod_p_by_index, f, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(MODULI + (101, 809, 11, 7 * 43867, 5 * 77683)),
+           st.integers(0, 10**6), st.booleans())
+    def test_published_forms(self, m, lam, hermitian):
+        if hermitian:
+            f, g = hermitian_expansion("G", -3, 10, 2), hermitian_cusp_form("F10", -3, 2)
+        else:
+            f, g = siegel_expansion("G", 10, 2), igusa_x10(2)
+        for a, b in ((f, g), (g, f), (f, f)):
+            assert outcome(solve_lambda, a, b, m) == outcome(solve_lambda_by_index, a, b, m)
+            assert outcome(verify_congruence, a, b, m, lam) == outcome(
+                verify_congruence_by_index, a, b, m, lam)
+        assert outcome(reduce_mod_p, f, m) == outcome(reduce_mod_p_by_index, f, m)
+
+    def test_error_keys(self):
+        g10 = siegel_expansion("G", 10, 2)  # -1618/27 at (1, 1, 1)
+        x10 = igusa_x10(2)
+        for m in (3, 9, 27):
+            with pytest.raises(NonIntegralCoefficient) as exc:
+                solve_lambda(g10, x10, m)
+            assert exc.value.key == outcome(solve_lambda_by_index, g10, x10, m)[1]
+        # the first reference coefficient, at (0, 0, 1), is 2: not invertible mod 4
+        g = TruncatedExpansion(SIEGEL, 10, 1, {(0, 0, 1): 2, (1, 0, 0): 1})
+        f = exp_scale(3, g)
+        assert outcome(solve_lambda, f, g, 4) == outcome(solve_lambda_by_index, f, g, 4) == (
+            NonInvertibleReference, "reference coefficient at 0,0,1 is not invertible mod 4")
 
 
 class TestSolveAndVerify:
@@ -280,13 +378,13 @@ def planted_primes(draw):
 
 class TestBoundedFactoring:
     """Brent's rho with the chunked trial walk of the 210 wheel behind it,
-    against the candidate-by-candidate walk of the 6k+-1 wheel it replaced,
+    against trial division by the primes of a sieve (the oracle),
     and the cofactor it reports."""
 
     @staticmethod
     def check(n, bound):
         found, rest = _prime_factors_bounded(n, bound)
-        assert found == prime_factors_by_wheel(n, bound), (n, bound)
+        assert found == prime_factors_by_sieve(n, bound), (n, bound)
         if n == 0:
             assert (found, rest) == (set(), 0)
             return
@@ -298,7 +396,7 @@ class TestBoundedFactoring:
         assert m == rest, (n, bound)
         if rest > 1:  # unfactored: composite, no prime factor up to the bound
             assert not is_prime(rest)
-            assert all(map(rest.__mod__, range(2, bound + 1)))
+            assert all(map(rest.__mod__, primes_up_to(bound)))
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -363,7 +461,7 @@ class TestBoundedFactoring:
 
     @staticmethod
     def walk_oracle(n, bound):
-        return {p for p in prime_factors_by_wheel(n, bound) if p <= bound}
+        return {p for p in prime_factors_by_sieve(n, bound) if p <= bound}
 
     def test_walk_finds_a_prime_at_every_chunk_boundary(self):
         # The walk alone, since rho would split these products first.  Its

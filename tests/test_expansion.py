@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eiscong.elliptic import elliptic_eisenstein
+from eiscong.congruence import cusp_correction
+from eiscong.elliptic import delta_expansion, elliptic_eisenstein
 from eiscong.expansion import (
     ELLIPTIC,
     TruncatedExpansion,
@@ -20,8 +21,8 @@ from eiscong.expansion import (
     phi_operator,
     zero_expansion,
 )
-from eiscong.hermitian import hermitian_expansion, hermitian_lattice
-from eiscong.siegel import SIEGEL, siegel_expansion
+from eiscong.hermitian import hermitian_cusp_form, hermitian_expansion, hermitian_lattice
+from eiscong.siegel import SIEGEL, igusa_x10, igusa_x12, siegel_expansion
 from eiscong.errors import (
     NotPositiveSemidefinite,
     OutOfTruncation,
@@ -234,6 +235,35 @@ class TestSerialization:
         with pytest.raises(ParseError):
             exp_parse("space quaternionic\nweight 4\ntrace_bound 0\ncoefficients\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("space hermitian\ndisc x\nweight 4\ntrace_bound 1\ncoefficients\n", 2),
+        ("space siegel\nweight 4\ntrace_bound -1\ncoefficients\n", 3),
+        ("space siegel\nweight x\ntrace_bound 1\ncoefficients\n", 2),
+        ("space siegel\nweight 4\ntrace_bound 1.5\ncoefficients\n", 3),
+        ("space hermitian\ndisc 5\nweight 4\ntrace_bound 1\ncoefficients\n", 2),
+        ("space siegel\nweight 4\n\ntrace_bound 1\ncoefficients\n1,5,1 2\n", 6),
+        ("space siegel\nweight 4\ntrace_bound 1\ncoefficients\n0,0,0 1\n1,0,1 2\n", 6),
+        ("space siegel\nweight 4\ntrace_bound 1\ncoefficients\n0,0,0 1\n0,0,0 0\n", 6),
+    ], ids=["disc-x", "negative-trace-bound", "weight-x", "decimal-trace-bound",
+            "disc-of-no-field", "index-not-psd", "index-beyond-bound", "duplicate-key"])
+    def test_header_and_index_errors_carry_their_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            exp_parse(text)
+        assert exc.value.line == line
+
+    def test_parse_drops_zero_values_unchecked(self):
+        # as the public constructor does: a zero is never stored or checked
+        text = "space siegel\nweight 4\ntrace_bound 1\ncoefficients\n0,0,0 1\n1,5,1 0\n2,0,2 0/7\n"
+        assert exp_parse(text) == TruncatedExpansion(SIEGEL, 4, 1, {(0, 0, 0): 1})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_parse_matches_the_public_constructor(self, data):
+        lat = data.draw(st.sampled_from(list(KERNEL_LATTICES)))
+        f = data.draw(sparse_expansion(lat, data.draw(st.integers(0, KERNEL_LATTICES[lat])), 6))
+        assert exp_parse(exp_serialize(f)) == f
+        assert_well_formed(exp_parse(exp_serialize(f)))
+
 
 class TestLatticeRegistry:
     def test_lookup(self):
@@ -303,3 +333,56 @@ class TestProductKernel:
         fg = exp_multiply(f, g)
         assert fg == reference_product(f, g)
         assert all(f.lattice.trace(t) % 2 == 0 for t in fg.coeffs)
+
+
+def assert_well_formed(f):
+    """What every expansion stores: nonzero Fractions at psd indices
+    within the bound."""
+    lat = f.lattice
+    for t, v in f.coeffs.items():
+        assert type(v) is Fraction and v != 0, (t, v)
+        assert lat.is_psd(t) and lat.trace(t) <= f.trace_bound, t
+
+
+class TestTrustedRingResults:
+    """Ring results skip the constructor's checks; they must hold anyway."""
+
+    @given(factor_pairs(), sparse_value)
+    def test_sums_scalings_products_and_restrictions(self, pair, c):
+        f, g = pair
+        g = TruncatedExpansion(f.lattice, f.weight, g.trace_bound, g.coeffs)
+        for r in (exp_add(f, g), exp_add(f, exp_scale(-1, f)), exp_scale(c, f),
+                  exp_scale(0, f), f - g, exp_multiply(f, parity_twist(f)),
+                  exp_multiply(f, g), f.restrict(f.trace_bound // 2)):
+            assert_well_formed(r)
+        assert exp_scale(0, f).coeffs == {} == exp_add(f, exp_scale(-1, f)).coeffs
+
+    @given(factor_pairs())
+    def test_partial_cancellation(self, pair):
+        f, _ = pair
+        half = {t: v for i, (t, v) in enumerate(sorted(f.coeffs.items())) if i % 2}
+        h = TruncatedExpansion(f.lattice, f.weight, f.trace_bound, half)
+        r = exp_add(f, exp_scale(-1, h))
+        assert_well_formed(r)
+        assert set(r.coeffs) == set(f.coeffs) - set(half)
+
+    def test_builders(self):
+        forms = [
+            siegel_expansion("G", 10, 3), siegel_expansion("E", 4, 3), igusa_x10(3), igusa_x12(3),
+            hermitian_expansion("G", -3, 12, 2), hermitian_expansion("E", -4, 8, 2),
+            hermitian_cusp_form("F10", -4, 2), hermitian_cusp_form("CHI8", -4, 2),
+            elliptic_eisenstein(12, 6), delta_expansion(6), zero_expansion(SIEGEL, 4, 2),
+            constant_one(hermitian_lattice(-7), 2), phi_operator(igusa_x10(3)),
+            cusp_correction(siegel_expansion("G", 10, 2)),
+        ]
+        for f in forms:
+            assert_well_formed(f)
+        assert igusa_x10(3).coeffs and not phi_operator(igusa_x10(3)).coeffs
+
+    def test_negative_bound_is_rejected_everywhere(self):
+        with pytest.raises(ValueError):
+            zero_expansion(SIEGEL, 4, -1)
+        with pytest.raises(ValueError):
+            siegel_expansion("E", 4, 2).restrict(-1)
+        with pytest.raises(ValueError):
+            TruncatedExpansion(ELLIPTIC, 4, -1, {-1: 1})
