@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .arith import (
@@ -25,17 +26,11 @@ from .congruence import (
     solve_lambda,
     verify_congruence,
 )
-from .elliptic import CUSP_FORMS, elliptic_eisenstein, ramanujan_tau
+from .elliptic import CUSP_FORMS, cusp_form, elliptic_eisenstein, ramanujan_tau
 from . import __version__
-from .errors import EiscongError, ParseError
-from .expansion import exp_parse, exp_serialize
-from .hermitian import (
-    CLASS_NUMBER_ONE_DISCRIMINANTS,
-    hermitian_cusp_form,
-    hermitian_expansion,
-    hermitian_g_coefficient,
-    imag_quad_field,
-)
+from .errors import EiscongError
+from .expansion import ELLIPTIC, eisenstein, exp_parse, exp_serialize, lattice_for
+from .hermitian import CLASS_NUMBER_ONE_DISCRIMINANTS
 from .reference_values import (
     CONDITION_B_TABLES,
     GENERALIZED_BERNOULLI_TABLES,
@@ -45,14 +40,14 @@ from .reference_values import (
     SIEGEL_EXAMPLES,
     table_value,
 )
-from .siegel import igusa_x10, igusa_x12, siegel_expansion, siegel_g_coefficient
 
 CACHE_ENV = "EISCONG_CACHE_DIR"
 # Part of every cache file name, with the library version: a file written
 # under another version or layout is never read.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
+@cache  # built on the first call, once per process
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="eiscong",
@@ -130,47 +125,41 @@ def _parse_matrix(text: str, length: int):
 
 
 def _build_expansion(space, disc, form, weight, bound):
-    if space == "hermitian" and disc is None:
-        raise ValueError("hermitian space needs --disc")
+    lattice = lattice_for(space, disc)
     if form not in ("G", "E"):
-        key = (space, disc if space == "hermitian" else None, form)
+        key = (space, lattice.disc, form)
         if key not in CUSP_FORMS:
-            over = f" over disc {disc}" if space == "hermitian" else ""
+            over = "" if lattice.disc is None else f" over disc {disc}"
             raise ValueError(f"form {form} is not a {space} form{over}")
         expected = CUSP_FORMS[key][0]
         if weight is not None and weight != expected:
             raise ValueError(f"form {form} has weight {expected}")
-        if space == "siegel":
-            return igusa_x10(bound) if form == "X10" else igusa_x12(bound)
-        return hermitian_cusp_form(form, disc, bound)
+        return cusp_form(key, bound)
     if weight is None:
         raise ValueError("--weight is required for form G/E")
-    if space == "elliptic":
+    if lattice is ELLIPTIC:  # degree 1: E_k alone, not a Maass lift
         if form != "E":
             raise ValueError("elliptic supports only form E")
         return elliptic_eisenstein(weight, bound)
-    if space == "siegel":
-        return siegel_expansion(form, weight, bound)
-    return hermitian_expansion(form, disc, weight, bound)
+    return eisenstein(lattice, form, weight, bound)
 
 
-def _cached_text(path: Path, args):
-    """The cache file's text if it parses and its header matches the
-    request: space, disc, weight and trace bound; else None."""
+def _digest_line(name: str, text: str) -> str:
+    """A cache entry's first line: it binds the body to the entry's name,
+    which holds the whole request, so a cut, altered or moved entry fails."""
+    from hashlib import sha256  # only a cache user pays for the import
+
+    return "sha256 " + sha256(f"{name}\n{text}".encode()).hexdigest()
+
+
+def _cached_text(path: Path):
+    """The cache entry's body if its digest line matches; else None."""
     try:
-        text = path.read_text()
-        f = exp_parse(text)
-    except (OSError, UnicodeDecodeError, ParseError):
+        entry = path.read_text()
+    except (OSError, UnicodeDecodeError):
         return None
-    disc = args.disc if args.space == "hermitian" else None
-    if args.form in ("G", "E"):
-        weight = args.weight
-    else:
-        weight = CUSP_FORMS.get((args.space, disc, args.form), (None,))[0]
-    if (f.lattice.space, f.lattice.disc, f.weight, f.trace_bound) != (
-            args.space, disc, weight, args.trace_bound):
-        return None
-    return text
+    head, _, text = entry.partition("\n")
+    return text if head == _digest_line(path.name, text) else None
 
 
 def _cmd_expand(args) -> int:
@@ -180,7 +169,7 @@ def _cmd_expand(args) -> int:
         tag = (f"v{__version__}.{CACHE_FORMAT}_{args.space}_{args.disc or 0}_{args.form}"
                f"_{args.weight or 0}_{args.trace_bound}.exp")
         cache_path = Path(cache_dir) / tag
-        text = _cached_text(cache_path, args)
+        text = _cached_text(cache_path)
     if text is not None:
         _emit(text, args.out)
         return 0
@@ -192,7 +181,7 @@ def _cmd_expand(args) -> int:
         # rename into place: a crash or a second writer leaves no partial file
         tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(text)
+            tmp.write_text(f"{_digest_line(cache_path.name, text)}\n{text}")
             os.replace(tmp, cache_path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -253,9 +242,11 @@ def _reproduce_1():
 
 def _reproduce_congruences(cases):
     """Published coefficients and multipliers of G_k = lambda * cusp form;
-    a case is (k, tag, cusp form name, G_k, cusp form, indices, data)."""
+    a case is (the cusp form's CUSP_FORMS key, tag, indices, data)."""
     checks = []
-    for k, tag, name, eis, cusp, indices, data in cases:
+    for key, tag, indices, data in cases:
+        (space, disc, name), k = key, CUSP_FORMS[key][0]
+        eis, cusp = eisenstein(lattice_for(space, disc), "G", k, 3), cusp_form(key, 3)
         for t, gval, cval in zip(indices, data["eis"], data["cusp"]):
             checks.append((f"a_G{k}{tag}{t} = {format_rational(gval)}",
                            eis.coefficient(t) == gval))
@@ -268,16 +259,15 @@ def _reproduce_congruences(cases):
 
 def _reproduce_41():
     return _reproduce_congruences(
-        (k, "", f"X{k}", siegel_expansion("G", k, 3),
-         igusa_x10(3) if k == 10 else igusa_x12(3), SIEGEL_EXAMPLE_INDICES, data)
+        (("siegel", None, f"X{k}"), "", SIEGEL_EXAMPLE_INDICES, data)
         for k, data in SIEGEL_EXAMPLES.items())
 
 
 def _reproduce_42():
     return _reproduce_congruences(
-        (k, f",disc={disc}", data["cusp_form"], hermitian_expansion("G", disc, k, 3),
-         hermitian_cusp_form(data["cusp_form"], disc, 3), HERMITIAN_EXAMPLE_INDICES[disc], data)
-        for (disc, k), data in HERMITIAN_EXAMPLES.items())
+        (("hermitian", disc, data["cusp_form"]), f",disc={disc}",
+         HERMITIAN_EXAMPLE_INDICES[disc], data)
+        for (disc, _), data in HERMITIAN_EXAMPLES.items())
 
 
 def _reproduce_5():
@@ -313,16 +303,9 @@ def main(argv=None) -> int:
             print(format_rational(generalized_bernoulli(args.index, args.disc)))
             return 0
         if args.command == "coeff":
-            if args.space == "siegel":
-                t = _parse_matrix(args.matrix, 3)
-                print(format_rational(siegel_g_coefficient(args.weight, t)))
-            else:
-                if args.disc is None:
-                    print("hermitian coeff needs --disc", file=sys.stderr)
-                    return 2
-                h = _parse_matrix(args.matrix, 4)
-                field = imag_quad_field(args.disc)
-                print(format_rational(hermitian_g_coefficient(field, args.weight, h)))
+            lattice = lattice_for(args.space, args.disc)
+            t = _parse_matrix(args.matrix, len(lattice.zero))
+            print(format_rational(lattice.coefficient(args.weight, t)))
             return 0
         if args.command == "expand":
             return _cmd_expand(args)

@@ -37,10 +37,8 @@ from .errors import (
     WitnessSearchExhausted,
 )
 from .expansion import (
-    TruncatedExpansion, _check_compatible, exp_add, exp_scale, phi_operator,
+    TruncatedExpansion, _check_compatible, eisenstein, exp_add, exp_scale, phi_operator,
 )
-from .hermitian import hermitian_expansion, imag_quad_field
-from .siegel import siegel_expansion
 
 
 @dataclass(frozen=True)
@@ -162,15 +160,7 @@ def cusp_correction(g: TruncatedExpansion) -> TruncatedExpansion:
     returns g - Q(E4, E6) where Phi(g) = Q(E4, E6) in degree 1; the result
     has vanishing Phi up to the truncation."""
     q_poly = decompose_into_e4_e6(phi_operator(g), g.weight)
-    bound = g.trace_bound
-    if g.lattice.space == "siegel":
-        e4 = siegel_expansion("E", 4, bound)
-        e6 = siegel_expansion("E", 6, bound)
-    elif g.lattice.space == "hermitian":
-        e4 = hermitian_expansion("E", g.lattice.disc, 4, bound)
-        e6 = hermitian_expansion("E", g.lattice.disc, 6, bound)
-    else:
-        raise ValueError("cusp correction expects a degree-2 expansion")
+    e4, e6 = (eisenstein(g.lattice, "E", j, g.trace_bound) for j in (4, 6))
     return exp_add(g, exp_scale(-1, q_poly.evaluate(e4, e6)))
 
 

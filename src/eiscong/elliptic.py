@@ -1,9 +1,11 @@
 """Degree-1 q-expansions: Eisenstein series, Delta / tau, and the exact
 decomposition of a level-1 form into E4^a E6^b monomials; also the table
-of degree-2 cusp forms front * (E_k - Q_k(E4, E6)), Q_k the degree-1 relation,
-built as Maass lifts from alpha alone.  A Maass form F is the pair (phi0,
-alpha) of its boundary q-series and its coefficients at Fourier-Jacobi index
-1 as a function of det N.  An index of Fourier-Jacobi index 1 splits only
+of degree-2 cusp forms front * (E_k - Q_k(E4, E6)), Q_k the degree-1 relation.
+``cusp_form(key, bound)`` builds every one of them as a Maass lift over the
+lattice ``lattice_for(space, disc)``, from the alpha and constant term of
+G_j that the lattice carries (``g_alpha``, ``g_constant``).  A Maass form F
+is the pair (phi0, alpha) of its boundary q-series and its coefficients at
+Fourier-Jacobi index 1 as a function of det N.  An index of Fourier-Jacobi index 1 splits only
 as diag(i, 0) plus another of index 1, so (Eichler and Zagier, §6)
 
     phi0(FG) = phi0(F) phi0(G),
@@ -22,7 +24,7 @@ from math import lcm
 from operator import mul
 
 from .arith import bernoulli, divisor_power_sum
-from .errors import InvalidWeight, NotInSpace
+from .errors import InvalidWeight, NotInSpace, UnsupportedFieldForm
 from .expansion import (
     ELLIPTIC,
     TruncatedExpansion,
@@ -30,6 +32,7 @@ from .expansion import (
     exp_add,
     exp_multiply,
     exp_scale,
+    lattice_for,
     lift,
     zero_expansion,
 )
@@ -146,12 +149,12 @@ CUSP_FORMS = {
 }
 
 
-def _maass_factor(j: int, stride: int, n_max: int, alpha, constant):
+def _maass_factor(lattice, j: int, n_max: int):
     """The degree-2 E_j as (den, phi0, alpha), integer numerators over den."""
-    p = n_max // stride
-    scale = 1 / constant(j)
+    p = n_max // lattice.fj_stride
+    scale = 1 / lattice.g_constant(j)
     values = [*map(elliptic_eisenstein(j, p).coefficient, range(p + 1))]
-    values += [scale * alpha(j, N) for N in range(n_max + 1)]
+    values += [scale * lattice.g_alpha(j, N) for N in range(n_max + 1)]
     den = lcm(*(v.denominator for v in values))
     nums = [v.numerator * (den // v.denominator) for v in values]
     return den, nums[:p + 1], nums[p + 1:]
@@ -166,12 +169,16 @@ def _maass_product(f, g, m: int):
     return fden * gden, phi, alpha
 
 
-def cusp_form(key, lattice, trace_bound: int, alpha, constant) -> TruncatedExpansion:
-    """The CUSP_FORMS entry ``key``, from alpha(j, N) and constant(j) of G_j."""
+@lru_cache(maxsize=None)
+def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
+    """The CUSP_FORMS entry key = (space, disc, name), over the lattice
+    of that space, from the alpha and constant term of its G_j."""
+    if key not in CUSP_FORMS:
+        raise UnsupportedFieldForm(f"no cusp form {key[2]!r} over disc {key[1]}")
     k, front = CUSP_FORMS[key]
+    lattice = lattice_for(*key[:2])
     m = lattice.fj_stride
-    factors = {j: _maass_factor(j, m, m * trace_bound**2 // 4, alpha, constant)
-               for j in {4, 6, k}}
+    factors = {j: _maass_factor(lattice, j, m * trace_bound**2 // 4) for j in {4, 6, k}}
     pieces = [(1, factors[k])] + [
         (-c, reduce(lambda f, g: _maass_product(f, g, m), [factors[4]] * a + [factors[6]] * b))
         for (a, b), c in _BOUNDARY_RELATIONS[k].terms

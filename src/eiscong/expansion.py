@@ -9,7 +9,11 @@ truncation because psd + psd is psd and the trace is additive.
 Every degree-2 form here is a Maass lift (Maass 1979; Eichler and Zagier,
 *The Theory of Jacobi Forms*, §6; Krieg, Math. Ann. 1991): for T != 0,
 a(T) = sum over d | content(T) of d^(k-1) alpha(det(T) / d^2), with alpha a
-function of one integer and det the lattice's integral determinant.
+function of one integer and det the lattice's integral determinant.  Each
+degree-2 lattice (a ``Degree2Lattice``: ``siegel.SIEGEL`` and
+``hermitian.hermitian_lattice(d)``) carries the alpha and the constant term
+of its Eisenstein series G_k, so ``eisenstein`` builds G_k and E_k on every
+lattice, and ``elliptic.cusp_form`` every cusp form.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping
 
 from .arith import divisors, format_rational, parse_rational
 from .errors import (
+    InvalidWeight,
     NotPositiveSemidefinite,
     OutOfTruncation,
     ParseError,
@@ -64,6 +70,58 @@ class EllipticLattice:
 
 
 ELLIPTIC = EllipticLattice()
+
+
+class Degree2Lattice:
+    """Degree-2 indices: integer tuples with the diagonal entries first and
+    last.  A subclass gives ``zero``, ``det``, ``is_psd``, ``add``,
+    ``enumerate_all``, ``fj_stride`` and, for G_k, ``g_alpha(k, N)`` and
+    ``g_constant(k)``."""
+
+    def trace(self, t):
+        return t[0] + t[-1]
+
+    def sort_key(self, t):
+        return (t[0] + t[-1], t)
+
+    def key_string(self, t):
+        return ",".join(map(str, t))
+
+    def parse_key(self, s):
+        parts = s.split(",")
+        if len(parts) != len(self.zero):
+            raise ValueError(f"bad {self.space} key {s!r}")
+        return tuple(map(int, parts))
+
+    def diag_embed(self, t):
+        return (t, *self.zero[1:])
+
+    @staticmethod
+    def content(t) -> int:
+        """Largest l with t / l still an index; undefined at the zero index."""
+        e = gcd(*t)
+        if not e:
+            raise ValueError("content of the zero index is undefined")
+        return e
+
+    def rank(self, t) -> int:
+        if t == self.zero:
+            return 0
+        return 1 if self.det(t) == 0 else 2
+
+    def coefficient(self, k: int, t) -> Fraction:
+        """The coefficient of G_k at the index t."""
+        _check_weight(k)
+        if not self.is_psd(t):
+            over = "" if self.disc is None else f" over disc {self.disc}"
+            raise NotPositiveSemidefinite(f"{t} is not psd{over}")
+        return lift_coefficient(self, k, t, partial(self.g_alpha, k), self.g_constant(k))
+
+
+def _check_weight(k: int):
+    if k < 4 or k % 2 == 1:
+        raise InvalidWeight(f"even weight >= 4 required, got {k}")
+    return k
 
 
 def _same_lattice(a, b):
@@ -259,6 +317,17 @@ def lift(lattice, k: int, trace_bound: int, alpha, constant) -> TruncatedExpansi
     coeffs = {t: lift_coefficient(lattice, k, t, at, constant)
               for t in lattice.enumerate_all(trace_bound)}
     return TruncatedExpansion._trusted(lattice, k, trace_bound, coeffs)
+
+
+@lru_cache(maxsize=None)
+def eisenstein(lattice, form: str, k: int, trace_bound: int) -> TruncatedExpansion:
+    """G_k, or E_k = G_k / G_k(0), over a degree-2 lattice."""
+    if form not in ("G", "E"):
+        raise ValueError(f"form must be 'G' or 'E', got {form!r}")
+    _check_weight(k)
+    if form == "E":
+        return exp_scale(1 / lattice.g_constant(k), eisenstein(lattice, "G", k, trace_bound))
+    return lift(lattice, k, trace_bound, partial(lattice.g_alpha, k), lattice.g_constant(k))
 
 
 def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:

@@ -2,16 +2,18 @@
 Maass lifts in det4(T) = 4 det(T) (``expansion.lift``).
 
 Indices are half-integral symmetric 2x2 matrices stored as integer triples
-(a, b2, c) with b2 = twice the off-diagonal entry.  The alpha of G_k at
-N > 0, with -N = D f^2 and D a fundamental discriminant, is
+(a, b2, c) with b2 = twice the off-diagonal entry.  ``SIEGEL`` carries the
+alpha of G_k: at N > 0, with -N = D f^2 and D a fundamental discriminant,
 B_{k-1,chi_D} / (k-1) * sum_{g | f} mu(g) chi_D(g) g^(k-2) sigma_{2k-3}(f/g).
+The public builders here are one call into ``expansion.eisenstein`` and
+``elliptic.cusp_form``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
-from math import gcd, isqrt
+from functools import lru_cache
+from math import isqrt
 
 from .arith import (
     bernoulli,
@@ -22,34 +24,20 @@ from .arith import (
     mobius,
 )
 from .elliptic import cusp_form
-from .errors import InvalidWeight, NotPositiveSemidefinite
-from .expansion import TruncatedExpansion, exp_scale, lift, lift_coefficient
+from .expansion import Degree2Lattice, TruncatedExpansion, _check_weight, eisenstein
 
 
-def det4(t) -> int:
-    """4 det(T) = 4ac - b2^2."""
-    return 4 * t[0] * t[2] - t[1] * t[1]
-
-
-def content(t) -> int:
-    """Largest l with T/l still half-integral; undefined at 0."""
-    if t == (0, 0, 0):
-        raise ValueError("content of the zero index is undefined")
-    return gcd(gcd(t[0], t[1]), t[2])
-
-
-class SiegelLattice:
+class SiegelLattice(Degree2Lattice):
     """Half-integral symmetric 2x2 matrices, indices (a, b2, c)."""
 
     space = "siegel"
     disc = None
     zero = (0, 0, 0)
     fj_stride = 4  # det4 of (n, r, 1) is 4n - r^2
-    det = staticmethod(det4)
-    content = staticmethod(content)
 
-    def trace(self, t):
-        return t[0] + t[2]
+    def det(self, t) -> int:
+        """4 det(T) = 4ac - b2^2."""
+        return 4 * t[0] * t[2] - t[1] * t[1]
 
     def is_psd(self, t):
         a, b2, c = t
@@ -66,37 +54,27 @@ class SiegelLattice:
                 out.extend((a, b2, c) for b2 in range(-m, m + 1))
         return out
 
-    def sort_key(self, t):
-        return (t[0] + t[2], t)
+    @lru_cache(maxsize=None)
+    def g_alpha(self, k: int, N: int) -> Fraction:
+        """alpha of G_k at det4 = N; 0 where no index has that det4."""
+        if N == 0:
+            return bernoulli(2 * k - 2) / (2 * k - 2)
+        if N % 4 in (1, 2):
+            return Fraction(0)
+        D, terms = _discriminant_terms(N)
+        inner = sum(mc * g ** (k - 2) * sum(e ** (2 * k - 3) for e in divs)
+                    for g, mc, divs in terms)
+        return generalized_bernoulli(k - 1, D) / (k - 1) * inner
 
-    def key_string(self, t):
-        return f"{t[0]},{t[1]},{t[2]}"
-
-    def parse_key(self, s):
-        parts = s.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"bad siegel key {s!r}")
-        return tuple(map(int, parts))
-
-    def diag_embed(self, t):
-        return (t, 0, 0)
+    def g_constant(self, k: int) -> Fraction:
+        return -bernoulli(k) * bernoulli(2 * k - 2) / (4 * k * (k - 1))
 
     def __repr__(self):
         return "SiegelLattice()"
 
 
 SIEGEL = SiegelLattice()
-
-
-def rank(t) -> int:
-    if t == SIEGEL.zero:
-        return 0
-    return 1 if det4(t) == 0 else 2
-
-
-def _check_weight(k: int):
-    if k < 4 or k % 2 == 1:
-        raise InvalidWeight(f"even weight >= 4 required, got {k}")
+det4, content, rank = SIEGEL.det, SIEGEL.content, SIEGEL.rank
 
 
 @lru_cache(maxsize=None)
@@ -108,54 +86,27 @@ def _discriminant_terms(N: int):
                for g in divisors(f) if (mc := mobius(g) * chi(g))]
 
 
-@lru_cache(maxsize=None)
-def _g_alpha(k: int, N: int) -> Fraction:
-    """alpha of G_k at det4 = N; 0 where no index has that det4."""
-    if N == 0:
-        return bernoulli(2 * k - 2) / (2 * k - 2)
-    if N % 4 in (1, 2):
-        return Fraction(0)
-    D, terms = _discriminant_terms(N)
-    inner = sum(mc * g ** (k - 2) * sum(e ** (2 * k - 3) for e in divs)
-                for g, mc, divs in terms)
-    return generalized_bernoulli(k - 1, D) / (k - 1) * inner
-
-
-def _g_constant(k: int) -> Fraction:
-    return -bernoulli(k) * bernoulli(2 * k - 2) / (4 * k * (k - 1))
-
-
 def siegel_g_coefficient(k: int, t) -> Fraction:
     """Fourier coefficient of the normalized Eisenstein series G_k at T."""
-    _check_weight(k)
-    if not SIEGEL.is_psd(t):
-        raise NotPositiveSemidefinite(f"{t} is not psd")
-    return lift_coefficient(SIEGEL, k, t, partial(_g_alpha, k), _g_constant(k))
+    return SIEGEL.coefficient(k, t)
 
 
 def siegel_e_coefficient(k: int, t) -> Fraction:
     """Coefficient of E_k, normalized so the constant term is 1."""
-    return siegel_g_coefficient(k, t) / _g_constant(k)
+    return SIEGEL.coefficient(k, t) / SIEGEL.g_constant(k)
 
 
-@lru_cache(maxsize=None)
 def siegel_expansion(form: str, k: int, trace_bound: int) -> TruncatedExpansion:
-    """Truncated expansion of G_k or E_k over all psd indices."""
-    _check_weight(k)
-    if form not in ("G", "E"):
-        raise ValueError(f"form must be 'G' or 'E', got {form!r}")
-    if form == "E":
-        return exp_scale(1 / _g_constant(k), siegel_expansion("G", k, trace_bound))
-    return lift(SIEGEL, k, trace_bound, partial(_g_alpha, k), _g_constant(k))
+    """Truncated expansion of G_k or E_k over all psd indices; the weight
+    is checked before the form."""
+    return eisenstein(SIEGEL, form, _check_weight(k), trace_bound)
 
 
-@lru_cache(maxsize=None)
 def igusa_x10(trace_bound: int) -> TruncatedExpansion:
     """Weight-10 Igusa cusp form, normalized to 1 at (1, 1/2; 1/2, 1)."""
-    return cusp_form(("siegel", None, "X10"), SIEGEL, trace_bound, _g_alpha, _g_constant)
+    return cusp_form(("siegel", None, "X10"), trace_bound)
 
 
-@lru_cache(maxsize=None)
 def igusa_x12(trace_bound: int) -> TruncatedExpansion:
     """Weight-12 Igusa cusp form."""
-    return cusp_form(("siegel", None, "X12"), SIEGEL, trace_bound, _g_alpha, _g_constant)
+    return cusp_form(("siegel", None, "X12"), trace_bound)

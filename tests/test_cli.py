@@ -1,14 +1,22 @@
 """End-to-end tests of the command line interface, driven in-process."""
 
-import os
+import argparse
 from pathlib import Path
 
 import pytest
 
+from eiscong import cli
 from eiscong.arith import bernoulli, parse_rational
 from eiscong.cli import main
+from eiscong.elliptic import CUSP_FORMS
 from eiscong.expansion import exp_parse, exp_serialize
-from eiscong.siegel import siegel_expansion, igusa_x10
+from eiscong.hermitian import (
+    hermitian_cusp_form,
+    hermitian_expansion,
+    hermitian_g_coefficient,
+    imag_quad_field,
+)
+from eiscong.siegel import igusa_x10, igusa_x12, siegel_expansion, siegel_g_coefficient
 
 from .oracles import generalized_bernoulli_by_polynomials
 
@@ -17,6 +25,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def body(entry):
+    """An expand cache entry's text after its digest line."""
+    return entry.read_text().partition("\n")[2]
 
 
 class TestScalarCommands:
@@ -75,6 +88,48 @@ class TestScalarCommands:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted(self, *a, **kw):
+            built.append(kw.get("prog"))
+            real_init(self, *a, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._build_parser.cache_clear()
+        assert run(capsys, "bernoulli", "--index", "12")[:2] == (0, "-691/2730\n")
+        assert built.count("eiscong") == 1
+        assert run(capsys, "gen-bernoulli", "--disc", "-7", "--index", "9")[:2] == (
+            0, "-5086656/7\n")
+        assert run(capsys, "bernoulli", "--index", "x")[0] == 2
+        assert built.count("eiscong") == 1
+
+    @pytest.mark.parametrize("weight, matrix", [
+        ("4", "0,0,0"), ("10", "1,1,1"), ("12", "2,1,3"), ("6", "3,0,0"),
+    ])
+    def test_coeff_siegel_is_the_library_coefficient(self, capsys, weight, matrix):
+        code, out, _ = run(capsys, "coeff", "siegel", "--weight", weight, "--matrix", matrix)
+        t = tuple(map(int, matrix.split(",")))
+        assert (code, parse_rational(out)) == (0, siegel_g_coefficient(int(weight), t))
+
+    @pytest.mark.parametrize("disc, weight, matrix", [
+        ("-4", "8", "1,2,1,1"), ("-3", "10", "1,1,0,2"), ("-7", "6", "2,1,1,1"),
+        ("-163", "4", "0,0,0,0"),
+    ])
+    def test_coeff_hermitian_is_the_library_coefficient(self, capsys, disc, weight, matrix):
+        code, out, _ = run(capsys, "coeff", "hermitian", "--disc", disc, "--weight", weight,
+                           "--matrix", matrix)
+        h = tuple(map(int, matrix.split(",")))
+        expected = hermitian_g_coefficient(imag_quad_field(int(disc)), int(weight), h)
+        assert (code, parse_rational(out)) == (0, expected)
+
+    def test_coeff_hermitian_without_disc_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "coeff", "hermitian", "--weight", "8",
+                             "--matrix", "1,1,1,1")
+        assert (code, out) == (2, "")
+        assert "disc" in err
+
 
 class TestExpand:
     def test_stdout_matches_library(self, capsys):
@@ -84,6 +139,27 @@ class TestExpand:
         )
         assert code == 0
         assert out == exp_serialize(siegel_expansion("E", 4, 2))
+
+    @pytest.mark.parametrize("space, disc, form", [
+        *CUSP_FORMS, ("siegel", None, "G"), ("siegel", None, "E"),
+        ("hermitian", -3, "G"), ("hermitian", -3, "E"),
+    ])
+    def test_stdout_is_the_public_builder(self, capsys, space, disc, form):
+        place = ["--space", space, "--form", form, "--trace-bound", "2"]
+        if disc is not None:
+            place += ["--disc", str(disc)]
+        if form in ("G", "E"):
+            place += ["--weight", "10"]
+        code, out, _ = run(capsys, "expand", *place)
+        assert code == 0
+        if form in ("G", "E"):
+            built = (siegel_expansion(form, 10, 2) if disc is None
+                     else hermitian_expansion(form, disc, 10, 2))
+        elif disc is None:
+            built = (igusa_x10 if form == "X10" else igusa_x12)(2)
+        else:
+            built = hermitian_cusp_form(form, disc, 2)
+        assert out == exp_serialize(built)
 
     def test_file_output_and_parse(self, tmp_path, capsys):
         path = tmp_path / "x10.exp"
@@ -126,10 +202,22 @@ class TestExpand:
         assert code == 0
         assert out == exp_serialize(siegel_expansion("E", 4, 2))
         [cached] = tmp_path.iterdir()
-        assert cached.read_text() == out
+        assert body(cached) == out
 
     G10 = ("expand", "--space", "siegel", "--form", "G", "--weight", "10",
            "--trace-bound", "1")
+
+    def test_entry_cut_short_at_a_line_end_is_rebuilt(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EISCONG_CACHE_DIR", str(tmp_path))
+        args = (*self.G10[:-1], "2")
+        code, fresh, _ = run(capsys, *args)
+        [cached] = tmp_path.iterdir()
+        lines = cached.read_text().splitlines(keepends=True)
+        cached.write_text("".join(lines[:-3]))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == fresh == exp_serialize(siegel_expansion("G", 10, 2))
+        assert body(cached) == fresh  # rewritten
 
     @pytest.mark.parametrize("bad", ["garbage\n", "\xff\xfe", "",
                                      "space siegel\nweight 10\ntrace_bound 1\ncoefficients\n0,0,0 1/0\n"],
@@ -142,7 +230,7 @@ class TestExpand:
         code, out, _ = run(capsys, *self.G10)
         assert code == 0
         assert out == fresh == exp_serialize(siegel_expansion("G", 10, 1))
-        assert cached.read_text() == fresh  # rewritten
+        assert body(cached) == fresh  # rewritten
         assert [p.name for p in tmp_path.iterdir()] == [cached.name]  # no leftover temp file
 
     @pytest.mark.parametrize("other", [
@@ -160,7 +248,7 @@ class TestExpand:
         target.write_text(wrong.read_text())  # a valid file under the wrong name
         code, out, _ = run(capsys, *self.G10)
         assert code == 0
-        assert out == fresh == target.read_text()
+        assert out == fresh == body(target)
 
     def test_cache_name_carries_the_version(self, tmp_path, capsys, monkeypatch):
         # an entry named as before the cache was versioned is never read
@@ -172,7 +260,7 @@ class TestExpand:
         assert code == 0
         assert out == exp_serialize(siegel_expansion("G", 10, 1))
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["siegel_0_G_10_1.exp", f"v{__version__}.2_siegel_0_G_10_1.exp"]
+        assert names == ["siegel_0_G_10_1.exp", f"v{__version__}.3_siegel_0_G_10_1.exp"]
 
     def test_named_form_rejects_conflicting_weight(self, capsys):
         code, _, _ = run(
@@ -301,6 +389,14 @@ class TestCuspCorrect:
         from eiscong.expansion import phi_operator
 
         assert phi_operator(corrected).is_zero()
+
+    def test_elliptic_input_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "e4.exp"
+        run(capsys, "expand", "--space", "elliptic", "--form", "E", "--weight", "4",
+            "--out", str(src))
+        code, out, err = run(capsys, "cusp-correct", "--in", str(src))
+        assert (code, out) == (2, "")
+        assert "degree-2" in err
 
 
 class TestScan:

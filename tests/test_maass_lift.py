@@ -136,22 +136,30 @@ def test_maass_relation_of_the_product_built_f10_over_gaussian_integers():
 
 
 def test_cusp_forms_build_without_degree_2_products(monkeypatch):
-    calls = []
-    real = expansion.exp_multiply
+    calls, lifts = [], []
+    real, real_lift = expansion.exp_multiply, expansion.lift
 
     def counted(f, g):
         calls.append((f.lattice.space, g.lattice.space))
         return real(f, g)
 
+    def counted_lift(lattice, *args):
+        lifts.append((lattice.space, lattice.disc))
+        return real_lift(lattice, *args)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("eiscong") and getattr(module, "exp_multiply", None) is real:
             monkeypatch.setattr(module, "exp_multiply", counted)
-    assert elliptic.exp_multiply is counted
-    for cached in (igusa_x10, igusa_x12, hermitian_cusp_form):
-        cached.cache_clear()
+        if name.startswith("eiscong") and getattr(module, "lift", None) is real_lift:
+            monkeypatch.setattr(module, "lift", counted_lift)
+    assert elliptic.exp_multiply is counted and elliptic.lift is counted_lift
+    # the caches sit in cusp_form and eisenstein: clear them so every form is built
+    elliptic.cusp_form.cache_clear()
+    expansion.eisenstein.cache_clear()
     for space, disc, name in CUSP_FORMS:
         if space == "siegel":
             (igusa_x10 if name == "X10" else igusa_x12)(4)
         else:
             hermitian_cusp_form(name, disc, 4)
     assert calls == []
+    assert lifts == [(space, disc) for space, disc, _ in CUSP_FORMS]
