@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 from .arith import (
@@ -124,7 +124,10 @@ def _parse_matrix(text: str, length: int):
     return tuple(int(x) for x in parts)
 
 
-def _build_expansion(space, disc, form, weight, bound):
+def _resolve(space, disc, form, weight, bound):
+    """The cache tag of an expand request, named from what it builds (the
+    lattice's disc, a named form's weight), and its builder; a request
+    that no builder serves is a ValueError."""
     lattice = lattice_for(space, disc)
     if form not in ("G", "E"):
         key = (space, lattice.disc, form)
@@ -134,14 +137,16 @@ def _build_expansion(space, disc, form, weight, bound):
         expected = CUSP_FORMS[key][0]
         if weight is not None and weight != expected:
             raise ValueError(f"form {form} has weight {expected}")
-        return cusp_form(key, bound)
-    if weight is None:
+        weight, build = expected, partial(cusp_form, key, bound)
+    elif weight is None:
         raise ValueError("--weight is required for form G/E")
-    if lattice is ELLIPTIC:  # degree 1: E_k alone, not a Maass lift
+    elif lattice is ELLIPTIC:  # degree 1: E_k alone, not a Maass lift
         if form != "E":
             raise ValueError("elliptic supports only form E")
-        return elliptic_eisenstein(weight, bound)
-    return eisenstein(lattice, form, weight, bound)
+        build = partial(elliptic_eisenstein, weight, bound)
+    else:
+        build = partial(eisenstein, lattice, form, weight, bound)
+    return f"{space}_{lattice.disc or 0}_{form}_{weight}_{bound}", build
 
 
 def _digest_line(name: str, text: str) -> str:
@@ -163,19 +168,16 @@ def _cached_text(path: Path):
 
 
 def _cmd_expand(args) -> int:
+    tag, build = _resolve(args.space, args.disc, args.form, args.weight, args.trace_bound)
     cache_dir = os.environ.get(CACHE_ENV)
     cache_path = text = None
     if cache_dir:
-        tag = (f"v{__version__}.{CACHE_FORMAT}_{args.space}_{args.disc or 0}_{args.form}"
-               f"_{args.weight or 0}_{args.trace_bound}.exp")
-        cache_path = Path(cache_dir) / tag
+        cache_path = Path(cache_dir) / f"v{__version__}.{CACHE_FORMAT}_{tag}.exp"
         text = _cached_text(cache_path)
     if text is not None:
         _emit(text, args.out)
         return 0
-    f = _build_expansion(args.space, args.disc, args.form, args.weight,
-                         args.trace_bound)
-    text = exp_serialize(f)
+    text = exp_serialize(build())
     if cache_path is not None:  # a new entry, or one that failed validation
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         # rename into place: a crash or a second writer leaves no partial file

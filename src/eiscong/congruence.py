@@ -6,16 +6,19 @@ The condition-B scanner factors numerators of B_{k-1,chi} up to a bound.
 It divides out 2, 3, 5 and 7, splits the rest with Brent's variant of
 Pollard rho (Brent, *An improved Monte Carlo factorization algorithm*, BIT
 1980) under a fixed step budget, and walks by trial division only a piece
-that rho cannot split.  The answer is exact whatever rho does: the primes
-up to the bound, plus the leftover when it tests prime, else the leftover
-as an unfactored cofactor (see ``_prime_factors_bounded``).
+that rho cannot split, by the primes of a segmented sieve.  The answer
+is exact whatever rho does: the primes up to the bound, plus the leftover
+when it tests prime, else the leftover as an unfactored cofactor (see
+``_prime_factors_bounded``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, lcm
 from typing import Optional
 
@@ -177,12 +180,8 @@ def irregular_pairs(p_max: int) -> list[tuple[int, int]]:
     ps = list(primes(p_max + 1))
     if ps[-1] > 3:
         bernoulli(ps[-1] - 3)  # the largest B_m tested: one table build, not a chain
-    out = []
-    for p in ps:
-        for m in range(2, p - 2, 2):
-            if bernoulli(m).numerator % p == 0:
-                out.append((p, m))
-    return out
+    nums = [bernoulli(m).numerator for m in range(0, ps[-1] - 2, 2)]  # B_m at m // 2
+    return [(p, m) for p in ps for m in range(2, p - 2, 2) if nums[m // 2] % p == 0]
 
 
 # The 48 offsets r in [0, 210) with a + r prime to 210 = 2*3*5*7 for
@@ -232,22 +231,33 @@ def _brent_split(n: int, budget: int) -> int:
 
 def _trial_walk(n: int, bound: int) -> set[int]:
     """The primes up to ``bound`` that divide n, where n has no factor 2,
-    3, 5 or 7 up to the bound, by trial division.
+    3, 5 or 7 up to the bound, by trial division by primes only.
 
-    The candidates are the 48 classes prime to 210, tested a chunk at a
-    time in C; only a chunk that holds a divisor is walked in Python.
-    Chunks double from 8 to 2^11 steps of 210, so a small factor is still
-    met early, and every chunk start stays at 10 (mod 210), so no class is
-    skipped at a chunk boundary.  The walk stops at the bound, once
-    c^2 > n, or once the cofactor is prime.
+    A chunk [a, b) is an odd-only segment, sieved by the primes from 11 to
+    isqrt(b), found once per call.  Each class a + r prime to 210 is the
+    slice seg[(r - 1) / 2::105] under ``compress``, tested in C, so only a
+    prime costs a mod (one ``compress`` over all odd numbers was no faster:
+    it builds as many more integers as it saves mods).  Only a chunk that
+    holds a divisor is walked in Python, in increasing order.  Chunks
+    double from 8 to 2^10 steps of 210, so a small factor is met early and
+    a segment is at most 105 KiB, and start at 10 (mod 210), so no class
+    is skipped at an edge.  The walk stops at the bound, once c^2 > n, or
+    once the cofactor is prime.
     """
     found: set[int] = set()
+    sieving = [p for p in primes(isqrt(min(bound, isqrt(n))) + 1) if p > 7]
     a, width = 10, 8
     while a + 1 <= min(bound, isqrt(n)):
         b = min(a + 210 * width, bound + 1, isqrt(n) + 1)
-        if not all(all(map(n.__mod__, range(a + r, b, 210))) for r in _WHEEL_210):
-            for c in (base + r for base in range(a, b, 210) for r in _WHEEL_210):
-                if c >= b or n % c:
+        seg = bytearray(b"\1") * ((b - a) // 2)  # seg[i] flags a + 1 + 2i
+        for p in sieving[:bisect(sieving, isqrt(b - 1))]:
+            i = (max(p * p, (a + p) // (2 * p) * 2 * p + p) - a - 1) // 2  # odd multiples
+            seg[i::p] = bytes(len(range(i, len(seg), p)))
+        if not all(all(map(n.__mod__, compress(range(a + r, b, 210), seg[(r - 1) // 2::105])))
+                   for r in _WHEEL_210):
+            # the flags pass multiples of 3, 5 and 7 too, which never divide n
+            for c in compress(range(a + 1, b, 2), seg):
+                if n % c:
                     continue
                 found.add(c)
                 while n % c == 0:
@@ -256,7 +266,8 @@ def _trial_walk(n: int, bound: int) -> set[int]:
                     if 1 < n <= bound:
                         found.add(n)
                     return found
-        a, width = b, min(2 * width, 2**11)
+        del seg  # freed before the next is built: one segment in memory, not two
+        a, width = b, min(2 * width, 2**10)
     if 1 < n <= bound:  # no factor up to sqrt(n): n is prime
         found.add(n)
     return found

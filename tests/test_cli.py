@@ -262,6 +262,33 @@ class TestExpand:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["siegel_0_G_10_1.exp", f"v{__version__}.3_siegel_0_G_10_1.exp"]
 
+    @pytest.mark.parametrize("requests", [
+        [("--space", "siegel", "--disc", d, "--form", "G", "--weight", "10") for d in ("-4", "-3")],
+        [("--space", "siegel", "--form", "X10", *w) for w in ((), ("--weight", "10"))],
+    ], ids=["siegel-disc", "named-form-weight"])
+    def test_equal_requests_share_one_entry(self, tmp_path, capsys, monkeypatch, requests):
+        # the name comes from the resolved request: Siegel has no disc, and
+        # a named form has the weight of its CUSP_FORMS row
+        monkeypatch.setenv("EISCONG_CACHE_DIR", str(tmp_path))
+        outs = {run(capsys, "expand", *argv, "--trace-bound", "1")[:2] for argv in requests}
+        [(code, out)] = outs
+        assert code == 0
+        [entry] = tmp_path.iterdir()
+        assert body(entry) == out
+
+    @pytest.mark.parametrize("argv", [
+        ("--space", "siegel", "--form", "X10", "--weight", "12"),
+        ("--space", "siegel", "--form", "CHI8", "--weight", "8"),
+        ("--space", "siegel", "--form", "G"),
+    ])
+    def test_invalid_request_is_refused_before_the_cache(self, tmp_path, capsys, monkeypatch,
+                                                          argv):
+        monkeypatch.setenv("EISCONG_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cli, "_cached_text", lambda path: "a hit for any name\n")
+        code, out, _ = run(capsys, "expand", *argv, "--trace-bound", "1")
+        assert (code, out) == (2, "")
+        assert list(tmp_path.iterdir()) == []
+
     def test_named_form_rejects_conflicting_weight(self, capsys):
         code, _, _ = run(
             capsys, "expand", "--space", "siegel", "--form", "X10",

@@ -1,9 +1,11 @@
 """Tests for modular reduction, congruence verification and the prime
 scanners."""
 
+import bisect
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eiscong import congruence
-from eiscong.arith import MR_DETERMINISTIC_BOUND, generalized_bernoulli, is_prime, primes
+from eiscong.arith import (
+    MR_DETERMINISTIC_BOUND, bernoulli, generalized_bernoulli, is_prime, primes,
+)
 from eiscong.congruence import (
     _prime_factors_bounded,
     bruinier_search,
@@ -290,6 +294,12 @@ class TestIrregularPairs:
         ]
         assert irregular_pairs(400) == expected
 
+    @pytest.mark.parametrize("p_max", [3, 5, 100, 300])
+    def test_agrees_with_a_numerator_per_pair(self, p_max):
+        expected = [(p, m) for p in primes(p_max + 1) for m in range(2, p - 2, 2)
+                    if bernoulli(m).numerator % p == 0]
+        assert irregular_pairs(p_max) == expected
+
     def test_up_to_1000_unchanged(self):
         # sha256 of repr(irregular_pairs(1000)) as computed by the binomial
         # recurrence before the table was built from tangent numbers
@@ -377,9 +387,12 @@ def planted_primes(draw):
 
 
 class TestBoundedFactoring:
-    """Brent's rho with the chunked trial walk of the 210 wheel behind it,
-    against trial division by the primes of a sieve (the oracle),
-    and the cofactor it reports."""
+    """Brent's rho with the trial walk behind it, against trial division
+    by the primes of a sieve (the oracle), and the cofactor it reports.
+    The walk tests the sieved primes of one odd-only segment at a time;
+    segments double from 8 to 2^10 steps of 210 and start at 10 (mod 210),
+    so the walk tests below probe primes at and beside every segment start
+    and products that span several segments."""
 
     @staticmethod
     def check(n, bound):
@@ -477,6 +490,40 @@ class TestBoundedFactoring:
             window |= {p for p in primes(edge + 230) if p >= edge - 230}
         for p in sorted(window - {2, 3, 5, 7}):
             assert congruence._trial_walk(p * big, 10**7) == {p}, p
+
+    #: the walk's segment starts: 10 + 1680 (2^j - 1) while segments double
+    #: from 8 steps of 210, then 2^10 steps apart once they reach the cap
+    STARTS = [10 + 1680 * (2**j - 1) for j in range(8)] + [
+        10 + 1680 * 127 + 210 * 2**10 * m for m in range(1, 4)]
+
+    def test_walk_finds_a_prime_at_every_segment_start(self):
+        big = 10000019  # prime, above the bound
+        ps = [p for p in primes_up_to(self.STARTS[-1] + 200) if p > 7]
+        for start in self.STARTS:
+            i = bisect.bisect_left(ps, start)
+            for p in ps[max(i - 3, 0):i + 3]:  # three on each side of the start
+                assert congruence._trial_walk(p * big, 10**7) == self.walk_oracle(
+                    p * big, 10**7) == {p}, p
+
+    def test_walk_across_several_segments(self):
+        # p in the ramp and q past the cap, then a composite above the bound:
+        # the walk runs through every segment to the bound
+        rest = 10000019 * 10000079
+        for p, q in [(1699, 643463), (211, 213383), (53777, 428429)]:
+            n = p * q**2 * rest
+            assert congruence._trial_walk(n, 10**7) == self.walk_oracle(n, 10**7) == {p, q}
+
+    def test_walk_memory_stays_within_a_few_segments(self):
+        # the condition-B walk rho leaves: a segment is at most 105 KiB of flags
+        n = 27911403950873192228229911
+        congruence._trial_walk(n, 10**4)  # lazy imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            assert congruence._trial_walk(n, 10**7) == set()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
 
     @pytest.mark.parametrize("bound", [10**3, 10**5])
     def test_walk_past_the_bound_against_the_oracle(self, bound):
