@@ -370,6 +370,11 @@ def p_valuation(q: Fraction, p: int):
 # own keeps the conversion independent of the caller's decimal settings.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 _CANONICAL_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# Fraction builds 10**e for a decimal exponent e, in time and memory that grow
+# with e's value: "1e1000000" is nine bytes.  parse_rational refuses |e| past
+# this bound, the default digit limit, before Fraction sees the token.
+_MAX_EXPONENT = 4300
+_EXPONENT_TAIL = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
 def format_rational(q: Fraction) -> str:
@@ -387,7 +392,8 @@ def format_rational(q: Fraction) -> str:
 
 def parse_rational(s: str) -> Fraction:
     """Inverse of format_rational, at any size; also reads every other form
-    ``Fraction`` accepts."""
+    ``Fraction`` accepts, but refuses a decimal exponent beyond ±4300 with a
+    ``ValueError``."""
     s = s.strip()
     num, slash, den = s.partition("/")
     digits = num[1:] if num[:1] == "-" else num
@@ -400,6 +406,14 @@ def parse_rational(s: str) -> Fraction:
         else:
             if d:
                 return Fraction(n, d)
+    tail = _EXPONENT_TAIL.search(s)
+    if tail is not None and _beyond_exponent_bound(tail[1]):
+        try:
+            Fraction(s[: tail.start()] + "e0")
+        except ValueError:
+            pass  # malformed whatever its exponent: Fraction(s) refuses it below
+        else:
+            raise ValueError(f"exponent out of range in {s[:20]}...")
     try:
         return Fraction(s)
     except ValueError:
@@ -410,3 +424,10 @@ def parse_rational(s: str) -> Fraction:
     if den == 0:  # Fraction would put the numerator's digits in its message
         raise ZeroDivisionError(f"zero denominator in {s[:20]}...")
     return Fraction(num, den)
+
+
+def _beyond_exponent_bound(exponent: str) -> bool:
+    try:
+        return abs(int(exponent)) > _MAX_EXPONENT
+    except ValueError:  # past the int-to-str digit limit: Fraction(s) fails on it too
+        return False

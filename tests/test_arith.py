@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -346,6 +347,15 @@ def parse_outcome(fn, s):
     return type(q), q
 
 
+def fraction_outcome(s):
+    """parse_outcome(Fraction, s), but a token that Fraction accepts with a
+    decimal exponent beyond ±4300 is refused, without building 10**e."""
+    m = re.fullmatch(r"(.*)[eE]([-+]?\d+(?:_\d+)*)", s, re.DOTALL)
+    if m and abs(int(m[2])) > 4300 and parse_outcome(Fraction, m[1] + "e0")[0] is Fraction:
+        return ValueError, f"exponent out of range in {s[:20]}..."
+    return parse_outcome(Fraction, s)
+
+
 _numeral = st.one_of(st.from_regex(r"[0-9]{1,30}", fullmatch=True),
                      st.from_regex(r"[0-9]{1,4}(_[0-9]{1,4}){1,3}", fullmatch=True))
 _sign = st.sampled_from(["", "-", "+"])
@@ -366,12 +376,23 @@ class TestRationalParse:
     @given(st.sampled_from(["", " ", "\t"]), rational_tokens, st.sampled_from(["", " ", "\n"]))
     def test_matches_fraction(self, before, token, after):
         s = before + token + after  # parse_rational strips s, as its messages show
-        assert parse_outcome(parse_rational, s) == parse_outcome(Fraction, s.strip())
+        assert parse_outcome(parse_rational, s) == fraction_outcome(s.strip())
 
     @pytest.mark.parametrize("s", ["0", "-0", "007", "-5/10", "5/0", "-5/00", "+3", "1/-2",
                                    "--1", "1/", "/2", "1//2", "1 /2", "", "-", "1_0/2_0",
                                    "\u0663", "3/\u0663", "1e3", ".5", "0x10", "nan", "inf"])
     def test_edge_tokens(self, s):
+        assert parse_outcome(parse_rational, s) == parse_outcome(Fraction, s)
+
+    @pytest.mark.parametrize("s", ["0e600001", "1e1000000", "-1.5E-99999", "2.e+4301",
+                                   "1_0e4_301", "\u0663e9999"])
+    def test_exponent_beyond_the_bound_is_refused(self, s):
+        with pytest.raises(ValueError, match="exponent out of range"):
+            parse_rational(s)
+
+    @pytest.mark.parametrize("s", ["1e4300", "-7.25E-4300", "0e+4300", "1_0e4_300",
+                                   "1e4301x", "1/2e9999", "e9999", "1e5e9999"])
+    def test_exponent_at_the_bound_or_malformed_reads_as_fraction(self, s):
         assert parse_outcome(parse_rational, s) == parse_outcome(Fraction, s)
 
     @settings(max_examples=15, deadline=None)
