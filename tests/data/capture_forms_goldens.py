@@ -1,5 +1,5 @@
-"""Record sha256 digests of ``exp_serialize`` for the Eisenstein series
-and the named cusp forms, so refactors of their construction can be held
+"""Record sha256 digests of ``exp_serialize`` for the Eisenstein series,
+the named cusp forms and the cusp corrections of four G_k, so refactors of their construction can be held
 byte for byte against the commit the digests come from.
 
 Run from the repository root:
@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 
+from eiscong.congruence import cusp_correction
 from eiscong.expansion import exp_serialize
 from eiscong.hermitian import hermitian_cusp_form, hermitian_expansion
 from eiscong.siegel import igusa_x10, igusa_x12, siegel_expansion
@@ -20,6 +21,9 @@ from eiscong.siegel import igusa_x10, igusa_x12, siegel_expansion
 TRACE_BOUNDS = range(5)
 WEIGHTS = range(4, 13, 2)
 HERMITIAN_DISCS = (-3, -4, -7)
+# G_k - Q(E4, E6) at the trace bounds of the command-line benchmark
+CUSP_CORRECTIONS = (("siegel", None, 10, 8), ("siegel", None, 12, 8),
+                    ("hermitian", -4, 10, 5), ("hermitian", -3, 12, 5))
 
 
 def cases():
@@ -38,6 +42,11 @@ def cases():
         for name, d in (("CHI8", -4), ("F10", -4), ("F10", -3), ("F12", -3)):
             yield (f"hermitian{d}/{name}/b{b}",
                    lambda name=name, d=d, b=b: hermitian_cusp_form(name, d, b))
+    for space, d, k, b in CUSP_CORRECTIONS:
+        g = (lambda k=k, b=b: siegel_expansion("G", k, b)) if d is None else (
+            lambda d=d, k=k, b=b: hermitian_expansion("G", d, k, b))
+        tag = space if d is None else f"{space}{d}"
+        yield f"{tag}/cusp_correction(G{k})/b{b}", lambda g=g: cusp_correction(g())
 
 
 def digest(f) -> str:
