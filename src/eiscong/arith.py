@@ -394,18 +394,21 @@ def parse_rational(s: str) -> Fraction:
     """Inverse of format_rational, at any size; also reads every other form
     ``Fraction`` accepts, but refuses a decimal exponent beyond ±4300 with a
     ``ValueError``."""
-    s = s.strip()
+    return Fraction(*parse_ratio(s.strip()))
+
+
+def parse_ratio(s: str) -> tuple[int, int]:
+    """(n, d), d > 0, with n / d = parse_rational(s); int() alone reads "n" or "n/d"."""
     num, slash, den = s.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if s.isascii() and digits.isdigit() and (den.isdigit() or not slash):
-        # the canonical "n" or "n/d": what Fraction(s) would build, without its regex
         try:
             n, d = int(num), int(den or 1)
         except ValueError:  # past the int-to-str digit limit
             pass
         else:
             if d:
-                return Fraction(n, d)
+                return n, d
     tail = _EXPONENT_TAIL.search(s)
     if tail is not None and _beyond_exponent_bound(tail[1]):
         try:
@@ -415,15 +418,16 @@ def parse_rational(s: str) -> Fraction:
         else:
             raise ValueError(f"exponent out of range in {s[:20]}...")
     try:
-        return Fraction(s)
+        q = Fraction(s)
     except ValueError:
         match = _CANONICAL_RATIONAL.fullmatch(s)
         if match is None:
             raise
-    num, den = (int(_EXACT.create_decimal(g or 1)) for g in match.groups())
-    if den == 0:  # Fraction would put the numerator's digits in its message
-        raise ZeroDivisionError(f"zero denominator in {s[:20]}...")
-    return Fraction(num, den)
+        num, den = (int(_EXACT.create_decimal(g or 1)) for g in match.groups())
+        if den == 0:  # Fraction would put the numerator's digits in its message
+            raise ZeroDivisionError(f"zero denominator in {s[:20]}...")
+        return num, den
+    return q.numerator, q.denominator
 
 
 def _beyond_exponent_bound(exponent: str) -> bool:

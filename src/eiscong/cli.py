@@ -341,12 +341,12 @@ def main(argv=None) -> int:
             }[args.section]
             return _checks_result(section())
         parser.error(f"unknown command {args.command}")
+    except EiscongError as exc:  # before ValueError: an error may be both
+        print(f"computation error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EiscongError as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return 3
     return 2
 
 

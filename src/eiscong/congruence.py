@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Optional
 
 from .arith import (
@@ -77,34 +76,33 @@ class WitnessReport:
     method: str  # "direct-search" or "crt-construction"
 
 
-def _residue(value: Fraction, modulus: int, key):
-    num, den = value.numerator, value.denominator
-    if gcd(den, modulus) != 1:
+def _residue(num: int, den: int, modulus: int, key):
+    g = gcd(num, den)
+    if gcd(den // g, modulus) != 1:
         raise NonIntegralCoefficient(key, modulus)
-    return num * pow(den, -1, modulus) % modulus
+    return num // g * pow(den // g, -1, modulus) % modulus
 
 
 def _residues(modulus: int, *expansions) -> list:
     """For each expansion, a lookup ``at(idx, 0)`` of its coefficient mod
-    ``modulus``, 0 off the support.
+    ``modulus`` (a ValueError below 1), 0 off the support.
 
-    When L, the lcm of every denominator in play, is prime to the modulus
-    (at least 2), each support is reduced up front with one inverse, as
-    a/b = a (L/b) L^-1, and a lookup reads a dict.  Otherwise each lookup
-    reduces its own coefficient, so a canonical walk raises
-    NonIntegralCoefficient where a walk of per-index reductions would.
+    When the expansion's denominator is prime to the modulus, one inverse
+    of it reduces every numerator up front.  Otherwise each lookup reduces
+    its own coefficient, so a canonical walk raises NonIntegralCoefficient
+    where a walk of per-index reductions would.
     """
-    terms = [[(idx, v.numerator, v.denominator) for idx, v in f.coeffs.items()]
-             for f in expansions]
-    dens = {b for t in terms for _, _, b in t}
-    den = lcm(*dens)
-    if modulus < 2 or gcd(den, modulus) != 1:
-        key = expansions[0].lattice.key_string
-        return [lambda idx, _, c=f.coeffs: _residue(c.get(idx, Fraction(0)), modulus, key(idx))
-                for f in expansions]
-    inverse = pow(den, -1, modulus)
-    scale = {b: den // b * inverse % modulus for b in dens}  # b -> (L/b) L^-1
-    return [{idx: a * scale[b] % modulus for idx, a, b in t}.get for t in terms]
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    lookups = []
+    for f in expansions:
+        if gcd(f.den, modulus) == 1:
+            inverse = pow(f.den, -1, modulus)
+            lookups.append({idx: n * inverse % modulus for idx, n in f.nums.items()}.get)
+        else:
+            lookups.append(lambda idx, _, f=f: _residue(
+                f.nums.get(idx, 0), f.den, modulus, f.lattice.key_string(idx)))
+    return lookups
 
 
 def _canonical(lat, bound: int) -> list:
@@ -119,15 +117,8 @@ def reduce_mod_p(f: TruncatedExpansion, modulus: int) -> dict:
     return {idx: at(idx, 0) for idx in _canonical(f.lattice, f.trace_bound)}
 
 
-def verify_congruence(
-    f: TruncatedExpansion, g: TruncatedExpansion, modulus: int, multiplier: int
-) -> CongruenceReport:
-    """Check f = multiplier * g mod modulus at every in-bound index."""
-    _check_compatible(f, g)
-    lat = f.lattice
-    multiplier %= modulus
-    lhs_at, rhs_at = _residues(modulus, f, g)
-    indices = _canonical(lat, min(f.trace_bound, g.trace_bound))
+def _check_at(lat, modulus, multiplier, lhs_at, rhs_at, indices) -> CongruenceReport:
+    """The report of lhs = multiplier * rhs mod modulus over the indices."""
     failure = None
     for idx in indices:
         lhs = lhs_at(idx, 0)
@@ -135,6 +126,16 @@ def verify_congruence(
         if lhs != rhs and failure is None:
             failure = (lat.key_string(idx), lhs, rhs)
     return CongruenceReport(modulus, multiplier, failure is None, len(indices), failure)
+
+
+def verify_congruence(
+    f: TruncatedExpansion, g: TruncatedExpansion, modulus: int, multiplier: int
+) -> CongruenceReport:
+    """Check f = multiplier * g mod modulus at every in-bound index."""
+    _check_compatible(f, g)
+    lhs_at, rhs_at = _residues(modulus, f, g)
+    indices = _canonical(f.lattice, min(f.trace_bound, g.trace_bound))
+    return _check_at(f.lattice, modulus, multiplier % modulus, lhs_at, rhs_at, indices)
 
 
 def solve_lambda(
@@ -145,7 +146,8 @@ def solve_lambda(
     _check_compatible(f, g)
     lat = f.lattice
     lhs_at, rhs_at = _residues(modulus, f, g)
-    for idx in _canonical(lat, min(f.trace_bound, g.trace_bound)):
+    indices = _canonical(lat, min(f.trace_bound, g.trace_bound))
+    for idx in indices:
         rhs = rhs_at(idx, 0)
         if rhs == 0:
             continue
@@ -153,8 +155,8 @@ def solve_lambda(
             raise NonInvertibleReference(
                 f"reference coefficient at {lat.key_string(idx)} is not invertible mod {modulus}"
             )
-        lam = lhs_at(idx, 0) * pow(rhs, -1, modulus)
-        return verify_congruence(f, g, modulus, lam % modulus)
+        lam = lhs_at(idx, 0) * pow(rhs, -1, modulus) % modulus
+        return _check_at(lat, modulus, lam, lhs_at, rhs_at, indices)
     raise AllZeroRhs(f"rhs vanishes identically mod {modulus}")
 
 
@@ -413,6 +415,8 @@ def nontriviality_witness(
 def bruinier_search(k: int, p: int, max_abs_disc: int) -> Optional[int]:
     """Smallest |D0| with D0 < 0 fundamental and p not dividing the
     numerator of the (k-1)-th generalized Bernoulli number of chi_D0."""
+    if p < 1:
+        raise ValueError(f"modulus must be >= 1, got {p}")
     for n in range(3, max_abs_disc + 1):
         d0 = -n
         if not is_fundamental_discriminant(d0):

@@ -20,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
 from operator import mul
 
 from .arith import bernoulli, divisor_power_sum
-from .errors import InvalidWeight, NotInSpace, UnsupportedFieldForm
+from .errors import InsufficientTruncation, InvalidWeight, NotInSpace, UnsupportedFieldForm
 from .expansion import (
     ELLIPTIC,
     TruncatedExpansion,
+    _over_one_denominator,
     constant_one,
     exp_add,
     exp_multiply,
@@ -53,10 +53,10 @@ def elliptic_eisenstein(k: int, n_max: int) -> TruncatedExpansion:
     if k < 4 or k % 2 == 1:
         raise InvalidWeight(f"elliptic Eisenstein series needs even k >= 4, got {k}")
     scale = Fraction(-2 * k) / bernoulli(k)
-    coeffs = {0: Fraction(1)}
+    nums = {0: scale.denominator}
     for n in range(1, n_max + 1):
-        coeffs[n] = scale * divisor_power_sum(k - 1, n)
-    return TruncatedExpansion._trusted(ELLIPTIC, k, n_max, coeffs)
+        nums[n] = scale.numerator * divisor_power_sum(k - 1, n)
+    return TruncatedExpansion._of(ELLIPTIC, k, n_max, scale.denominator, nums)
 
 
 @lru_cache(maxsize=None)
@@ -154,9 +154,8 @@ def _maass_factor(lattice, j: int, n_max: int):
     p = n_max // lattice.fj_stride
     scale = 1 / lattice.g_constant(j)
     values = [*map(elliptic_eisenstein(j, p).coefficient, range(p + 1))]
-    values += [scale * lattice.g_alpha(j, N) for N in range(n_max + 1)]
-    den = lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
+    den, nums = _over_one_denominator(values + [scale * lattice.g_alpha(j, N)
+                                                for N in range(n_max + 1)])
     return den, nums[:p + 1], nums[p + 1:]
 
 
@@ -239,7 +238,7 @@ def decompose_into_e4_e6(f: TruncatedExpansion, k: int) -> IsobaricPolynomial:
     if f.is_zero() and not monos:
         return IsobaricPolynomial(k, ())
     if n_max + 1 < len(monos):
-        raise ValueError(
+        raise InsufficientTruncation(
             f"trace bound {n_max} too small to determine {len(monos)} monomials"
         )
     e4 = elliptic_eisenstein(4, n_max)

@@ -47,6 +47,10 @@ class NotInSpace(EiscongError):
     pass
 
 
+class InsufficientTruncation(EiscongError, ValueError):
+    """Too few coefficients for the computation asked of a valid input."""
+
+
 class NonIntegralCoefficient(EiscongError):
     def __init__(self, key, modulus):
         super().__init__(f"coefficient at {key} is not integral for modulus {modulus}")

@@ -1,10 +1,10 @@
 """Truncated Fourier expansions over an abstract psd lattice index.
 
 A lattice object supplies index enumeration, index addition and the
-canonical ordering; expansions are finite index -> Fraction maps truncated
-at a trace bound.  Multiplication sums integer numerators over the support
-pairs whose traces add up to at most the bound, which is exact inside the
-truncation because psd + psd is psd and the trace is additive.
+canonical ordering; an expansion is a finite map index -> integer numerator
+over one denominator, truncated at a trace bound.  Multiplication sums
+numerator products over the support pairs whose traces add up to at most the
+bound, exact inside the truncation as psd + psd is psd and trace is additive.
 
 Every degree-2 form here is a Maass lift (Maass 1979; Eichler and Zagier,
 *The Theory of Jacobi Forms*, §6; Krieg, Math. Ann. 1991): for T != 0,
@@ -24,9 +24,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping
 
-from .arith import divisors, format_rational, parse_rational
+from .arith import divisors, format_rational, parse_ratio
 from .errors import (
     InvalidWeight,
     NotPositiveSemidefinite,
@@ -129,49 +130,49 @@ def _same_lattice(a, b):
 
 
 class TruncatedExpansion:
-    """Finite Fourier expansion: map from lattice index to Fraction.
-
-    ``coeffs`` holds a nonzero Fraction at psd indices of trace at most the
-    bound, and nothing else; lookups beyond the trace bound raise
-    OutOfTruncation rather than returning a silent zero.
+    """Finite Fourier expansion: the coefficient at idx is nums[idx] / den,
+    with ``nums`` nonzero integers at psd indices of trace at most the
+    bound, and nothing else, over one denominator den > 0 such that
+    gcd(den, *nums) == 1 (den = 1 for zero).  ``coeffs`` is a read-only
+    view index -> Fraction, built on each access.  Lookups beyond the trace
+    bound raise OutOfTruncation rather than returning a silent zero.
 
     The public constructor takes untrusted input: it converts every value
     to a Fraction and checks each index, raising NotPositiveSemidefinite or
     OutOfTruncation.  Ring results (sums, scalings, products, restrictions,
-    lifts and the builders) hold by construction, so they go through
-    ``_trusted``, which only drops zeros.
+    lifts, the builders and the parser) hold by construction, so they go
+    through ``_of``, which only drops zeros and divides out the gcd.
     """
 
-    __slots__ = ("lattice", "weight", "trace_bound", "coeffs")
+    __slots__ = ("lattice", "weight", "trace_bound", "den", "nums")
 
     def __init__(self, lattice, weight: int, trace_bound: int, coeffs: Mapping):
-        self._header(lattice, weight, trace_bound)
-        for idx, val in coeffs.items():
-            val = Fraction(val)
-            if val == 0:
-                continue
+        den, nums = _over_one_denominator([Fraction(v) for v in coeffs.values()])
+        self._fill(lattice, weight, trace_bound, den, dict(zip(coeffs, nums)))
+        for idx in self.nums:
             if not lattice.is_psd(idx):
                 raise NotPositiveSemidefinite(f"index {idx} is not psd")
             if lattice.trace(idx) > trace_bound:
                 raise OutOfTruncation(f"index {idx} exceeds trace bound {trace_bound}")
-            self.coeffs[idx] = val
 
     @classmethod
-    def _trusted(cls, lattice, weight: int, trace_bound: int, coeffs: Mapping):
-        """An expansion from Fraction values at psd indices within the
-        bound, unchecked; zeros are dropped."""
+    def _of(cls, lattice, weight: int, trace_bound: int, den: int, nums: Mapping):
+        """nums[idx] / den at psd indices within the bound, unchecked."""
         self = object.__new__(cls)
-        self._header(lattice, weight, trace_bound)
-        self.coeffs = {i: v for i, v in coeffs.items() if v}
+        self._fill(lattice, weight, trace_bound, den, nums)
         return self
 
-    def _header(self, lattice, weight, trace_bound):
+    def _fill(self, lattice, weight, trace_bound, den, nums):
         if trace_bound < 0:
             raise ValueError("trace_bound must be >= 0")
-        self.lattice = lattice
-        self.weight = weight
-        self.trace_bound = trace_bound
-        self.coeffs = {}
+        g = gcd(den, *nums.values())
+        self.lattice, self.weight, self.trace_bound = lattice, weight, trace_bound
+        self.den = den // g
+        self.nums = {idx: n // g for idx, n in nums.items() if n}
+
+    @property
+    def coeffs(self) -> Mapping:
+        return MappingProxyType({idx: Fraction(n, self.den) for idx, n in self.nums.items()})
 
     def coefficient(self, idx) -> Fraction:
         if not self.lattice.is_psd(idx):
@@ -180,19 +181,19 @@ class TruncatedExpansion:
             raise OutOfTruncation(
                 f"index {idx} is beyond trace bound {self.trace_bound}"
             )
-        return self.coeffs.get(idx, Fraction(0))
+        return Fraction(self.nums.get(idx, 0), self.den)
 
     def support(self) -> list:
-        return sorted(self.coeffs, key=self.lattice.sort_key)
+        return sorted(self.nums, key=self.lattice.sort_key)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def restrict(self, trace_bound: int) -> "TruncatedExpansion":
         if trace_bound > self.trace_bound:
             raise OutOfTruncation("cannot extend a truncated expansion")
-        return TruncatedExpansion._trusted(
-            self.lattice, self.weight, trace_bound, _within(self, trace_bound))
+        return TruncatedExpansion._of(
+            self.lattice, self.weight, trace_bound, self.den, _within(self, trace_bound))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedExpansion):
@@ -201,7 +202,8 @@ class TruncatedExpansion:
             _same_lattice(self.lattice, other.lattice)
             and self.weight == other.weight
             and self.trace_bound == other.trace_bound
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
@@ -228,24 +230,30 @@ class TruncatedExpansion:
             tag += f"[{self.lattice.disc}]"
         return (
             f"<TruncatedExpansion {tag} weight={self.weight} "
-            f"bound={self.trace_bound} terms={len(self.coeffs)}>"
+            f"bound={self.trace_bound} terms={len(self.nums)}>"
         )
 
 
+def _over_one_denominator(values) -> tuple[int, list]:
+    """(den, nums) with values[i] = nums[i] / den, den the lcm of the denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def zero_expansion(lattice, weight, trace_bound) -> TruncatedExpansion:
-    return TruncatedExpansion._trusted(lattice, weight, trace_bound, {})
+    return TruncatedExpansion._of(lattice, weight, trace_bound, 1, {})
 
 
 def constant_one(lattice, trace_bound) -> TruncatedExpansion:
-    return TruncatedExpansion._trusted(lattice, 0, trace_bound, {lattice.zero: Fraction(1)})
+    return TruncatedExpansion._of(lattice, 0, trace_bound, 1, {lattice.zero: 1})
 
 
 def _within(f: TruncatedExpansion, bound: int) -> dict:
-    """The coefficients of f at trace <= bound (f's own dict when that is all)."""
+    """The numerators of f at trace <= bound (f's own dict when that is all)."""
     if f.trace_bound <= bound:
-        return f.coeffs
+        return f.nums
     trace = f.lattice.trace
-    return {i: v for i, v in f.coeffs.items() if trace(i) <= bound}
+    return {i: n for i, n in f.nums.items() if trace(i) <= bound}
 
 
 def _check_compatible(f: TruncatedExpansion, g: TruncatedExpansion):
@@ -258,25 +266,19 @@ def _check_compatible(f: TruncatedExpansion, g: TruncatedExpansion):
 def exp_add(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpansion:
     _check_compatible(f, g)
     bound = min(f.trace_bound, g.trace_bound)
-    coeffs = dict(_within(f, bound))
-    for idx, v in _within(g, bound).items():
-        coeffs[idx] = coeffs[idx] + v if idx in coeffs else v
-    return TruncatedExpansion._trusted(f.lattice, f.weight, bound, coeffs)
+    den = lcm(f.den, g.den)
+    a, b = den // f.den, den // g.den
+    nums = {idx: a * n for idx, n in _within(f, bound).items()}
+    for idx, n in _within(g, bound).items():
+        nums[idx] = nums.get(idx, 0) + b * n
+    return TruncatedExpansion._of(f.lattice, f.weight, bound, den, nums)
 
 
 def exp_scale(c, f: TruncatedExpansion) -> TruncatedExpansion:
     c = Fraction(c)
-    p, q = c.numerator, c.denominator
-    # Fraction(p a, q b) is c * (a / b), normalized, without Fraction's operator dispatch
-    coeffs = {idx: Fraction(p * v.numerator, q * v.denominator)
-              for idx, v in f.coeffs.items()} if p else {}
-    return TruncatedExpansion._trusted(f.lattice, f.weight, f.trace_bound, coeffs)
-
-
-def _common_denominator(f: TruncatedExpansion):
-    """(den, [(index, numerator)]) with every coefficient = numerator / den."""
-    den = lcm(*(v.denominator for v in f.coeffs.values()))
-    return den, [(idx, v.numerator * (den // v.denominator)) for idx, v in f.coeffs.items()]
+    p = c.numerator
+    nums = {idx: p * n for idx, n in f.nums.items()} if p else {}
+    return TruncatedExpansion._of(f.lattice, f.weight, f.trace_bound, c.denominator * f.den, nums)
 
 
 def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpansion:
@@ -286,18 +288,14 @@ def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpan
     trace = lat.trace
     add = lat.add
     bound = min(f.trace_bound, g.trace_bound)
-    fden, fterms = _common_denominator(f)
-    gden, gterms = _common_denominator(g)
-    gterms.sort(key=lambda term: trace(term[0]))
+    gterms = sorted(g.nums.items(), key=lambda term: trace(term[0]))
     gtraces = [trace(u) for u, _ in gterms]
     acc = defaultdict(int)
-    for s, a in fterms:
+    for s, a in f.nums.items():
         # the g terms of trace <= bound - trace(s); islice does not copy them
         for u, b in islice(gterms, bisect_right(gtraces, bound - trace(s))):
             acc[add(s, u)] += a * b
-    den = fden * gden
-    coeffs = {t: Fraction(n, den) for t, n in acc.items() if n}
-    return TruncatedExpansion._trusted(lat, f.weight + g.weight, bound, coeffs)
+    return TruncatedExpansion._of(lat, f.weight + g.weight, bound, f.den * g.den, acc)
 
 
 def lift_coefficient(lattice, k: int, t, alpha, constant):
@@ -312,11 +310,13 @@ def lift_coefficient(lattice, k: int, t, alpha, constant):
 
 def lift(lattice, k: int, trace_bound: int, alpha, constant) -> TruncatedExpansion:
     """The weight-k Maass lift of alpha over every index; det <= m B^2 / 4
-    with m the lattice's Fourier-Jacobi stride and B the trace bound."""
-    at = [alpha(N) for N in range(lattice.fj_stride * trace_bound**2 // 4 + 1)].__getitem__
-    coeffs = {t: lift_coefficient(lattice, k, t, at, constant)
-              for t in lattice.enumerate_all(trace_bound)}
-    return TruncatedExpansion._trusted(lattice, k, trace_bound, coeffs)
+    with m the lattice's Fourier-Jacobi stride and B the trace bound, as
+    integer sums over one denominator for the alpha table and constant."""
+    den, [top, *table] = _over_one_denominator(
+        [constant, *map(alpha, range(lattice.fj_stride * trace_bound**2 // 4 + 1))])
+    at = table.__getitem__
+    nums = {t: lift_coefficient(lattice, k, t, at, top) for t in lattice.enumerate_all(trace_bound)}
+    return TruncatedExpansion._of(lattice, k, trace_bound, den, nums)
 
 
 @lru_cache(maxsize=None)
@@ -335,12 +335,8 @@ def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:
     t-th coefficient sits at the index diag(t, 0)."""
     if f.lattice.space == "elliptic":
         raise ValueError("phi_operator expects a degree-2 expansion")
-    coeffs = {}
-    for t in range(f.trace_bound + 1):
-        v = f.coeffs.get(f.lattice.diag_embed(t))
-        if v:
-            coeffs[t] = v
-    return TruncatedExpansion._trusted(ELLIPTIC, f.weight, f.trace_bound, coeffs)
+    nums = {t: f.nums.get(f.lattice.diag_embed(t), 0) for t in range(f.trace_bound + 1)}
+    return TruncatedExpansion._of(ELLIPTIC, f.weight, f.trace_bound, f.den, nums)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +354,14 @@ def exp_serialize(f: TruncatedExpansion) -> str:
     lines.append(f"weight {f.weight}")
     lines.append(f"trace_bound {f.trace_bound}")
     lines.append(_SENTINEL)
+    key, den = f.lattice.key_string, f.den
     for idx in f.support():
-        lines.append(f"{f.lattice.key_string(idx)} {format_rational(f.coeffs[idx])}")
+        n = f.nums[idx]
+        g = gcd(n, den)
+        try:  # str(Fraction(n, den)), without the Fraction
+            lines.append(f"{key(idx)} {n // g}" + ("" if g == den else f"/{den // g}"))
+        except ValueError:  # past the int-to-str digit limit
+            lines.append(f"{key(idx)} {format_rational(Fraction(n, den))}")
     return "\n".join(lines) + "\n"
 
 
@@ -420,7 +422,7 @@ def exp_parse(text: str) -> TruncatedExpansion:
     except ValueError as exc:
         raise ParseError(header["disc" if "disc" in header else "space"][0], str(exc)) from None
     trace, is_psd, parse_key = lat.trace, lat.is_psd, lat.parse_key
-    coeffs = {}
+    seen = {}  # index -> (n, d)
     for lineno, line in enumerate(lines[body_start:], body_start + 1):
         parts = line.split()
         if not parts:
@@ -429,16 +431,18 @@ def exp_parse(text: str) -> TruncatedExpansion:
             raise ParseError(lineno, f"malformed coefficient line {line.strip()!r}")
         try:
             idx = parse_key(parts[0])
-            val = parse_rational(parts[1])
+            n, d = parse_ratio(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(lineno, str(exc)) from None
-        if idx in coeffs:
+        if idx in seen:
             raise ParseError(lineno, f"duplicate key {parts[0]}")
-        coeffs[idx] = val
-        if not val:  # dropped, unchecked, as the public constructor does
+        seen[idx] = n, d
+        if not n:  # dropped, unchecked, as the public constructor does
             continue
         if not is_psd(idx):
             raise ParseError(lineno, f"index {idx} is not psd")
         if trace(idx) > bound:
             raise ParseError(lineno, f"index {idx} exceeds trace bound {bound}")
-    return TruncatedExpansion._trusted(lat, weight, bound, coeffs)
+    den = lcm(*{d for _, d in seen.values()})
+    return TruncatedExpansion._of(
+        lat, weight, bound, den, {idx: n * (den // d) for idx, (n, d) in seen.items()})

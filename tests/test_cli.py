@@ -356,6 +356,18 @@ class TestCongruence:
         assert "lambda 11313" in out
         assert "verified true" in out
 
+    @pytest.mark.parametrize("action", [
+        ("verify", "--mod", "0", "--lambda", "1"),
+        ("solve", "--mod", "0"),
+        ("solve", "--mod", "-43867"),
+    ], ids=["verify-0", "solve-0", "solve-negative"])
+    def test_modulus_below_one_is_usage_error(self, tmp_path, capsys, action):
+        lhs, rhs = self.make_files(tmp_path, capsys)
+        code, out, err = run(capsys, "congruence", action[0], "--lhs", str(lhs),
+                             "--rhs", str(rhs), *action[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: modulus must be >= 1")
+
     def test_verify_requires_lambda(self, tmp_path, capsys):
         lhs, rhs = self.make_files(tmp_path, capsys)
         code, _, err = run(
@@ -417,6 +429,15 @@ class TestCuspCorrect:
 
         assert phi_operator(corrected).is_zero()
 
+    def test_bound_too_small_is_computation_error(self, tmp_path, capsys):
+        # a valid G12 file whose one boundary coefficient cannot fix E4^3 and E6^2
+        src = tmp_path / "g12.exp"
+        run(capsys, "expand", "--space", "siegel", "--form", "G", "--weight", "12",
+            "--trace-bound", "0", "--out", str(src))
+        code, out, err = run(capsys, "cusp-correct", "--in", str(src))
+        assert (code, out) == (3, "")
+        assert err == "computation error: trace bound 0 too small to determine 2 monomials\n"
+
     def test_elliptic_input_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "e4.exp"
         run(capsys, "expand", "--space", "elliptic", "--form", "E", "--weight", "4",
@@ -474,6 +495,12 @@ class TestScan:
                            "--weight", "10", "--mod", "809")
         assert code == 0
         assert "direct-search" in out
+
+    @pytest.mark.parametrize("mod", ["0", "-3"])
+    def test_bruinier_modulus_below_one_is_usage_error(self, capsys, mod):
+        code, out, err = run(capsys, "scan", "bruinier", "--weight", "10", "--mod", mod)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: modulus must be >= 1")
 
     def test_bruinier(self, capsys):
         code, out, _ = run(capsys, "scan", "bruinier", "--weight", "10",

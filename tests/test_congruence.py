@@ -159,6 +159,17 @@ class TestAgainstPerIndexOracle:
             NonInvertibleReference, "reference coefficient at 0,0,1 is not invertible mod 4")
 
 
+@pytest.mark.parametrize("modulus", [0, -1, -3, -43867])
+def test_modulus_below_one_is_refused(modulus):
+    g10, x10 = siegel_expansion("G", 10, 2), igusa_x10(2)
+    for call in (lambda: solve_lambda(g10, x10, modulus),
+                 lambda: verify_congruence(g10, x10, modulus, 11313),
+                 lambda: reduce_mod_p(g10, modulus),
+                 lambda: bruinier_search(10, modulus, 100)):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            call()
+
+
 class TestSolveAndVerify:
     SIEGEL_CASES = [
         (10, 43867, 11313, igusa_x10),

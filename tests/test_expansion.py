@@ -1,5 +1,6 @@
 """Tests for the truncated Fourier expansion container and its algebra."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,35 @@ class TestSerialization:
         assert_well_formed(exp_parse(exp_serialize(f)))
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_parse_of_other_tokens_matches_the_public_constructor(self, data):
+        # non-reduced, signed, zero, exponent and decimal tokens: the forms
+        # parse_rational reads beyond the canonical n and n/d
+        lat = data.draw(st.sampled_from(list(KERNEL_LATTICES)))
+        bound = data.draw(st.integers(0, KERNEL_LATTICES[lat]))
+        chosen = data.draw(st.lists(st.sampled_from(lat.enumerate_all(bound)),
+                                    unique=True, max_size=8))
+        lines, values = [], {}
+        for t in chosen:
+            token, value = data.draw(other_token)
+            lines.append(f"{lat.key_string(t)} {token}")
+            values[t] = value
+        disc = "" if lat.disc is None else f"disc {lat.disc}\n"
+        text = (f"space {lat.space}\n{disc}weight 6\ntrace_bound {bound}\ncoefficients\n"
+                + "".join(line + "\n" for line in lines))
+        parsed = exp_parse(text)
+        assert parsed == TruncatedExpansion(lat, 6, bound, values)
+        assert_well_formed(parsed)
+
+    def test_parse_reduces_other_tokens(self):
+        text = ("space elliptic\nweight 4\ntrace_bound 5\ncoefficients\n"
+                "0 2/4\n1 -6/3\n2 0/5\n3 +3\n4 1e2\n5 -0.25\n")
+        f = exp_parse(text)
+        assert (f.den, f.nums) == (4, {0: 2, 1: -8, 3: 12, 4: 400, 5: -1})
+        assert exp_serialize(f).endswith("0 1/2\n1 -2\n3 3\n4 100\n5 -1/4\n")
+
+
 class TestLatticeRegistry:
     def test_lookup(self):
         assert lattice_for("elliptic") is ELLIPTIC
@@ -290,6 +320,22 @@ KERNEL_LATTICES = {
 sparse_value = st.one_of(
     st.integers(min_value=-(10**6), max_value=10**6),
     st.fractions(max_denominator=10**12),
+)
+
+
+def _scaled(n, d, m):
+    """n/d written over m times the terms: 2/4 for 1/2 and m = 2."""
+    return f"{n * m}/{d * m}", Fraction(n, d)
+
+
+# (token, value) for tokens other than the canonical reduced n and n/d
+other_token = st.one_of(
+    st.builds(_scaled, st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(1, 50)),
+    st.builds(lambda n: (f"+{n}", Fraction(n)), st.integers(0, 10**6)),
+    st.builds(lambda n, e: (f"{n}e{e}", Fraction(n * 10**e)),
+              st.integers(-999, 999), st.integers(0, 4)),
+    st.builds(lambda n: (f"{n / 4}", Fraction(n, 4)), st.integers(-4000, 4000)),
+    st.sampled_from([("0/5", 0), ("-0", 0), ("0e3", 0), ("-6/3", -2), ("2/4", Fraction(1, 2))]),
 )
 
 
@@ -336,12 +382,18 @@ class TestProductKernel:
 
 
 def assert_well_formed(f):
-    """What every expansion stores: nonzero Fractions at psd indices
-    within the bound."""
+    """What every expansion stores: one positive denominator and nonzero
+    integer numerators at psd indices within the bound, with no factor
+    common to all of them; its ``coeffs`` view reads the same values as
+    Fractions."""
     lat = f.lattice
-    for t, v in f.coeffs.items():
-        assert type(v) is Fraction and v != 0, (t, v)
+    assert type(f.den) is int and f.den > 0, f.den
+    assert math.gcd(f.den, *f.nums.values()) == 1
+    for t, n in f.nums.items():
+        assert type(n) is int and n != 0, (t, n)
         assert lat.is_psd(t) and lat.trace(t) <= f.trace_bound, t
+    assert f.coeffs == {t: Fraction(n, f.den) for t, n in f.nums.items()}
+    assert all(type(v) is Fraction for v in f.coeffs.values())
 
 
 class TestTrustedRingResults:
