@@ -265,7 +265,6 @@ class TestSerialization:
         assert exp_parse(exp_serialize(f)) == f
         assert_well_formed(exp_parse(exp_serialize(f)))
 
-
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_parse_of_other_tokens_matches_the_public_constructor(self, data):
