@@ -27,7 +27,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import divisors, format_rational, parse_ratio
+from .arith import _MAX_EXPONENT, divisors, format_rational, parse_ratio
 from .errors import (
     InvalidWeight,
     NotPositiveSemidefinite,
@@ -354,14 +354,9 @@ def exp_serialize(f: TruncatedExpansion) -> str:
     lines.append(f"weight {f.weight}")
     lines.append(f"trace_bound {f.trace_bound}")
     lines.append(_SENTINEL)
-    key, den = f.lattice.key_string, f.den
+    key = f.lattice.key_string
     for idx in f.support():
-        n = f.nums[idx]
-        g = gcd(n, den)
-        try:  # str(Fraction(n, den)), without the Fraction
-            lines.append(f"{key(idx)} {n // g}" + ("" if g == den else f"/{den // g}"))
-        except ValueError:  # past the int-to-str digit limit
-            lines.append(f"{key(idx)} {format_rational(Fraction(n, den))}")
+        lines.append(f"{key(idx)} {format_rational(Fraction(f.nums[idx], f.den))}")
     return "\n".join(lines) + "\n"
 
 
@@ -383,8 +378,8 @@ def lattice_for(space: str, disc=None):
 
 def exp_parse(text: str) -> TruncatedExpansion:
     """Read the canonical text form.  The text is untrusted: every header
-    field, key and value is checked once, and each fault is a ParseError
-    with the number of the line it sits on."""
+    field, key and value is checked once, a common denominator past 10**4300
+    is refused, and each fault is a ParseError with its line number."""
     header: dict[str, tuple[int, str]] = {}  # field -> (line number, value)
     lines = text.splitlines()
     body_start = None
@@ -422,7 +417,7 @@ def exp_parse(text: str) -> TruncatedExpansion:
     except ValueError as exc:
         raise ParseError(header["disc" if "disc" in header else "space"][0], str(exc)) from None
     trace, is_psd, parse_key = lat.trace, lat.is_psd, lat.parse_key
-    seen = {}  # index -> (n, d)
+    seen, den = {}, 1  # index -> (n, d), with d | den when n != 0
     for lineno, line in enumerate(lines[body_start:], body_start + 1):
         parts = line.split()
         if not parts:
@@ -443,6 +438,11 @@ def exp_parse(text: str) -> TruncatedExpansion:
             raise ParseError(lineno, f"index {idx} is not psd")
         if trace(idx) > bound:
             raise ParseError(lineno, f"index {idx} exceeds trace bound {bound}")
-    den = lcm(*{d for _, d in seen.values()})
+        if den % d:  # a new denominator, which every numerator will carry: bound it
+            g = gcd(n, d)
+            seen[idx] = n // g, d // g
+            den = lcm(den, d // g)
+            if den > 10**_MAX_EXPONENT:
+                raise ParseError(lineno, f"common denominator exceeds 10**{_MAX_EXPONENT}")
     return TruncatedExpansion._of(
         lat, weight, bound, den, {idx: n * (den // d) for idx, (n, d) in seen.items()})

@@ -257,13 +257,14 @@ def reference_product(f: TruncatedExpansion, g: TruncatedExpansion) -> Truncated
     lat = f.lattice
     bound = min(f.trace_bound, g.trace_bound)
     indices = lat.enumerate_all(bound)
+    fc, gc = f.coeffs, g.coeffs  # each a view built on access: read once
     coeffs = {}
     for t in indices:
         acc = Fraction(0)
         for s in indices:
-            a = f.coeffs.get(s)
+            a = fc.get(s)
             if a is not None:
-                acc += a * g.coeffs.get(_index_difference(t, s), 0)
+                acc += a * gc.get(_index_difference(t, s), 0)
         coeffs[t] = acc
     return TruncatedExpansion(lat, f.weight + g.weight, bound, coeffs)
 

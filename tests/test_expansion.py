@@ -1,12 +1,15 @@
 """Tests for the truncated Fourier expansion container and its algebra."""
 
 import math
+import operator
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eiscong.arith import format_rational, primes
 from eiscong.congruence import cusp_correction
 from eiscong.elliptic import delta_expansion, elliptic_eisenstein
 from eiscong.expansion import (
@@ -292,6 +295,33 @@ class TestSerialization:
         f = exp_parse(text)
         assert (f.den, f.nums) == (4, {0: 2, 1: -8, 3: 12, 4: 400, 5: -1})
         assert exp_serialize(f).endswith("0 1/2\n1 -2\n3 3\n4 100\n5 -1/4\n")
+
+    @staticmethod
+    def elliptic_text(tokens):
+        return (f"space elliptic\nweight 4\ntrace_bound {len(tokens)}\ncoefficients\n"
+                + "".join(f"{i} {token}\n" for i, token in enumerate(tokens)))
+
+    def test_parse_refuses_a_common_denominator_past_the_bound(self):
+        # every numerator carries the common denominator, so coprime ones
+        # would make the parse quadratic in the file: it stops at the line
+        # where their lcm passes 10**4300, without reading the rest
+        ps = list(primes(40000))
+        crossing = next(i for i, q in enumerate(accumulate(ps, operator.mul)) if q > 10**4300)
+        assert crossing < len(ps) // 3
+        with pytest.raises(ParseError, match="common denominator") as exc:
+            exp_parse(self.elliptic_text([f"1/{p}" for p in ps]))
+        assert exc.value.line == 5 + crossing
+
+    def test_parse_bound_counts_reduced_nonzero_denominators(self):
+        ps = list(primes(40000))
+        assert exp_parse(self.elliptic_text([f"{p}/{p}" for p in ps])).den == 1
+        zeros = "space elliptic\nweight 4\ntrace_bound 0\ncoefficients\n"
+        zeros += "".join(f"{i} 0/{p}\n" for i, p in enumerate(ps))
+        assert exp_parse(zeros).is_zero()
+        assert exp_parse(self.elliptic_text(["1e-4300"])).den == 10**4300
+        with pytest.raises(ParseError, match="common denominator") as exc:
+            exp_parse(self.elliptic_text(["1", f"1/{format_rational(Fraction(10**4300 + 1))}"]))
+        assert exc.value.line == 6
 
 
 class TestLatticeRegistry:
