@@ -380,7 +380,7 @@ _EXPONENT_TAIL = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 def format_rational(q: Fraction) -> str:
     """"num/den" in lowest terms, denominator positive; integers as "n".
     Exact at any size, past the interpreter's int-to-str digit limit too."""
-    q = q if isinstance(q, Fraction) else Fraction(q)  # copying one costs 1 us
+    q = q if isinstance(q, Fraction) else Fraction(q)  # Fraction(q) copies slowly
     try:
         return str(q)
     except ValueError:  # beyond the digit limit
