@@ -14,8 +14,8 @@ exactly at any size, past the interpreter's int/str digit limit.
 The generalized Bernoulli numbers B_{n,chi} behind Cohen's function
 H(k-1, N) (H. Cohen, *Sums involving the values at negative integers of
 L-functions of quadratic characters*, Math. Ann. 1975) are about n/2
-``Fraction`` terms over exact integer power sums of the character (see
-``generalized_bernoulli``), not f*n polynomial evaluations.
+integer terms over exact power sums of the character on half the residues
+(see ``generalized_bernoulli``), not f*n polynomial evaluations.
 """
 
 from __future__ import annotations
@@ -282,20 +282,26 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
         B_{n,chi} = sum_{j=0}^{n} C(n, j) B_j f^(j-1) S_{n-j},  S_i = sum_{a=1}^{f} chi(a) a^i,
 
     over exact integer power sums and the j = 0, 1 and even j terms only.
+    For f > 1 it is 0 unless chi(-1) = (-1)^n, and then the terms at a and
+    f - a agree: S_i runs over a <= f/2, doubled, in integers over one lcm.
     """
     if n < 1:
         raise ValueError("generalized_bernoulli expects n >= 1")
     chi = kronecker_character(D)
     f = abs(D)
+    if f > 1 and chi(-1) != (-1) ** n:
+        return Fraction(0)
     bernoulli(n - n % 2)  # the largest B_j used: one table build, not a chain
-    values = chi._table[1:] + chi._table[:1]  # chi(1), ..., chi(f)
+    values = chi._table[1:f // 2 + 1] if f > 1 else (1,)  # chi(1), ..., chi(f/2)
     plus = [a for a, c in enumerate(values, 1) if c == 1]
     minus = [a for a, c in enumerate(values, 1) if c == -1]
-    acc = Fraction(0)
-    for j in (0, 1, *range(2, n + 1, 2)):
+    bs = [(j, bernoulli(j)) for j in (0, 1, *range(2, n + 1, 2))]
+    den = math.lcm(*(b.denominator for _, b in bs))
+    acc = 0
+    for j, b in bs:
         s = sum(map(pow, plus, repeat(n - j))) - sum(map(pow, minus, repeat(n - j)))
-        acc += comb(n, j) * f**j * s * bernoulli(j)
-    return acc / f
+        acc += comb(n, j) * f**j * s * b.numerator * (den // b.denominator)
+    return Fraction(acc if f == 1 else 2 * acc, f * den)
 
 
 def divisor_power_sum(

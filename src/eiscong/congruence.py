@@ -105,16 +105,12 @@ def _residues(modulus: int, *expansions) -> list:
     return lookups
 
 
-def _canonical(lat, bound: int) -> list:
-    return sorted(lat.enumerate_all(bound), key=lat.sort_key)
-
-
 def reduce_mod_p(f: TruncatedExpansion, modulus: int) -> dict:
     """Reduce every in-bound coefficient to [0, modulus); raises
     NonIntegralCoefficient at the first index whose denominator meets the
     modulus."""
     [at] = _residues(modulus, f)
-    return {idx: at(idx, 0) for idx in _canonical(f.lattice, f.trace_bound)}
+    return {idx: at(idx, 0) for idx in f.lattice.indices(f.trace_bound)}
 
 
 def _check_at(lat, modulus, multiplier, lhs_at, rhs_at, indices) -> CongruenceReport:
@@ -134,7 +130,7 @@ def verify_congruence(
     """Check f = multiplier * g mod modulus at every in-bound index."""
     _check_compatible(f, g)
     lhs_at, rhs_at = _residues(modulus, f, g)
-    indices = _canonical(f.lattice, min(f.trace_bound, g.trace_bound))
+    indices = f.lattice.indices(min(f.trace_bound, g.trace_bound))
     return _check_at(f.lattice, modulus, multiplier % modulus, lhs_at, rhs_at, indices)
 
 
@@ -146,7 +142,7 @@ def solve_lambda(
     _check_compatible(f, g)
     lat = f.lattice
     lhs_at, rhs_at = _residues(modulus, f, g)
-    indices = _canonical(lat, min(f.trace_bound, g.trace_bound))
+    indices = lat.indices(min(f.trace_bound, g.trace_bound))
     for idx in indices:
         rhs = rhs_at(idx, 0)
         if rhs == 0:

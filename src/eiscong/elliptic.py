@@ -2,8 +2,8 @@
 decomposition of a level-1 form into E4^a E6^b monomials; also the table
 of degree-2 cusp forms front * (E_k - Q_k(E4, E6)), Q_k the degree-1 relation.
 ``cusp_form(key, bound)`` builds every one of them as a Maass lift over the
-lattice ``lattice_for(space, disc)``, from the alpha and constant term of
-G_j that the lattice carries (``g_alpha``, ``g_constant``).  A Maass form F
+lattice ``lattice_for(space, disc)``, from the alpha table and constant term
+of G_j that the lattice carries (``g_alpha_table``, ``g_constant``).  A Maass form F
 is the pair (phi0, alpha) of its boundary q-series and its coefficients at
 Fourier-Jacobi index 1 as a function of det N.  An index of Fourier-Jacobi index 1 splits only
 as diag(i, 0) plus another of index 1, so (Eichler and Zagier, §6)
@@ -154,8 +154,8 @@ def _maass_factor(lattice, j: int, n_max: int):
     p = n_max // lattice.fj_stride
     scale = 1 / lattice.g_constant(j)
     values = [*map(elliptic_eisenstein(j, p).coefficient, range(p + 1))]
-    den, nums = _over_one_denominator(values + [scale * lattice.g_alpha(j, N)
-                                                for N in range(n_max + 1)])
+    table = lattice.g_alpha_table(j, n_max)
+    den, nums = _over_one_denominator(values + [scale * a for a in table])
     return den, nums[:p + 1], nums[p + 1:]
 
 
@@ -176,14 +176,14 @@ def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
         raise UnsupportedFieldForm(f"no cusp form {key[2]!r} over disc {key[1]}")
     k, front = CUSP_FORMS[key]
     lattice = lattice_for(*key[:2])
-    m = lattice.fj_stride
-    factors = {j: _maass_factor(lattice, j, m * trace_bound**2 // 4) for j in {4, 6, k}}
+    m, n = lattice.fj_stride, lattice.fj_stride * trace_bound**2 // 4
+    factors = {j: _maass_factor(lattice, j, n) for j in {4, 6, k}}
     pieces = [(1, factors[k])] + [
         (-c, reduce(lambda f, g: _maass_product(f, g, m), [factors[4]] * a + [factors[6]] * b))
         for (a, b), c in _BOUNDARY_RELATIONS[k].terms
     ]
-    return lift(lattice, k, trace_bound,
-                lambda N: front * sum(c * Fraction(v[N], d) for c, (d, _, v) in pieces), 0)
+    table = [front * sum(c * Fraction(v[N], d) for c, (d, _, v) in pieces) for N in range(n + 1)]
+    return lift(lattice, k, trace_bound, table, 0)
 
 
 def isobaric_monomials(k: int) -> list[tuple[int, int]]:

@@ -11,9 +11,10 @@ Every degree-2 form here is a Maass lift (Maass 1979; Eichler and Zagier,
 a(T) = sum over d | content(T) of d^(k-1) alpha(det(T) / d^2), with alpha a
 function of one integer and det the lattice's integral determinant.  Each
 degree-2 lattice (a ``Degree2Lattice``: ``siegel.SIEGEL`` and
-``hermitian.hermitian_lattice(d)``) carries the alpha and the constant term
-of its Eisenstein series G_k, so ``eisenstein`` builds G_k and E_k on every
-lattice, and ``elliptic.cusp_form`` every cusp form.
+``hermitian.hermitian_lattice(d)``) carries the alpha table and the constant
+term of its Eisenstein series G_k, so ``eisenstein`` builds G_k and E_k on
+every lattice, and ``elliptic.cusp_form`` every cusp form.  ``lift`` walks
+``indices(bound)``, one cached tuple that the lifts and mod-p walks share.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ class EllipticLattice:
     def enumerate_all(self, bound):
         return list(range(bound + 1))
 
+    def indices(self, bound):
+        return range(bound + 1)
+
     def sort_key(self, t):
         return (t, (t,))
 
@@ -76,11 +80,16 @@ ELLIPTIC = EllipticLattice()
 class Degree2Lattice:
     """Degree-2 indices: integer tuples with the diagonal entries first and
     last.  A subclass gives ``zero``, ``det``, ``is_psd``, ``add``,
-    ``enumerate_all``, ``fj_stride`` and, for G_k, ``g_alpha(k, N)`` and
-    ``g_constant(k)``."""
+    ``enumerate_all``, ``fj_stride`` and, for G_k, ``g_alpha(k, N)``, its
+    table ``g_alpha_table(k, n)`` and ``g_constant(k)``."""
 
     def trace(self, t):
         return t[0] + t[-1]
+
+    @lru_cache(maxsize=32)
+    def indices(self, bound) -> tuple:
+        """Every index of trace <= bound, in canonical order."""
+        return tuple(sorted(self.enumerate_all(bound), key=self.sort_key))
 
     def sort_key(self, t):
         return (t[0] + t[-1], t)
@@ -308,14 +317,13 @@ def lift_coefficient(lattice, k: int, t, alpha, constant):
     return sum(d ** (k - 1) * alpha(det // (d * d)) for d in divisors(e))
 
 
-def lift(lattice, k: int, trace_bound: int, alpha, constant) -> TruncatedExpansion:
-    """The weight-k Maass lift of alpha over every index; det <= m B^2 / 4
-    with m the lattice's Fourier-Jacobi stride and B the trace bound, as
-    integer sums over one denominator for the alpha table and constant."""
-    den, [top, *table] = _over_one_denominator(
-        [constant, *map(alpha, range(lattice.fj_stride * trace_bound**2 // 4 + 1))])
-    at = table.__getitem__
-    nums = {t: lift_coefficient(lattice, k, t, at, top) for t in lattice.enumerate_all(trace_bound)}
+def lift(lattice, k: int, trace_bound: int, table, constant) -> TruncatedExpansion:
+    """The weight-k Maass lift of the alpha table alpha(0..n) over every
+    index; n >= m B^2 / 4, with m the lattice's Fourier-Jacobi stride and B
+    the trace bound, bounds every det.  Integer sums over one denominator."""
+    den, [top, *alpha] = _over_one_denominator([constant, *table])
+    at = alpha.__getitem__
+    nums = {t: lift_coefficient(lattice, k, t, at, top) for t in lattice.indices(trace_bound)}
     return TruncatedExpansion._of(lattice, k, trace_bound, den, nums)
 
 
@@ -327,7 +335,8 @@ def eisenstein(lattice, form: str, k: int, trace_bound: int) -> TruncatedExpansi
     _check_weight(k)
     if form == "E":
         return exp_scale(1 / lattice.g_constant(k), eisenstein(lattice, "G", k, trace_bound))
-    return lift(lattice, k, trace_bound, partial(lattice.g_alpha, k), lattice.g_constant(k))
+    table = lattice.g_alpha_table(k, lattice.fj_stride * trace_bound**2 // 4)
+    return lift(lattice, k, trace_bound, table, lattice.g_constant(k))
 
 
 def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:
@@ -379,6 +388,7 @@ def lattice_for(space: str, disc=None):
 def exp_parse(text: str) -> TruncatedExpansion:
     """Read the canonical text form.  The text is untrusted: every header
     field, key and value is checked once, a common denominator past 10**4300
+    or one whose bits times the body's lines pass 1200 per character of text
     is refused, and each fault is a ParseError with its line number."""
     header: dict[str, tuple[int, str]] = {}  # field -> (line number, value)
     lines = text.splitlines()
@@ -444,5 +454,8 @@ def exp_parse(text: str) -> TruncatedExpansion:
             den = lcm(den, d // g)
             if den > 10**_MAX_EXPONENT:
                 raise ParseError(lineno, f"common denominator exceeds 10**{_MAX_EXPONENT}")
+            # a file printing den on every line keeps under log2(10) bits per character
+            if den.bit_length() * (len(lines) - body_start) > 1200 * len(text):
+                raise ParseError(lineno, "common denominator too large for the file's size")
     return TruncatedExpansion._of(
         lat, weight, bound, den, {idx: n * (den // d) for idx, (n, d) in seen.items()})

@@ -3,8 +3,8 @@ imaginary quadratic fields, with the Eisenstein series and the associated
 cusp forms, all Maass lifts (see ``expansion.lift``) in det_scaled.  Each
 ``HermitianLattice`` carries the alpha of G_{k,K}, at N > 0 g_value(d, k - 2, N)
 (Krieg, *The Maaß spaces on the Hermitian half-space of degree 2*, 1991),
-and the public builders here are one call into ``expansion.eisenstein`` and
-``elliptic.cusp_form``.
+whose table ``g_alpha_table`` sieves, and the public builders here are one
+call into ``expansion.eisenstein`` and ``elliptic.cusp_form``.
 
 An index is (a, x, y, c): diagonal a, c and off-diagonal entry beta/sqrt(d)
 with beta = x + y*omega, omega = (d + sqrt(d))/2 the integral basis
@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .arith import bernoulli, g_value, generalized_bernoulli
+from .arith import bernoulli, g_value, generalized_bernoulli, kronecker_character
+from .errors import IntegralityViolation
 from .elliptic import cusp_form
 from .expansion import Degree2Lattice, TruncatedExpansion, eisenstein
 
@@ -97,12 +98,28 @@ class HermitianLattice(Degree2Lattice):
                     out.append((a, x, y, c))
         return out
 
-    @lru_cache(maxsize=None)
     def g_alpha(self, k: int, N: int) -> Fraction:
         """alpha of G_{k,K} at det_scaled = N."""
         if N == 0:
             return -generalized_bernoulli(k - 1, self.disc) / (2 * k - 2)
         return Fraction(g_value(self.disc, k - 2, N))
+
+    @lru_cache(maxsize=64)
+    def g_alpha_table(self, k: int, n: int) -> tuple:
+        """(g_alpha(k, 0), ..., g_alpha(k, n)), sieving N = d q <= n."""
+        chi = [*map(kronecker_character(self.disc), range(n + 1))]
+        acc = [0] * (n + 1)
+        for d in range(1, n + 1):
+            power = d ** (k - 2)
+            for q in range(1, n // d + 1):
+                acc[d * q] += (chi[d] - chi[q]) * power
+        table = [self.g_alpha(k, 0)]
+        for N in range(1, n + 1):
+            q, r = divmod(acc[N], 1 + abs(chi[N]))
+            if r:
+                raise IntegralityViolation(f"g_value({self.disc}, {k - 2}, {N}) is not integral")
+            table.append(q)
+        return tuple(table)
 
     def g_constant(self, k: int) -> Fraction:
         return bernoulli(k) * generalized_bernoulli(k - 1, self.disc) / (4 * k * (k - 1))

@@ -3,10 +3,11 @@ Maass lifts in det4(T) = 4 det(T) (``expansion.lift``).
 
 Indices are half-integral symmetric 2x2 matrices stored as integer triples
 (a, b2, c) with b2 = twice the off-diagonal entry.  ``SIEGEL`` carries the
-alpha of G_k: at N > 0, with -N = D f^2 and D a fundamental discriminant,
-B_{k-1,chi_D} / (k-1) * sum_{g | f} mu(g) chi_D(g) g^(k-2) sigma_{2k-3}(f/g).
-The public builders here are one call into ``expansion.eisenstein`` and
-``elliptic.cusp_form``.
+alpha of G_k (Cohen's H(k-1, N), Math. Ann. 1975, up to a constant): at
+N > 0, with -N = D f^2 and D a fundamental discriminant,
+B_{k-1,chi_D} / (k-1) * sum_{g | f} mu(g) chi_D(g) g^(k-2) sigma_{2k-3}(f/g),
+tabulated by walking the D and f.  The public builders here are one call
+into ``expansion.eisenstein`` and ``elliptic.cusp_form``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from math import isqrt
 
 from .arith import (
     bernoulli,
+    divisor_power_sum,
     divisors,
     fundamental_decomposition,
     generalized_bernoulli,
+    is_fundamental_discriminant,
     kronecker_character,
     mobius,
 )
@@ -54,17 +57,23 @@ class SiegelLattice(Degree2Lattice):
                 out.extend((a, b2, c) for b2 in range(-m, m + 1))
         return out
 
-    @lru_cache(maxsize=None)
     def g_alpha(self, k: int, N: int) -> Fraction:
         """alpha of G_k at det4 = N; 0 where no index has that det4."""
         if N == 0:
             return bernoulli(2 * k - 2) / (2 * k - 2)
         if N % 4 in (1, 2):
             return Fraction(0)
-        D, terms = _discriminant_terms(N)
-        inner = sum(mc * g ** (k - 2) * sum(e ** (2 * k - 3) for e in divs)
-                    for g, mc, divs in terms)
-        return generalized_bernoulli(k - 1, D) / (k - 1) * inner
+        return _cohen_alpha(k, *fundamental_decomposition(-N))
+
+    @lru_cache(maxsize=64)
+    def g_alpha_table(self, k: int, n: int) -> tuple:
+        """(g_alpha(k, 0), ..., g_alpha(k, n)), walking -N = D f^2."""
+        table = [self.g_alpha(k, 0), *[0] * n]
+        for D in range(-3, -n - 1, -1):
+            if D % 4 in (0, 1) and is_fundamental_discriminant(D):
+                for f in range(1, isqrt(n // -D) + 1):
+                    table[-D * f * f] = _cohen_alpha(k, D, f)
+        return tuple(table)
 
     def g_constant(self, k: int) -> Fraction:
         return -bernoulli(k) * bernoulli(2 * k - 2) / (4 * k * (k - 1))
@@ -77,13 +86,12 @@ SIEGEL = SiegelLattice()
 det4, content, rank = SIEGEL.det, SIEGEL.content, SIEGEL.rank
 
 
-@lru_cache(maxsize=None)
-def _discriminant_terms(N: int):
-    """-N = D f^2: D, and (g, mu(g) chi_D(g), divisors of f/g) where nonzero."""
-    D, f = fundamental_decomposition(-N)
+def _cohen_alpha(k: int, D: int, f: int) -> Fraction:
+    """alpha of G_k at det4 = -D f^2, D fundamental."""
     chi = kronecker_character(D)
-    return D, [(g, mc, divisors(f // g))
-               for g in divisors(f) if (mc := mobius(g) * chi(g))]
+    inner = sum(mobius(g) * chi(g) * g ** (k - 2) * divisor_power_sum(2 * k - 3, f // g)
+                for g in divisors(f))
+    return generalized_bernoulli(k - 1, D) / (k - 1) * inner
 
 
 def siegel_g_coefficient(k: int, t) -> Fraction:

@@ -29,7 +29,10 @@ from eiscong.congruence import (
     solve_lambda,
     verify_congruence,
 )
-from eiscong.expansion import TruncatedExpansion, exp_add, exp_scale, phi_operator
+from eiscong.elliptic import _maass_factor, _maass_product
+from eiscong.expansion import (
+    TruncatedExpansion, eisenstein, exp_add, exp_scale, lift, phi_operator,
+)
 from eiscong.errors import (
     AllZeroRhs,
     NonIntegralCoefficient,
@@ -268,6 +271,20 @@ class TestCuspCorrection:
     def test_correction_of_cusp_form_is_identity(self):
         x = igusa_x10(3)
         assert cusp_correction(x) == x
+
+    @pytest.mark.parametrize("lat, bound", [(SIEGEL, 6), (hermitian_lattice(-3), 3)], ids=repr)
+    def test_correction_of_a_form_that_is_no_maass_lift(self, lat, bound):
+        # E4^3 is not the Maass lift of its own alpha (the one-variable
+        # product rule's), so Q(E4, E6) cannot be built as such lifts; the
+        # correction takes the degree-2 products and returns zero
+        e4 = eisenstein(lat, "E", 4, bound)
+        cube = e4 * e4 * e4
+        m = lat.fj_stride
+        factor = _maass_factor(lat, 4, m * bound**2 // 4)
+        den, phi, alpha = _maass_product(_maass_product(factor, factor, m), factor, m)
+        own = lift(lat, 12, bound, [Fraction(a, den) for a in alpha], Fraction(phi[0], den))
+        assert own != cube
+        assert cusp_correction(cube).is_zero()
 
 
 class TestIrregularPairs:

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import time
 from fractions import Fraction
 from itertools import accumulate
 
@@ -25,7 +26,12 @@ from eiscong.expansion import (
     phi_operator,
     zero_expansion,
 )
-from eiscong.hermitian import hermitian_cusp_form, hermitian_expansion, hermitian_lattice
+from eiscong.hermitian import (
+    CLASS_NUMBER_ONE_DISCRIMINANTS,
+    hermitian_cusp_form,
+    hermitian_expansion,
+    hermitian_lattice,
+)
 from eiscong.siegel import SIEGEL, igusa_x10, igusa_x12, siegel_expansion
 from eiscong.errors import (
     NotPositiveSemidefinite,
@@ -322,6 +328,45 @@ class TestSerialization:
         with pytest.raises(ParseError, match="common denominator") as exc:
             exp_parse(self.elliptic_text(["1", f"1/{format_rational(Fraction(10**4300 + 1))}"]))
         assert exc.value.line == 6
+
+
+    def test_parse_refuses_a_denominator_that_every_line_would_carry(self):
+        # one 10**4300 denominator over 20000 short lines would keep about
+        # 14284 bits per line, some 1300 per character of text
+        text = self.elliptic_text(["1e-4300"] + [str(i * 7919 % 90000 + 10000) for i in range(1, 20000)])
+        assert 200_000 < len(text.encode()) < 230_000
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="too large for the file's size") as exc:
+            exp_parse(text)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.line == 5
+        # the same denominator over a few lines is still read
+        assert exp_parse(self.elliptic_text(["1e-4300"] + ["1"] * 3)).den == 10**4300
+
+    def test_benchmark_pipeline_files_still_parse(self):
+        forms = [
+            siegel_expansion("G", 10, 8), igusa_x10(8), siegel_expansion("G", 12, 8),
+            igusa_x12(8), hermitian_expansion("G", -4, 10, 5), hermitian_cusp_form("F10", -4, 5),
+            hermitian_expansion("G", -3, 12, 5), hermitian_cusp_form("F12", -3, 5),
+        ]
+        for f in forms:
+            assert exp_parse(exp_serialize(f)) == f
+
+
+class TestIndices:
+    LATTICES = [ELLIPTIC, SIEGEL] + [hermitian_lattice(d) for d in CLASS_NUMBER_ONE_DISCRIMINANTS]
+
+    @pytest.mark.parametrize("lat", LATTICES, ids=repr)
+    def test_indices_are_every_index_in_canonical_order(self, lat):
+        for bound in range(5):
+            assert tuple(lat.indices(bound)) == tuple(
+                sorted(lat.enumerate_all(bound), key=lat.sort_key))
+
+    def test_degree_2_indices_are_one_shared_tuple_in_a_bounded_cache(self):
+        lat = hermitian_lattice(-4)
+        first = lat.indices(3)
+        assert isinstance(first, tuple) and lat.indices(3) is first
+        assert type(lat).indices.cache_info().maxsize is not None
 
 
 class TestLatticeRegistry:

@@ -163,3 +163,13 @@ def test_cusp_forms_build_without_degree_2_products(monkeypatch):
             hermitian_cusp_form(name, disc, 4)
     assert calls == []
     assert lifts == [(space, disc) for space, disc, _ in CUSP_FORMS]
+
+
+@pytest.mark.parametrize("lat", [SIEGEL] + [hermitian_lattice(d) for d in CLASS_NUMBER_ONE_DISCRIMINANTS],
+                         ids=repr)
+def test_alpha_table_agrees_with_alpha_at_each_det(lat):
+    # -163 at trace bound 3 reads alpha up to 366
+    for k in range(4, 17, 2):
+        for n in (0, 1, 2, 3, 4, 37, 400):
+            assert lat.g_alpha_table(k, n) == tuple(lat.g_alpha(k, N) for N in range(n + 1))
+
