@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -375,12 +374,6 @@ def p_valuation(q: Fraction, p: int):
 # (4300 by default).  decimal converts exactly at any size; a context of its
 # own keeps the conversion independent of the caller's decimal settings.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-_CANONICAL_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-# Fraction builds 10**e for a decimal exponent e, in time and memory that grow
-# with e's value: "1e1000000" is nine bytes.  parse_rational refuses |e| past
-# this bound, the default digit limit, before Fraction sees the token.
-_MAX_EXPONENT = 4300
-_EXPONENT_TAIL = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
 def format_rational(q: Fraction) -> str:
@@ -397,47 +390,24 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Inverse of format_rational, at any size; also reads every other form
-    ``Fraction`` accepts, but refuses a decimal exponent beyond ±4300 with a
-    ``ValueError``."""
+    """Inverse of format_rational, at any size: s, less surrounding
+    whitespace, must be a token ``-?[0-9]+(/[0-9]+)?`` (see parse_ratio)."""
     return Fraction(*parse_ratio(s.strip()))
 
 
 def parse_ratio(s: str) -> tuple[int, int]:
-    """(n, d), d > 0, with n / d = parse_rational(s); int() alone reads "n" or "n/d"."""
+    """(n, d), d > 0, read from a token ``-?[0-9]+(/[0-9]+)?`` of ASCII
+    digits at any size; it need not be reduced, and leading zeros are read.
+    Any other token is a ValueError, and a zero denominator a
+    ZeroDivisionError."""
     num, slash, den = s.partition("/")
     digits = num[1:] if num[:1] == "-" else num
-    if s.isascii() and digits.isdigit() and (den.isdigit() or not slash):
-        try:
-            n, d = int(num), int(den or 1)
-        except ValueError:  # past the int-to-str digit limit
-            pass
-        else:
-            if d:
-                return n, d
-    tail = _EXPONENT_TAIL.search(s)
-    if tail is not None and _beyond_exponent_bound(tail[1]):
-        try:
-            Fraction(s[: tail.start()] + "e0")
-        except ValueError:
-            pass  # malformed whatever its exponent: Fraction(s) refuses it below
-        else:
-            raise ValueError(f"exponent out of range in {s[:20]}...")
+    if not (s.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
+        raise ValueError(f"not a rational n or n/d: {s[:20]!r}")
     try:
-        q = Fraction(s)
-    except ValueError:
-        match = _CANONICAL_RATIONAL.fullmatch(s)
-        if match is None:
-            raise
-        num, den = (int(_EXACT.create_decimal(g or 1)) for g in match.groups())
-        if den == 0:  # Fraction would put the numerator's digits in its message
-            raise ZeroDivisionError(f"zero denominator in {s[:20]}...")
-        return num, den
-    return q.numerator, q.denominator
-
-
-def _beyond_exponent_bound(exponent: str) -> bool:
-    try:
-        return abs(int(exponent)) > _MAX_EXPONENT
-    except ValueError:  # past the int-to-str digit limit: Fraction(s) fails on it too
-        return False
+        n, d = int(num), int(den or 1)
+    except ValueError:  # past the int-to-str digit limit
+        n, d = (int(_EXACT.create_decimal(g)) for g in (num, den or 1))
+    if not d:
+        raise ZeroDivisionError(f"zero denominator in {s[:20]!r}")
+    return n, d

@@ -117,13 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_matrix(text: str, length: int):
-    parts = text.split(",")
-    if len(parts) != length:
-        raise ValueError(f"expected {length} comma-separated integers")
-    return tuple(int(x) for x in parts)
-
-
 def _resolve(space, disc, form, weight, bound):
     """The cache tag of an expand request, named from what it builds (the
     lattice's disc, a named form's weight), and its builder; a request
@@ -306,7 +299,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "coeff":
             lattice = lattice_for(args.space, args.disc)
-            t = _parse_matrix(args.matrix, len(lattice.zero))
+            t = lattice.parse_key(args.matrix)
             print(format_rational(lattice.coefficient(args.weight, t)))
             return 0
         if args.command == "expand":

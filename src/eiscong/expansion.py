@@ -28,7 +28,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import _MAX_EXPONENT, divisors, format_rational, parse_ratio
+from .arith import divisors, format_rational, parse_ratio
 from .errors import (
     InvalidWeight,
     NotPositiveSemidefinite,
@@ -353,6 +353,7 @@ def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:
 # ---------------------------------------------------------------------------
 
 _SENTINEL = "coefficients"
+_MAX_DEN_DIGITS = 4300  # exp_parse refuses a common denominator past 10**this
 
 
 def exp_serialize(f: TruncatedExpansion) -> str:
@@ -386,10 +387,12 @@ def lattice_for(space: str, disc=None):
 
 
 def exp_parse(text: str) -> TruncatedExpansion:
-    """Read the canonical text form.  The text is untrusted: every header
-    field, key and value is checked once, a common denominator past 10**4300
+    """Read the text form exp_serialize writes.  The text is untrusted: each
+    header field (space, disc, weight, trace_bound) may appear once, and any
+    other is refused; each value must be a token ``-?[0-9]+(/[0-9]+)?`` with a
+    nonzero denominator, reduced or not; a common denominator past 10**4300
     or one whose bits times the body's lines pass 1200 per character of text
-    is refused, and each fault is a ParseError with its line number."""
+    is refused; and each fault is a ParseError with its line number."""
     header: dict[str, tuple[int, str]] = {}  # field -> (line number, value)
     lines = text.splitlines()
     body_start = None
@@ -403,6 +406,9 @@ def exp_parse(text: str) -> TruncatedExpansion:
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ParseError(i + 1, f"malformed header line {line!r}")
+        if parts[0] in header or parts[0] not in ("space", "disc", "weight", "trace_bound"):
+            why = "repeated" if parts[0] in header else "unknown"
+            raise ParseError(i + 1, f"{why} header field {parts[0]!r}")
         header[parts[0]] = (i + 1, parts[1])
     if body_start is None:
         raise ParseError(len(lines), "missing 'coefficients' sentinel")
@@ -452,8 +458,8 @@ def exp_parse(text: str) -> TruncatedExpansion:
             g = gcd(n, d)
             seen[idx] = n // g, d // g
             den = lcm(den, d // g)
-            if den > 10**_MAX_EXPONENT:
-                raise ParseError(lineno, f"common denominator exceeds 10**{_MAX_EXPONENT}")
+            if den > 10**_MAX_DEN_DIGITS:
+                raise ParseError(lineno, f"common denominator exceeds 10**{_MAX_DEN_DIGITS}")
             # a file printing den on every line keeps under log2(10) bits per character
             if den.bit_length() * (len(lines) - body_start) > 1200 * len(text):
                 raise ParseError(lineno, "common denominator too large for the file's size")

@@ -254,8 +254,11 @@ class TestSerialization:
         ("space siegel\nweight 4\n\ntrace_bound 1\ncoefficients\n1,5,1 2\n", 6),
         ("space siegel\nweight 4\ntrace_bound 1\ncoefficients\n0,0,0 1\n1,0,1 2\n", 6),
         ("space siegel\nweight 4\ntrace_bound 1\ncoefficients\n0,0,0 1\n0,0,0 0\n", 6),
+        ("space siegel\nweight 4\nweight 6\ntrace_bound 1\ncoefficients\n", 3),
+        ("space siegel\nweight 4\nfrobnicate yes\ntrace_bound 1\ncoefficients\n", 3),
     ], ids=["disc-x", "negative-trace-bound", "weight-x", "decimal-trace-bound",
-            "disc-of-no-field", "index-not-psd", "index-beyond-bound", "duplicate-key"])
+            "disc-of-no-field", "index-not-psd", "index-beyond-bound", "duplicate-key",
+            "repeated-field", "unknown-field"])
     def test_header_and_index_errors_carry_their_line(self, text, line):
         with pytest.raises(ParseError) as exc:
             exp_parse(text)
@@ -277,30 +280,42 @@ class TestSerialization:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_parse_of_other_tokens_matches_the_public_constructor(self, data):
-        # non-reduced, signed, zero, exponent and decimal tokens: the forms
-        # parse_rational reads beyond the canonical n and n/d
+        # non-reduced and zero tokens are read as the public constructor reads
+        # their values; signed, exponent and decimal tokens are outside the
+        # grammar, and the first of them is a ParseError at its line
         lat = data.draw(st.sampled_from(list(KERNEL_LATTICES)))
         bound = data.draw(st.integers(0, KERNEL_LATTICES[lat]))
         chosen = data.draw(st.lists(st.sampled_from(lat.enumerate_all(bound)),
                                     unique=True, max_size=8))
-        lines, values = [], {}
+        lines, values, refused = [], {}, []
         for t in chosen:
-            token, value = data.draw(other_token)
+            token, value = data.draw(st.one_of(other_token, refused_token))
+            if value is None:
+                refused.append(len(lines))
             lines.append(f"{lat.key_string(t)} {token}")
             values[t] = value
         disc = "" if lat.disc is None else f"disc {lat.disc}\n"
-        text = (f"space {lat.space}\n{disc}weight 6\ntrace_bound {bound}\ncoefficients\n"
-                + "".join(line + "\n" for line in lines))
+        header = f"space {lat.space}\n{disc}weight 6\ntrace_bound {bound}\ncoefficients\n"
+        text = header + "".join(line + "\n" for line in lines)
+        if refused:
+            with pytest.raises(ParseError, match="not a rational") as exc:
+                exp_parse(text)
+            assert exc.value.line == header.count("\n") + 1 + refused[0]
+            return
         parsed = exp_parse(text)
         assert parsed == TruncatedExpansion(lat, 6, bound, values)
         assert_well_formed(parsed)
 
     def test_parse_reduces_other_tokens(self):
         text = ("space elliptic\nweight 4\ntrace_bound 5\ncoefficients\n"
-                "0 2/4\n1 -6/3\n2 0/5\n3 +3\n4 1e2\n5 -0.25\n")
+                "0 2/4\n1 -6/3\n2 0/5\n3 006/0016\n")
         f = exp_parse(text)
-        assert (f.den, f.nums) == (4, {0: 2, 1: -8, 3: 12, 4: 400, 5: -1})
-        assert exp_serialize(f).endswith("0 1/2\n1 -2\n3 3\n4 100\n5 -1/4\n")
+        assert (f.den, f.nums) == (8, {0: 4, 1: -16, 3: 3})
+        assert exp_serialize(f).endswith("0 1/2\n1 -2\n3 3/8\n")
+        for token in ["+3", "1e2", "-0.25"]:
+            with pytest.raises(ParseError, match="not a rational") as exc:
+                exp_parse(text + f"4 {token}\n")
+            assert exc.value.line == 9
 
     @staticmethod
     def elliptic_text(tokens):
@@ -324,7 +339,7 @@ class TestSerialization:
         zeros = "space elliptic\nweight 4\ntrace_bound 0\ncoefficients\n"
         zeros += "".join(f"{i} 0/{p}\n" for i, p in enumerate(ps))
         assert exp_parse(zeros).is_zero()
-        assert exp_parse(self.elliptic_text(["1e-4300"])).den == 10**4300
+        assert exp_parse(self.elliptic_text([ONE_OVER_10_4300])).den == 10**4300
         with pytest.raises(ParseError, match="common denominator") as exc:
             exp_parse(self.elliptic_text(["1", f"1/{format_rational(Fraction(10**4300 + 1))}"]))
         assert exc.value.line == 6
@@ -332,16 +347,17 @@ class TestSerialization:
 
     def test_parse_refuses_a_denominator_that_every_line_would_carry(self):
         # one 10**4300 denominator over 20000 short lines would keep about
-        # 14284 bits per line, some 1300 per character of text
-        text = self.elliptic_text(["1e-4300"] + [str(i * 7919 % 90000 + 10000) for i in range(1, 20000)])
-        assert 200_000 < len(text.encode()) < 230_000
+        # 14284 bits per line, some 1225 per character of text
+        lines = [ONE_OVER_10_4300] + [str(i * 7919 % 90000 + 10000) for i in range(1, 20000)]
+        text = self.elliptic_text(lines)
+        assert 204_296 < len(text.encode()) < 234_296
         start = time.perf_counter()
         with pytest.raises(ParseError, match="too large for the file's size") as exc:
             exp_parse(text)
         assert time.perf_counter() - start < 0.1
         assert exc.value.line == 5
         # the same denominator over a few lines is still read
-        assert exp_parse(self.elliptic_text(["1e-4300"] + ["1"] * 3)).den == 10**4300
+        assert exp_parse(self.elliptic_text([ONE_OVER_10_4300] + ["1"] * 3)).den == 10**4300
 
     def test_benchmark_pipeline_files_still_parse(self):
         forms = [
@@ -402,14 +418,19 @@ def _scaled(n, d, m):
     return f"{n * m}/{d * m}", Fraction(n, d)
 
 
-# (token, value) for tokens other than the canonical reduced n and n/d
+ONE_OVER_10_4300 = "1/1" + "0" * 4300
+
+# (token, value) for tokens of the grammar other than the canonical reduced n and n/d
 other_token = st.one_of(
     st.builds(_scaled, st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(1, 50)),
-    st.builds(lambda n: (f"+{n}", Fraction(n)), st.integers(0, 10**6)),
-    st.builds(lambda n, e: (f"{n}e{e}", Fraction(n * 10**e)),
-              st.integers(-999, 999), st.integers(0, 4)),
-    st.builds(lambda n: (f"{n / 4}", Fraction(n, 4)), st.integers(-4000, 4000)),
-    st.sampled_from([("0/5", 0), ("-0", 0), ("0e3", 0), ("-6/3", -2), ("2/4", Fraction(1, 2))]),
+    st.sampled_from([("0/5", 0), ("-0", 0), ("007", 7), ("-6/3", -2), ("2/4", Fraction(1, 2))]),
+)
+# (token, None) for signed, exponent and decimal tokens, which exp_parse refuses
+refused_token = st.one_of(
+    st.builds(lambda n: (f"+{n}", None), st.integers(0, 10**6)),
+    st.builds(lambda n, e: (f"{n}e{e}", None), st.integers(-999, 999), st.integers(0, 4)),
+    st.builds(lambda n: (f"{n / 4}", None), st.integers(-4000, 4000)),
+    st.sampled_from([("0e3", None), ("+0/5", None)]),
 )
 
 
