@@ -28,7 +28,7 @@ from .congruence import (
 )
 from .elliptic import CUSP_FORMS, cusp_form, elliptic_eisenstein, ramanujan_tau
 from . import __version__
-from .errors import EiscongError
+from .errors import EiscongError, ParseError
 from .expansion import ELLIPTIC, eisenstein, exp_parse, exp_serialize, lattice_for
 from .hermitian import CLASS_NUMBER_ONE_DISCRIMINANTS
 from .reference_values import (
@@ -191,9 +191,16 @@ def _emit(text: str, out):
         sys.stdout.write(text)
 
 
+def _read_expansion(path: str):
+    try:
+        return exp_parse(Path(path).read_text())
+    except ParseError as exc:  # the file is at fault: name it
+        exc.path = path
+        raise
+
+
 def _cmd_congruence(args) -> int:
-    lhs = exp_parse(Path(args.lhs).read_text())
-    rhs = exp_parse(Path(args.rhs).read_text())
+    lhs, rhs = _read_expansion(args.lhs), _read_expansion(args.rhs)
     if args.action == "solve":
         report = solve_lambda(lhs, rhs, args.mod)
     else:
@@ -307,8 +314,7 @@ def main(argv=None) -> int:
         if args.command == "congruence":
             return _cmd_congruence(args)
         if args.command == "cusp-correct":
-            g = exp_parse(Path(args.infile).read_text())
-            _emit(exp_serialize(cusp_correction(g)), args.out)
+            _emit(exp_serialize(cusp_correction(_read_expansion(args.infile))), args.out)
             return 0
         if args.command == "scan":
             return _cmd_scan(args)
@@ -334,6 +340,9 @@ def main(argv=None) -> int:
             }[args.section]
             return _checks_result(section())
         parser.error(f"unknown command {args.command}")
+    except ParseError as exc:  # raised through _read_expansion, which names the file
+        print(f"invalid expansion file {exc.path}: {exc}", file=sys.stderr)
+        return 3
     except EiscongError as exc:  # before ValueError: an error may be both
         print(f"computation error: {exc}", file=sys.stderr)
         return 3

@@ -13,8 +13,8 @@ function of one integer and det the lattice's integral determinant.  Each
 degree-2 lattice (a ``Degree2Lattice``: ``siegel.SIEGEL`` and
 ``hermitian.hermitian_lattice(d)``) carries the alpha table and the constant
 term of its Eisenstein series G_k, so ``eisenstein`` builds G_k and E_k on
-every lattice, and ``elliptic.cusp_form`` every cusp form.  ``lift`` walks
-``indices(bound)``, one cached tuple that the lifts and mod-p walks share.
+every lattice, and ``elliptic.cusp_form`` every cusp form.  The lifts, the
+mod-p walks and the text format read one cached ``IndexTable``, ``indices(bound)``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import islice
 from math import gcd, lcm
 from types import MappingProxyType
@@ -37,6 +37,22 @@ from .errors import (
     SpaceMismatch,
     WeightMismatch,
 )
+
+
+class IndexTable(tuple):
+    """``lattice.indices(bound)``: every index of trace <= bound in canonical order,
+    with its ``dets``, ``contents`` (0 at zero) and key strings, built on first use."""
+
+    def __new__(cls, lattice, bound):
+        self = super().__new__(cls, sorted(lattice.enumerate_all(bound), key=lattice.sort_key))
+        self.lattice = lattice
+        return self
+
+    dets = cached_property(lambda self: tuple(map(self.lattice.det, self)))
+    contents = cached_property(lambda self: tuple(gcd(*t) for t in self))
+    keys = cached_property(lambda self: tuple(map(self.lattice.key_string, self)))
+    lookup = cached_property(lambda self: dict(zip(self.keys, self)))  # key -> index
+    __reduce__ = lambda self: (tuple, (tuple(self),))  # copies and pickles are plain tuples
 
 
 class EllipticLattice:
@@ -58,8 +74,7 @@ class EllipticLattice:
     def enumerate_all(self, bound):
         return list(range(bound + 1))
 
-    def indices(self, bound):
-        return range(bound + 1)
+    indices = lru_cache(maxsize=32)(IndexTable)  # indices(bound), one cached table
 
     def sort_key(self, t):
         return (t, (t,))
@@ -86,10 +101,7 @@ class Degree2Lattice:
     def trace(self, t):
         return t[0] + t[-1]
 
-    @lru_cache(maxsize=32)
-    def indices(self, bound) -> tuple:
-        """Every index of trace <= bound, in canonical order."""
-        return tuple(sorted(self.enumerate_all(bound), key=self.sort_key))
+    indices = lru_cache(maxsize=32)(IndexTable)  # indices(bound), one cached table
 
     def sort_key(self, t):
         return (t[0] + t[-1], t)
@@ -102,9 +114,6 @@ class Degree2Lattice:
         if len(parts) != len(self.zero):
             raise ValueError(f"bad {self.space} key {s!r}")
         return tuple(map(int, parts))
-
-    def diag_embed(self, t):
-        return (t, *self.zero[1:])
 
     @staticmethod
     def content(t) -> int:
@@ -322,8 +331,11 @@ def lift(lattice, k: int, trace_bound: int, table, constant) -> TruncatedExpansi
     index; n >= m B^2 / 4, with m the lattice's Fourier-Jacobi stride and B
     the trace bound, bounds every det.  Integer sums over one denominator."""
     den, [top, *alpha] = _over_one_denominator([constant, *table])
-    at = alpha.__getitem__
-    nums = {t: lift_coefficient(lattice, k, t, at, top) for t in lattice.indices(trace_bound)}
+    tab = lattice.indices(trace_bound)
+    terms = {e: [(d ** (k - 1), d * d) for d in divisors(e)] for e in set(tab.contents) if e > 1}
+    nums = {t: alpha[n] if e == 1 else sum(c * alpha[n // q] for c, q in terms[e])
+            for t, n, e in zip(tab, tab.dets, tab.contents) if e}
+    nums[lattice.zero] = top
     return TruncatedExpansion._of(lattice, k, trace_bound, den, nums)
 
 
@@ -344,7 +356,7 @@ def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:
     t-th coefficient sits at the index diag(t, 0)."""
     if f.lattice.space == "elliptic":
         raise ValueError("phi_operator expects a degree-2 expansion")
-    nums = {t: f.nums.get(f.lattice.diag_embed(t), 0) for t in range(f.trace_bound + 1)}
+    nums = {t: f.nums.get((t, *f.lattice.zero[1:]), 0) for t in range(f.trace_bound + 1)}
     return TruncatedExpansion._of(ELLIPTIC, f.weight, f.trace_bound, f.den, nums)
 
 
@@ -358,15 +370,17 @@ _MAX_DEN_DIGITS = 4300  # exp_parse refuses a common denominator past 10**this
 
 def exp_serialize(f: TruncatedExpansion) -> str:
     """Byte-deterministic canonical text form of an expansion."""
-    lines = [f"space {f.lattice.space}"]
-    if f.lattice.disc is not None:
-        lines.append(f"disc {f.lattice.disc}")
-    lines.append(f"weight {f.weight}")
-    lines.append(f"trace_bound {f.trace_bound}")
-    lines.append(_SENTINEL)
-    key = f.lattice.key_string
-    for idx in f.support():
-        lines.append(f"{key(idx)} {format_rational(Fraction(f.nums[idx], f.den))}")
+    disc = [] if f.lattice.disc is None else [f"disc {f.lattice.disc}"]
+    lines = [f"space {f.lattice.space}", *disc, f"weight {f.weight}",
+             f"trace_bound {f.trace_bound}", _SENTINEL]
+    nums, den, tab = f.nums, f.den, f.lattice.indices(f.trace_bound)
+    for t, key in zip(tab, tab.keys):
+        if n := nums.get(t):
+            g = gcd(n, den)
+            try:
+                lines.append(f"{key} {n // g}" if g == den else f"{key} {n // g}/{den // g}")
+            except ValueError:  # past the int-to-str digit limit
+                lines.append(f"{key} {format_rational(Fraction(n, den))}")
     return "\n".join(lines) + "\n"
 
 
@@ -392,7 +406,9 @@ def exp_parse(text: str) -> TruncatedExpansion:
     other is refused; each value must be a token ``-?[0-9]+(/[0-9]+)?`` with a
     nonzero denominator, reduced or not; a common denominator past 10**4300
     or one whose bits times the body's lines pass 1200 per character of text
-    is refused; and each fault is a ParseError with its line number."""
+    is refused; and each fault is a ParseError with its line number.  A key is
+    looked up in ``indices(bound)``: O(|indices|) once per process, as for
+    exp_serialize, solve, verify, reduce and cusp-correct; others take ``parse_key``."""
     header: dict[str, tuple[int, str]] = {}  # field -> (line number, value)
     lines = text.splitlines()
     body_start = None
@@ -431,8 +447,11 @@ def exp_parse(text: str) -> TruncatedExpansion:
     try:
         lat = lattice_for(space, disc)
     except ValueError as exc:
-        raise ParseError(header["disc" if "disc" in header else "space"][0], str(exc)) from None
-    trace, is_psd, parse_key = lat.trace, lat.is_psd, lat.parse_key
+        at = "disc" if space == "hermitian" and "disc" in header else "space"
+        raise ParseError(header[at][0], str(exc)) from None
+    if lat.disc != disc:  # exp_serialize writes a disc on Hermitian files only
+        raise ParseError(header["disc"][0], f"a {space} file has no disc")
+    lookup = lat.indices(bound).lookup  # a hit is a psd index within the bound
     seen, den = {}, 1  # index -> (n, d), with d | den when n != 0
     for lineno, line in enumerate(lines[body_start:], body_start + 1):
         parts = line.split()
@@ -440,8 +459,10 @@ def exp_parse(text: str) -> TruncatedExpansion:
             continue
         if len(parts) != 2:
             raise ParseError(lineno, f"malformed coefficient line {line.strip()!r}")
+        idx = lookup.get(parts[0])
         try:
-            idx = parse_key(parts[0])
+            if miss := idx is None:
+                idx = lat.parse_key(parts[0])
             n, d = parse_ratio(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(lineno, str(exc)) from None
@@ -450,9 +471,9 @@ def exp_parse(text: str) -> TruncatedExpansion:
         seen[idx] = n, d
         if not n:  # dropped, unchecked, as the public constructor does
             continue
-        if not is_psd(idx):
+        if miss and not lat.is_psd(idx):
             raise ParseError(lineno, f"index {idx} is not psd")
-        if trace(idx) > bound:
+        if miss and lat.trace(idx) > bound:
             raise ParseError(lineno, f"index {idx} exceeds trace bound {bound}")
         if den % d:  # a new denominator, which every numerator will carry: bound it
             g = gcd(n, d)

@@ -15,7 +15,10 @@ of a sieve of Eratosthenes, with a Miller-Rabin test of its own
 wheel), and reduction, verification and solving mod m index by index, one
 modular inverse per coefficient (``reduce_mod_p_by_index``,
 ``verify_congruence_by_index`` and ``solve_lambda_by_index``, the library's
-route before it reduced each expansion with one inverse).  The degree-2 forms
+route before it reduced each expansion with one inverse), the text form by
+sorting the support (``serialize_by_sorting``) and Maass lifts by
+``lift_coefficient`` at each index (``lift_by_index``), the library's routes
+before it read both from one index table.  The degree-2 forms
 have the library's routes from before it built them as Maass lifts: G_k
 coefficients index by index, by the Siegel closed form with its Moebius
 inner sum (``siegel_g_closed_form``) and the Hermitian one with its divisor
@@ -37,6 +40,7 @@ from eiscong.arith import (
     bernoulli,
     divisor_power_sum,
     divisors,
+    format_rational,
     fundamental_decomposition,
     g_value,
     generalized_bernoulli,
@@ -48,7 +52,9 @@ from eiscong.arith import (
 from eiscong.congruence import CongruenceReport
 from eiscong.elliptic import _BOUNDARY_RELATIONS, CUSP_FORMS
 from eiscong.errors import AllZeroRhs, NonIntegralCoefficient, NonInvertibleReference
-from eiscong.expansion import TruncatedExpansion, _check_compatible, exp_add, exp_scale
+from eiscong.expansion import (
+    TruncatedExpansion, _check_compatible, exp_add, exp_scale, lift_coefficient,
+)
 from eiscong.hermitian import content, det_scaled
 from eiscong.siegel import content as siegel_content, det4
 
@@ -267,6 +273,28 @@ def reference_product(f: TruncatedExpansion, g: TruncatedExpansion) -> Truncated
                 acc += a * gc.get(_index_difference(t, s), 0)
         coeffs[t] = acc
     return TruncatedExpansion(lat, f.weight + g.weight, bound, coeffs)
+
+
+def serialize_by_sorting(f: TruncatedExpansion) -> str:
+    """exp_serialize's text by the library's route before it walked the index
+    table: the support sorted by ``sort_key``, each key joined by
+    ``key_string`` and each value a Fraction through ``format_rational``."""
+    lines = [f"space {f.lattice.space}"]
+    if f.lattice.disc is not None:
+        lines.append(f"disc {f.lattice.disc}")
+    lines += [f"weight {f.weight}", f"trace_bound {f.trace_bound}", "coefficients"]
+    for idx in f.support():
+        lines.append(f"{f.lattice.key_string(idx)} {format_rational(Fraction(f.nums[idx], f.den))}")
+    return "\n".join(lines) + "\n"
+
+
+def lift_by_index(lattice, k: int, bound: int, table, constant) -> TruncatedExpansion:
+    """expansion.lift index by index: ``lift_coefficient`` over the indices
+    of ``enumerate_all``, with Fraction values, through the public
+    constructor."""
+    return TruncatedExpansion(lattice, k, bound, {
+        t: lift_coefficient(lattice, k, t, table.__getitem__, constant)
+        for t in lattice.enumerate_all(bound)})
 
 
 def hermitian_e_closed_form(field, k: int, h) -> Fraction:

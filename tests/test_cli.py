@@ -394,7 +394,8 @@ class TestCongruence:
         "space hermitian\ndisc x\nweight 4\ntrace_bound 1\n",
         "space siegel\nweight 4\ntrace_bound -1\n",
         "space siegel\nweight x\ntrace_bound 1\n",
-    ], ids=["disc-x", "negative-trace-bound", "weight-x"])
+        "space siegel\ndisc -4\nweight 4\ntrace_bound 1\n",
+    ], ids=["disc-x", "negative-trace-bound", "weight-x", "siegel-disc"])
     def test_malformed_header_is_a_parse_error(self, tmp_path, capsys, header):
         bad = tmp_path / "bad.exp"
         bad.write_text(header + "coefficients\n")
@@ -403,9 +404,10 @@ class TestCongruence:
             code, _, err = run(capsys, "congruence", "solve", "--lhs", str(lhs),
                                "--rhs", str(rhs), "--mod", "43867")
             assert code == 3
-            assert "computation error: line" in err
+            assert err.startswith(f"invalid expansion file {bad}: line ")
         code, _, err = run(capsys, "cusp-correct", "--in", str(bad))
         assert code == 3
+        assert err.startswith(f"invalid expansion file {bad}: line ")
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(

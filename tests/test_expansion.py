@@ -1,7 +1,9 @@
 """Tests for the truncated Fourier expansion container and its algebra."""
 
+import copy
 import math
 import operator
+import pickle
 import time
 from fractions import Fraction
 from itertools import accumulate
@@ -23,6 +25,7 @@ from eiscong.expansion import (
     exp_scale,
     exp_serialize,
     lattice_for,
+    lift,
     phi_operator,
     zero_expansion,
 )
@@ -41,7 +44,7 @@ from eiscong.errors import (
     WeightMismatch,
 )
 
-from .oracles import reference_product
+from .oracles import lift_by_index, reference_product, serialize_by_sorting
 
 
 def small_elliptic(weight, bound, values):
@@ -256,9 +259,13 @@ class TestSerialization:
         ("space siegel\nweight 4\ntrace_bound 1\ncoefficients\n0,0,0 1\n0,0,0 0\n", 6),
         ("space siegel\nweight 4\nweight 6\ntrace_bound 1\ncoefficients\n", 3),
         ("space siegel\nweight 4\nfrobnicate yes\ntrace_bound 1\ncoefficients\n", 3),
+        ("space siegel\nweight 4\ndisc -4\ntrace_bound 1\ncoefficients\n", 3),
+        ("space elliptic\ndisc -3\nweight 4\ntrace_bound 1\ncoefficients\n", 2),
+        ("space quaternionic\ndisc 5\nweight 4\ntrace_bound 1\ncoefficients\n", 1),
     ], ids=["disc-x", "negative-trace-bound", "weight-x", "decimal-trace-bound",
             "disc-of-no-field", "index-not-psd", "index-beyond-bound", "duplicate-key",
-            "repeated-field", "unknown-field"])
+            "repeated-field", "unknown-field", "siegel-disc", "elliptic-disc",
+            "unknown-space-with-disc"])
     def test_header_and_index_errors_carry_their_line(self, text, line):
         with pytest.raises(ParseError) as exc:
             exp_parse(text)
@@ -533,3 +540,107 @@ class TestTrustedRingResults:
             siegel_expansion("E", 4, 2).restrict(-1)
         with pytest.raises(ValueError):
             TruncatedExpansion(ELLIPTIC, 4, -1, {-1: 1})
+
+
+# values past the int <-> str digit limit, whole and over a denominator
+huge_value = st.sampled_from([7**20000, Fraction(-(7**20000), 5), Fraction(3, 10**4400)])
+
+
+@st.composite
+def spelled(draw, n):
+    """A spelling of the integer n that int() reads: an optional sign and
+    leading zeros."""
+    sign = "-" if n < 0 else draw(st.sampled_from(["", "", "+"] + ["-"] * (n == 0)))
+    return sign + "0" * draw(st.sampled_from([0, 0, 1, 2])) + str(abs(n))
+
+
+@st.composite
+def lattice_and_bound(draw):
+    lat = draw(st.sampled_from(list(KERNEL_LATTICES)))
+    return lat, draw(st.integers(0, KERNEL_LATTICES[lat]))
+
+
+class TestIndexTable:
+    """The index table read by lift, exp_serialize and exp_parse, each
+    against the per-index route it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattice_and_bound())
+    def test_table_matches_the_per_index_methods(self, case):
+        lat, bound = case
+        tab = lat.indices(bound)
+        assert lat.indices(bound) is tab
+        assert tab.keys == tuple(lat.key_string(t) for t in tab)
+        assert [lat.parse_key(key) for key in tab.keys] == list(tab)
+        assert tab.lookup == {lat.key_string(t): t for t in tab}
+        assert all(t is u for t, u in zip(tab.lookup.values(), tab))  # no copies
+        assert copy.deepcopy(tab) == pickle.loads(pickle.dumps(tab)) == tuple(tab)
+        if lat is not ELLIPTIC:
+            assert tab.dets == tuple(lat.det(t) for t in tab)
+            assert tab.contents == tuple(0 if t == lat.zero else lat.content(t) for t in tab)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_lift_matches_lift_coefficient_at_each_index(self, data):
+        lat, bound = data.draw(lattice_and_bound().filter(lambda case: case[0] is not ELLIPTIC))
+        k = data.draw(st.sampled_from([4, 6, 10, 12]))
+        size = lat.fj_stride * bound**2 // 4 + 1
+        table = data.draw(st.lists(sparse_value, min_size=size, max_size=size))
+        constant = data.draw(sparse_value)
+        f = lift(lat, k, bound, table, constant)
+        assert f == lift_by_index(lat, k, bound, table, constant)
+        assert_well_formed(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_serialize_matches_the_sorted_support(self, data):
+        lat, bound = data.draw(lattice_and_bound())
+        f = data.draw(sparse_expansion(lat, bound, 6))
+        if data.draw(st.booleans()):
+            chosen = data.draw(st.lists(st.sampled_from(lat.enumerate_all(bound)),
+                                        unique=True, min_size=1, max_size=3))
+            f = exp_add(f, TruncatedExpansion(lat, 6, bound, {t: data.draw(huge_value)
+                                                              for t in chosen}))
+        assert exp_serialize(f) == serialize_by_sorting(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_parse_of_other_spellings_and_invalid_indices_reads_parse_key(self, data):
+        # keys in any spelling int() reads, at indices within the bound,
+        # beyond it or not psd, with zero or nonzero values: the result, or
+        # the line of the first fault, follows from parse_key, is_psd and
+        # trace line by line, the route every key took before the table
+        lat, bound = data.draw(lattice_and_bound())
+        disc = "" if lat.disc is None else f"disc {lat.disc}\n"
+        header = f"space {lat.space}\n{disc}weight 6\ntrace_bound {bound}\ncoefficients\n"
+        entry = st.integers(-2, bound + 2)
+        index = st.one_of(st.sampled_from(lat.enumerate_all(bound)),
+                          entry if lat is ELLIPTIC else st.tuples(*[entry] * len(lat.zero)))
+        lines, values, fault, seen = [], {}, None, set()
+        first = header.count("\n") + 1
+        for lineno, t in enumerate(data.draw(st.lists(index, max_size=10)), first):
+            key = (data.draw(spelled(t)) if lat is ELLIPTIC
+                   else ",".join(data.draw(spelled(x)) for x in t))
+            token, value = data.draw(st.one_of(st.sampled_from([("0", 0), ("0/7", 0)]),
+                                               other_token))
+            lines.append(f"{key} {token}\n")
+            assert lat.parse_key(key) == t
+            if fault is None:
+                if t in seen:
+                    fault = lineno, "duplicate key"
+                elif value and not lat.is_psd(t):
+                    fault = lineno, "not psd"
+                elif value and lat.trace(t) > bound:
+                    fault = lineno, "exceeds trace bound"
+            seen.add(t)
+            if value:
+                values[t] = value
+        text = header + "".join(lines)
+        if fault is not None:
+            with pytest.raises(ParseError, match=fault[1]) as exc:
+                exp_parse(text)
+            assert exc.value.line == fault[0]
+            return
+        parsed = exp_parse(text)
+        assert parsed == TruncatedExpansion(lat, 6, bound, values)
+        assert_well_formed(parsed)
