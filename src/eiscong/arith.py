@@ -23,12 +23,12 @@ from __future__ import annotations
 import decimal
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import comb, gcd, isqrt
-from typing import Iterator, Optional
 
 from .errors import (
     IntegralityViolation,
@@ -86,7 +86,7 @@ def _wheel_candidates() -> Iterator[int]:
         step = 6 - step
 
 
-def primes(limit: Optional[int] = None) -> Iterator[int]:
+def primes(limit: int | None = None) -> Iterator[int]:
     """Yield primes in increasing order, optionally stopping below ``limit``."""
     for c in _wheel_candidates():
         if limit is not None and c >= limit:
@@ -238,20 +238,19 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@dataclass(frozen=True)
-class KroneckerCharacter:
+class KroneckerCharacter(namedtuple("KroneckerCharacter", "discriminant table")):
     """The real character chi_D = (D/.) of a fundamental discriminant D,
-    tabulated over one period mod |D|."""
+    tabulated over one period: ``table[r]`` is chi_D(r) for 0 <= r < |D|."""
 
-    discriminant: int
-    _table: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def modulus(self) -> int:
         return abs(self.discriminant)
 
     def __call__(self, n: int) -> int:
-        return self._table[n % self.modulus]
+        table = self.table
+        return table[n % len(table)]
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +290,7 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
     if f > 1 and chi(-1) != (-1) ** n:
         return Fraction(0)
     bernoulli(n - n % 2)  # the largest B_j used: one table build, not a chain
-    values = chi._table[1:f // 2 + 1] if f > 1 else (1,)  # chi(1), ..., chi(f/2)
+    values = chi.table[1:f // 2 + 1] if f > 1 else (1,)  # chi(1), ..., chi(f/2)
     plus = [a for a, c in enumerate(values, 1) if c == 1]
     minus = [a for a, c in enumerate(values, 1) if c == -1]
     bs = [(j, bernoulli(j)) for j in (0, 1, *range(2, n + 1, 2))]
@@ -306,7 +305,7 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
 def divisor_power_sum(
     m: int,
     N: int,
-    char: Optional[KroneckerCharacter] = None,
+    char: KroneckerCharacter | None = None,
     star: bool = False,
 ) -> int:
     """sigma_m(N), or its chi-twists sigma_{m,chi} / sigma*_{m,chi}.

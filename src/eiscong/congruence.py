@@ -15,11 +15,10 @@ when it tests prime, else the leftover as an unfactored cofactor (see
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
-from typing import Optional
 
 from .arith import (
     bernoulli,
@@ -36,6 +35,7 @@ from .errors import (
     AllZeroRhs,
     NonIntegralCoefficient,
     NonInvertibleReference,
+    SpaceMismatch,
     WitnessSearchExhausted,
 )
 from .expansion import (
@@ -43,15 +43,12 @@ from .expansion import (
 )
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    """Outcome of a coefficient-wise congruence check f = lambda * g mod m."""
+class CongruenceReport(namedtuple("CongruenceReport", "modulus multiplier verified "
+                                  "indices_checked first_failure", defaults=(None,))):
+    """Outcome of a coefficient-wise congruence check f = lambda * g mod m;
+    ``first_failure`` is None or (key string, lhs residue, rhs residue)."""
 
-    modulus: int
-    multiplier: int
-    verified: bool
-    indices_checked: int
-    first_failure: Optional[tuple] = None  # (key string, lhs residue, rhs residue)
+    __slots__ = ()
 
     def to_text(self) -> str:
         lines = [
@@ -66,14 +63,11 @@ class CongruenceReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """A prime q with chi_K(q) = -1 whose power q^(k-2) is not 1 mod p."""
+class WitnessReport(namedtuple("WitnessReport", "q chi_value pow_residue method")):
+    """A prime q with chi_K(q) = -1 whose power q^(k-2) is not 1 mod p;
+    ``method`` is "direct-search" or "crt-construction"."""
 
-    q: int
-    chi_value: int
-    pow_residue: int
-    method: str  # "direct-search" or "crt-construction"
+    __slots__ = ()
 
 
 def _residue(num: int, den: int, modulus: int, key):
@@ -160,6 +154,8 @@ def cusp_correction(g: TruncatedExpansion) -> TruncatedExpansion:
     """Subtract the Eisenstein polynomial matching the boundary image:
     returns g - Q(E4, E6) where Phi(g) = Q(E4, E6) in degree 1; the result
     has vanishing Phi up to the truncation."""
+    if g.lattice.space == "elliptic":
+        raise SpaceMismatch("cusp_correction expects a degree-2 expansion, got elliptic")
     q_poly = decompose_into_e4_e6(phi_operator(g), g.weight)
     e4, e6 = (eisenstein(g.lattice, "E", j, g.trace_bound) for j in (4, 6))
     return exp_add(g, exp_scale(-1, q_poly.evaluate(e4, e6)))
@@ -408,7 +404,7 @@ def nontriviality_witness(
     )
 
 
-def bruinier_search(k: int, p: int, max_abs_disc: int) -> Optional[int]:
+def bruinier_search(k: int, p: int, max_abs_disc: int) -> int | None:
     """Smallest |D0| with D0 < 0 fundamental and p not dividing the
     numerator of the (k-1)-th generalized Bernoulli number of chi_D0."""
     if p < 1:

@@ -17,7 +17,7 @@ factor of Q_k is E4 or E6, so each monomial's alpha depends on N alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
@@ -88,19 +88,22 @@ def _monomial(e4: TruncatedExpansion, e6: TruncatedExpansion, a: int, b: int):
     return reduce(exp_multiply, [e4] * a + [e6] * b)
 
 
-@dataclass(frozen=True)
-class IsobaricPolynomial:
-    """Polynomial in (E4, E6) with every monomial of total weight k:
-    terms maps (a, b) with 4a + 6b = k to its coefficient."""
+class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "weight terms")):
+    """Polynomial in (E4, E6) with every monomial of total weight k: terms,
+    sorted ((a, b), Fraction) pairs, maps (a, b) with 4a + 6b = k to its coefficient."""
 
-    weight: int
-    terms: tuple  # sorted tuple of ((a, b), Fraction)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for (a, b), _ in self.terms:
-            if 4 * a + 6 * b != self.weight:
+    def __new__(cls, weight: int, terms: tuple):
+        for (a, b), _ in terms:
+            if 4 * a + 6 * b != weight:
                 raise ValueError(f"monomial ({a},{b}) has weight {4*a+6*b}, "
-                                 f"expected {self.weight}")
+                                 f"expected {weight}")
+        return super().__new__(cls, weight, terms)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
     @staticmethod
     def from_dict(weight: int, coeffs: dict) -> "IsobaricPolynomial":

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import islice
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping
 
 from .arith import divisors, format_rational, parse_ratio
 from .errors import (

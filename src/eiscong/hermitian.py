@@ -14,7 +14,7 @@ N(x, y) = x^2 + d x y + y^2 (d^2 - d)/4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -27,17 +27,19 @@ from .expansion import Degree2Lattice, TruncatedExpansion, eisenstein
 CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
 
-@dataclass(frozen=True)
-class ImagQuadField:
+class ImagQuadField(namedtuple("ImagQuadField", "disc")):
     """Imaginary quadratic field of class number one, by discriminant."""
 
-    disc: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.disc not in CLASS_NUMBER_ONE_DISCRIMINANTS:
-            raise ValueError(
-                f"{self.disc} is not a class-number-one field discriminant"
-            )
+    def __new__(cls, disc: int):
+        if disc not in CLASS_NUMBER_ONE_DISCRIMINANTS:
+            raise ValueError(f"{disc} is not a class-number-one field discriminant")
+        return super().__new__(cls, disc)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
     def norm(self, x: int, y: int) -> int:
         d = self.disc

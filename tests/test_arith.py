@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eiscong.arith import (
+    KroneckerCharacter,
     bernoulli,
     divisor_power_sum,
     divisors,
@@ -41,6 +42,7 @@ from .oracles import (
     is_p_integral,
     sigma_bruteforce,
 )
+from .records import check_record
 
 FIELD_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
@@ -191,6 +193,12 @@ class TestKronecker:
         # chi_d(-1) = -1 for every imaginary quadratic discriminant
         for d in FIELD_DISCS:
             assert kronecker_chi(d, -1) == -1
+
+    def test_character_is_an_immutable_record(self):
+        chi = kronecker_character(-4)
+        check_record(KroneckerCharacter, {"discriminant": -4, "table": (0, 1, 0, -1)},
+                     "KroneckerCharacter(discriminant=-4, table=(0, 1, 0, -1))")
+        assert chi == KroneckerCharacter(-4, (0, 1, 0, -1)) and chi.modulus == 4
 
 
 # (n, factor tuple, denominator) rows for B_{n,chi_d}; the first factor

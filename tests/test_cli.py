@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface, driven in-process."""
 
 import argparse
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import eiscong
 from eiscong import cli
 from eiscong.arith import bernoulli, parse_rational
 from eiscong.cli import main
@@ -19,6 +22,18 @@ from eiscong.hermitian import (
 from eiscong.siegel import igusa_x10, igusa_x12, siegel_expansion, siegel_g_coefficient
 
 from .oracles import generalized_bernoulli_by_polynomials
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: a site .pth file may import typing itself; the child finds the
+    # package through the src directory of the one imported here
+    src = str(Path(eiscong.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import eiscong, eiscong.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-S", "-c", code, src],
+                           capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == "\n"
 
 
 def run(capsys, *argv):
@@ -440,13 +455,15 @@ class TestCuspCorrect:
         assert (code, out) == (3, "")
         assert err == "computation error: trace bound 0 too small to determine 2 monomials\n"
 
-    def test_elliptic_input_is_usage_error(self, tmp_path, capsys):
+    def test_elliptic_input_is_computation_error(self, tmp_path, capsys):
+        # a valid degree-1 file is no usage error: it is the wrong space, as
+        # mismatched spaces are for congruence solve
         src = tmp_path / "e4.exp"
         run(capsys, "expand", "--space", "elliptic", "--form", "E", "--weight", "4",
             "--out", str(src))
         code, out, err = run(capsys, "cusp-correct", "--in", str(src))
-        assert (code, out) == (2, "")
-        assert "degree-2" in err
+        assert (code, out) == (3, "")
+        assert err == "computation error: cusp_correction expects a degree-2 expansion, got elliptic\n"
 
 
 class TestScan:

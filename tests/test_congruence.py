@@ -17,6 +17,8 @@ from eiscong.arith import (
     MR_DETERMINISTIC_BOUND, bernoulli, generalized_bernoulli, is_prime, primes,
 )
 from eiscong.congruence import (
+    CongruenceReport,
+    WitnessReport,
     _prime_factors_bounded,
     bruinier_search,
     condition_a_check,
@@ -52,6 +54,7 @@ from .oracles import (
     solve_lambda_by_index,
     verify_congruence_by_index,
 )
+from .records import check_record
 
 
 class TestReduction:
@@ -247,6 +250,22 @@ class TestSolveAndVerify:
         assert "modulus 43867" in text
         assert "lambda 11313" in text
         assert "verified true" in text
+
+    def test_report_is_an_immutable_record(self):
+        check_record(
+            CongruenceReport,
+            {"modulus": 7, "multiplier": 2, "verified": False, "indices_checked": 3,
+             "first_failure": ("1,0,1", 3, 4)},
+            "CongruenceReport(modulus=7, multiplier=2, verified=False, indices_checked=3, "
+            "first_failure=('1,0,1', 3, 4))",
+        )
+        passed = CongruenceReport(43867, 11313, True, 30)
+        assert passed.first_failure is None
+        assert repr(passed) == ("CongruenceReport(modulus=43867, multiplier=11313, verified=True, "
+                                "indices_checked=30, first_failure=None)")
+        assert passed.to_text() == "modulus 43867\nlambda 11313\nverified true\nindices_checked 30\n"
+        failed = CongruenceReport(7, 2, False, 3, ("1,0,1", 3, 4))
+        assert failed.to_text().endswith("indices_checked 3\nfirst_failure 1,0,1 3 4\n")
 
 
 class TestCuspCorrection:
@@ -603,6 +622,18 @@ class TestWitness:
         assert is_prime(w.q)
         assert kronecker_chi(-3, w.q) == -1
         assert pow(w.q, 8, 809) == w.pow_residue != 1
+
+    def test_report_is_an_immutable_record(self):
+        # the benchmark hashes this repr for its witness operations
+        check_record(
+            WitnessReport,
+            {"q": 2, "chi_value": -1, "pow_residue": 256, "method": "direct-search"},
+            "WitnessReport(q=2, chi_value=-1, pow_residue=256, method='direct-search')",
+        )
+        assert repr(nontriviality_witness(-3, 10, 809)) == (
+            "WitnessReport(q=2, chi_value=-1, pow_residue=256, method='direct-search')")
+        assert repr(nontriviality_witness(-3, 10, 809, direct_limit=2)) == (
+            "WitnessReport(q=8093, chi_value=-1, pow_residue=89, method='crt-construction')")
 
     def test_precondition_violations(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from eiscong.expansion import ELLIPTIC, TruncatedExpansion, exp_multiply, exp_sc
 from eiscong.errors import NotInSpace
 
 from .oracles import delta_eta_product
+from .records import check_record
 
 
 class TestDimension:
@@ -104,6 +105,19 @@ class TestIsobaric:
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):
             IsobaricPolynomial.from_dict(10, {(3, 0): Fraction(1)})
+
+    def test_polynomial_is_an_immutable_record(self):
+        terms = (((3, 0), Fraction(441, 691)), ((0, 2), Fraction(250, 691)))
+        check_record(IsobaricPolynomial, {"weight": 12, "terms": terms},
+                     "IsobaricPolynomial(weight=12, terms=(((3, 0), Fraction(441, 691)), "
+                     "((0, 2), Fraction(250, 691))))")
+        assert _BOUNDARY_RELATIONS[12] == IsobaricPolynomial(12, terms)
+        message = r"monomial \(3,0\) has weight 12, expected 10"
+        for build in (lambda: IsobaricPolynomial(weight=10, terms=terms),
+                      lambda: IsobaricPolynomial._make((10, terms)),
+                      lambda: _BOUNDARY_RELATIONS[12]._replace(weight=10)):
+            with pytest.raises(ValueError, match=message):
+                build()
 
     def test_evaluate_single_monomial(self):
         q = IsobaricPolynomial.from_dict(8, {(2, 0): Fraction(1)})

@@ -18,6 +18,7 @@ from eiscong.errors import (
 )
 from eiscong.hermitian import (
     CLASS_NUMBER_ONE_DISCRIMINANTS,
+    ImagQuadField,
     content,
     det_scaled,
     hermitian_cusp_form,
@@ -30,6 +31,7 @@ from eiscong.hermitian import (
 )
 
 from .oracles import PrimeLocalization, hermitian_e_closed_form
+from .records import check_record
 
 # identity-like indices: diag(1, 1) with and without off-diagonal entries
 EISENSTEIN_INDICES = {
@@ -68,6 +70,16 @@ class TestField:
             imag_quad_field(-15)  # class number two
         with pytest.raises(Exception):
             imag_quad_field(-5)
+
+    def test_field_is_an_immutable_record(self):
+        check_record(ImagQuadField, {"disc": -3}, "ImagQuadField(disc=-3)")
+        assert imag_quad_field(-3) == ImagQuadField(disc=-3)
+        message = "-5 is not a class-number-one field discriminant"
+        for build in (lambda: ImagQuadField(-5), lambda: ImagQuadField(disc=-5),
+                      lambda: ImagQuadField._make([-5]),
+                      lambda: ImagQuadField(-3)._replace(disc=-5)):
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 class TestLattice:
