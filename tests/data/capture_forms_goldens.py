@@ -1,6 +1,9 @@
 """Record sha256 digests of ``exp_serialize`` for the Eisenstein series,
 the named cusp forms and the cusp corrections of four G_k, so refactors of their construction can be held
-byte for byte against the commit the digests come from.
+byte for byte against the commit the digests come from.  G_k and E_k are
+recorded over Siegel and all nine Hermitian fields at trace bounds 0-4, and
+G10 over the nine fields at bounds 5-7 as well, so every index table order
+is pinned beyond the smallest bounds.
 
 Run from the repository root:
 
@@ -15,12 +18,15 @@ import os
 
 from eiscong.congruence import cusp_correction
 from eiscong.expansion import exp_serialize
-from eiscong.hermitian import hermitian_cusp_form, hermitian_expansion
+from eiscong.hermitian import (
+    CLASS_NUMBER_ONE_DISCRIMINANTS, hermitian_cusp_form, hermitian_expansion,
+)
 from eiscong.siegel import igusa_x10, igusa_x12, siegel_expansion
 
 TRACE_BOUNDS = range(5)
 WEIGHTS = range(4, 13, 2)
-HERMITIAN_DISCS = (-3, -4, -7)
+HERMITIAN_DISCS = CLASS_NUMBER_ONE_DISCRIMINANTS
+G10_TRACE_BOUNDS = range(5, 8)  # G10 over every field beyond TRACE_BOUNDS
 # G_k - Q(E4, E6) at the trace bounds of the command-line benchmark
 CUSP_CORRECTIONS = (("siegel", None, 10, 8), ("siegel", None, 12, 8),
                     ("hermitian", -4, 10, 5), ("hermitian", -3, 12, 5))
@@ -42,6 +48,9 @@ def cases():
         for name, d in (("CHI8", -4), ("F10", -4), ("F10", -3), ("F12", -3)):
             yield (f"hermitian{d}/{name}/b{b}",
                    lambda name=name, d=d, b=b: hermitian_cusp_form(name, d, b))
+    for b in G10_TRACE_BOUNDS:
+        for d in HERMITIAN_DISCS:
+            yield f"hermitian{d}/G10/b{b}", lambda d=d, b=b: hermitian_expansion("G", d, 10, b)
     for space, d, k, b in CUSP_CORRECTIONS:
         g = (lambda k=k, b=b: siegel_expansion("G", k, b)) if d is None else (
             lambda d=d, k=k, b=b: hermitian_expansion("G", d, k, b))
