@@ -86,10 +86,10 @@ def _wheel_candidates() -> Iterator[int]:
         step = 6 - step
 
 
-def primes(limit: int | None = None) -> Iterator[int]:
-    """Yield primes in increasing order, optionally stopping below ``limit``."""
+def primes(limit: int) -> Iterator[int]:
+    """Yield the primes below ``limit`` in increasing order."""
     for c in _wheel_candidates():
-        if limit is not None and c >= limit:
+        if c >= limit:
             return
         if is_prime(c):
             yield c

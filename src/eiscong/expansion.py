@@ -1,10 +1,11 @@
 """Truncated Fourier expansions over an abstract psd lattice index.
 
-A lattice object supplies index enumeration, index addition and the
-canonical ordering; an expansion is a finite map index -> integer numerator
-over one denominator, truncated at a trace bound.  Multiplication sums
-numerator products over the support pairs whose traces add up to at most the
-bound, exact inside the truncation as psd + psd is psd and trace is additive.
+A lattice object enumerates its indices in canonical order (trace, then
+the index) and supplies index addition; an expansion is a finite map
+index -> integer numerator over one denominator, truncated at a trace bound.
+Multiplication sums numerator products over the support pairs whose traces
+add up to at most the bound, exact inside the truncation as psd + psd is psd
+and trace is additive.
 
 Every degree-2 form here is a Maass lift (Maass 1979; Eichler and Zagier,
 *The Theory of Jacobi Forms*, §6; Krieg, Math. Ann. 1991): for T != 0,
@@ -14,7 +15,8 @@ degree-2 lattice (a ``Degree2Lattice``: ``siegel.SIEGEL`` and
 ``hermitian.hermitian_lattice(d)``) carries the alpha table and the constant
 term of its Eisenstein series G_k, so ``eisenstein`` builds G_k and E_k on
 every lattice, and ``elliptic.cusp_form`` every cusp form.  The lifts, the
-mod-p walks and the text format read one cached ``IndexTable``, ``indices(bound)``.
+mod-p walks and the text format read one cached ``IndexTable``, ``indices(bound)``,
+which keeps the lattice's enumeration as it comes: nothing sorts the table.
 """
 
 from __future__ import annotations
@@ -41,10 +43,11 @@ from .errors import (
 
 class IndexTable(tuple):
     """``lattice.indices(bound)``: every index of trace <= bound in canonical order,
-    with its ``dets``, ``contents`` (0 at zero) and key strings, built on first use."""
+    as ``lattice.enumerate_all(bound)`` yields it (the table does not sort), with
+    its ``dets``, ``contents`` (0 at zero) and key strings, built on first use."""
 
     def __new__(cls, lattice, bound):
-        self = super().__new__(cls, sorted(lattice.enumerate_all(bound), key=lattice.sort_key))
+        self = super().__new__(cls, lattice.enumerate_all(bound))
         self.lattice = lattice
         return self
 
@@ -96,7 +99,9 @@ class Degree2Lattice:
     """Degree-2 indices: integer tuples with the diagonal entries first and
     last.  A subclass gives ``zero``, ``det``, ``is_psd``, ``add``,
     ``enumerate_all``, ``fj_stride`` and, for G_k, ``g_alpha(k, N)``, its
-    table ``g_alpha_table(k, n)`` and ``g_constant(k)``."""
+    table ``g_alpha_table(k, n)`` and ``g_constant(k)``.  ``enumerate_all(bound)``
+    lists every index of trace <= bound in canonical (``sort_key``) order,
+    which ``indices`` keeps without sorting."""
 
     def trace(self, t):
         return t[0] + t[-1]

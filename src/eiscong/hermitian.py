@@ -74,30 +74,22 @@ class HermitianLattice(Degree2Lattice):
     def add(self, h, s):
         return (h[0] + s[0], h[1] + s[1], h[2] + s[2], h[3] + s[3])
 
-    def _norm_points(self, bound):
-        # lattice points with N(x, y) <= bound; the norm form is positive
-        # definite so y is bounded by the minimum of the form on y-lines
-        d = self.disc
-        out = []
-        ymax = isqrt(4 * bound // -d) if bound >= 0 else -1
-        for y in range(-ymax, ymax + 1):
-            r = 4 * bound + d * y * y
-            if r < 0:
-                continue
-            s = isqrt(r)
-            lo = (-d * y - s) // 2 - 1
-            hi = (-d * y + s) // 2 + 1
-            for x in range(lo, hi + 1):
-                if self.field.norm(x, y) <= bound:
-                    out.append((x, y))
-        return out
-
     def enumerate_all(self, bound):
+        """Every index of trace <= bound in canonical order.  In the cell of
+        trace s and first entry a, c = s - a is fixed and 4 N(x, y) =
+        (2x - |d| y)^2 + |d| y^2, so row y holds the x with
+        (2x - |d| y)^2 <= |d| (4ac - y^2), and the cell is sorted as tuples."""
+        D = -self.disc
         out = []
-        for a in range(bound + 1):
-            for c in range(bound - a + 1):
-                for x, y in self._norm_points(-self.disc * a * c):
-                    out.append((a, x, y, c))
+        for s in range(bound + 1):
+            for a in range(s + 1):
+                c = s - a
+                cell = []
+                m = isqrt(4 * a * c)
+                for y in range(-m, m + 1):
+                    r = isqrt(D * (4 * a * c - y * y))
+                    cell += [(a, x, y, c) for x in range((D * y - r + 1) // 2, (D * y + r) // 2 + 1)]
+                out += sorted(cell)
         return out
 
     def g_alpha(self, k: int, N: int) -> Fraction:

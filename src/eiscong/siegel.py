@@ -50,12 +50,10 @@ class SiegelLattice(Degree2Lattice):
         return (t[0] + s[0], t[1] + s[1], t[2] + s[2])
 
     def enumerate_all(self, bound):
-        out = []
-        for a in range(bound + 1):
-            for c in range(bound - a + 1):
-                m = isqrt(4 * a * c)
-                out.extend((a, b2, c) for b2 in range(-m, m + 1))
-        return out
+        """Every index of trace <= bound in canonical order: trace s, then a,
+        then b2 with b2^2 <= 4ac for c = s - a."""
+        return [(a, b2, s - a) for s in range(bound + 1) for a in range(s + 1)
+                for m in (isqrt(4 * a * (s - a)),) for b2 in range(-m, m + 1)]
 
     def g_alpha(self, k: int, N: int) -> Fraction:
         """alpha of G_k at det4 = N; 0 where no index has that det4."""

@@ -15,7 +15,11 @@ of a sieve of Eratosthenes, with a Miller-Rabin test of its own
 wheel), and reduction, verification and solving mod m index by index, one
 modular inverse per coefficient (``reduce_mod_p_by_index``,
 ``verify_congruence_by_index`` and ``solve_lambda_by_index``, the library's
-route before it reduced each expansion with one inverse), the text form by
+route before it reduced each expansion with one inverse), the index
+enumeration of every lattice unordered, with a norm filter on Hermitian
+lattices (``enumerate_by_filtering``, the library's route before each
+lattice enumerated in canonical order and the index table stopped
+sorting), the text form by
 sorting the support (``serialize_by_sorting``) and Maass lifts by
 ``lift_coefficient`` at each index (``lift_by_index``), the library's routes
 before it read both from one index table.  The degree-2 forms
@@ -248,6 +252,44 @@ def chi_via_euler_criterion(D: int, q: int) -> int:
 
 def sigma_bruteforce(m: int, N: int) -> int:
     return sum(d**m for d in range(1, N + 1) if N % d == 0)
+
+
+def _norm_points(lat, bound):
+    # lattice points with N(x, y) <= bound; the norm form is positive
+    # definite so y is bounded by the minimum of the form on y-lines
+    d = lat.disc
+    out = []
+    ymax = isqrt(4 * bound // -d) if bound >= 0 else -1
+    for y in range(-ymax, ymax + 1):
+        r = 4 * bound + d * y * y
+        if r < 0:
+            continue
+        s = isqrt(r)
+        lo = (-d * y - s) // 2 - 1
+        hi = (-d * y + s) // 2 + 1
+        for x in range(lo, hi + 1):
+            if lat.field.norm(x, y) <= bound:
+                out.append((x, y))
+    return out
+
+
+def enumerate_by_filtering(lat, bound) -> list:
+    """Every index of trace <= bound, unordered, by the library's route before
+    each lattice enumerated in canonical order: (a, c) outer loops, and on a
+    Hermitian lattice the (x, y) with N(x, y) <= |d| a c found by a norm
+    filter over x ranges widened by one on each side."""
+    if lat.space == "elliptic":
+        return list(range(bound + 1))
+    out = []
+    for a in range(bound + 1):
+        for c in range(bound - a + 1):
+            if lat.space == "siegel":
+                m = isqrt(4 * a * c)
+                out.extend((a, b2, c) for b2 in range(-m, m + 1))
+            else:
+                for x, y in _norm_points(lat, -lat.disc * a * c):
+                    out.append((a, x, y, c))
+    return out
 
 
 def _index_difference(t, s):
