@@ -1,9 +1,12 @@
 """Record sha256 digests of ``exp_serialize`` for the Eisenstein series,
-the named cusp forms and the cusp corrections of four G_k, so refactors of their construction can be held
-byte for byte against the commit the digests come from.  G_k and E_k are
-recorded over Siegel and all nine Hermitian fields at trace bounds 0-4, and
-G10 over the nine fields at bounds 5-7 as well, so every index table order
-is pinned beyond the smallest bounds.
+the named cusp forms, the cusp corrections G_k - Q(E4, E6) and Delta, so
+refactors of their construction can be held byte for byte against the
+commit the digests come from.  G_k and E_k are recorded over Siegel and all
+nine Hermitian fields at trace bounds 0-4, and G10 over the nine fields at
+bounds 5-7 as well, so every index table order is pinned beyond the
+smallest bounds.  The cusp corrections reach Siegel bound 12, bound 7 over
+-3 and -4 and bound 4 over -163, and Delta n = 200, so the ring products
+behind them are pinned at the sizes where they cost.
 
 Run from the repository root:
 
@@ -17,6 +20,7 @@ import json
 import os
 
 from eiscong.congruence import cusp_correction
+from eiscong.elliptic import delta_expansion
 from eiscong.expansion import exp_serialize
 from eiscong.hermitian import (
     CLASS_NUMBER_ONE_DISCRIMINANTS, hermitian_cusp_form, hermitian_expansion,
@@ -27,9 +31,13 @@ TRACE_BOUNDS = range(5)
 WEIGHTS = range(4, 13, 2)
 HERMITIAN_DISCS = CLASS_NUMBER_ONE_DISCRIMINANTS
 G10_TRACE_BOUNDS = range(5, 8)  # G10 over every field beyond TRACE_BOUNDS
-# G_k - Q(E4, E6) at the trace bounds of the command-line benchmark
+# G_k - Q(E4, E6) at the trace bounds of the command-line benchmark, then larger
 CUSP_CORRECTIONS = (("siegel", None, 10, 8), ("siegel", None, 12, 8),
-                    ("hermitian", -4, 10, 5), ("hermitian", -3, 12, 5))
+                    ("hermitian", -4, 10, 5), ("hermitian", -3, 12, 5),
+                    *(("siegel", None, k, b) for k in (10, 12) for b in (10, 11, 12)),
+                    *(("hermitian", d, k, b) for d in (-3, -4) for k in (10, 12) for b in (6, 7)),
+                    *(("hermitian", -163, k, b) for k in (10, 12) for b in (3, 4)))
+DELTA_BOUNDS = (160, 200)
 
 
 def cases():
@@ -56,6 +64,8 @@ def cases():
             lambda d=d, k=k, b=b: hermitian_expansion("G", d, k, b))
         tag = space if d is None else f"{space}{d}"
         yield f"{tag}/cusp_correction(G{k})/b{b}", lambda g=g: cusp_correction(g())
+    for n in DELTA_BOUNDS:
+        yield f"elliptic/Delta/n{n}", lambda n=n: delta_expansion(n)
 
 
 def digest(f) -> str:
