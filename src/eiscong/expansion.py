@@ -1,11 +1,12 @@
 """Truncated Fourier expansions over an abstract psd lattice index.
 
 A lattice object enumerates its indices in canonical order (trace, then
-the index) and supplies index addition; an expansion is a finite map
-index -> integer numerator over one denominator, truncated at a trace bound.
-Multiplication sums numerator products over the support pairs whose traces
-add up to at most the bound, exact inside the truncation as psd + psd is psd
-and trace is additive.
+the index); an expansion is a finite map index -> integer numerator over
+one denominator, truncated at a trace bound.  Multiplication packs each row
+of an operand's support (the index without its entry ``t[1]``) into one
+integer, Kronecker substitution, and multiplies every pair of rows whose
+traces add up to at most the bound: exact inside the truncation, as
+psd + psd is psd and trace is additive.
 
 Every degree-2 form here is a Maass lift (Maass 1979; Eichler and Zagier,
 *The Theory of Jacobi Forms*, §6; Krieg, Math. Ann. 1991): for T != 0,
@@ -21,13 +22,12 @@ which keeps the lattice's enumeration as it comes: nothing sorts the table.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import islice
+from itertools import count, repeat
 from math import gcd, lcm
+from operator import add, itemgetter, lshift, sub
 from types import MappingProxyType
 
 from .arith import divisors, format_rational, parse_ratio
@@ -71,9 +71,6 @@ class EllipticLattice:
     def is_psd(self, t):
         return isinstance(t, int) and t >= 0
 
-    def add(self, t, s):
-        return t + s
-
     def enumerate_all(self, bound):
         return list(range(bound + 1))
 
@@ -97,7 +94,7 @@ ELLIPTIC = EllipticLattice()
 
 class Degree2Lattice:
     """Degree-2 indices: integer tuples with the diagonal entries first and
-    last.  A subclass gives ``zero``, ``det``, ``is_psd``, ``add``,
+    last.  A subclass gives ``zero``, ``det``, ``is_psd``,
     ``enumerate_all``, ``fj_stride`` and, for G_k, ``g_alpha(k, N)``, its
     table ``g_alpha_table(k, n)`` and ``g_constant(k)``.  ``enumerate_all(bound)``
     lists every index of trace <= bound in canonical (``sort_key``) order,
@@ -304,21 +301,125 @@ def exp_scale(c, f: TruncatedExpansion) -> TruncatedExpansion:
     return TruncatedExpansion._of(f.lattice, f.weight, f.trace_bound, c.denominator * f.den, nums)
 
 
+_PAIRWISE_BELOW = 1 << 10  # |f| |g| under which summing term pairs costs less than packing
+
+
 def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpansion:
+    """f * g, exact inside the truncation, by Kronecker substitution
+    (Harvey, J. Symbolic Comput. 2009).  A degree-2 index splits into a row,
+    every entry but ``t[1]``, and the column ``t[1]``, so that rows and
+    columns each add componentwise and the trace is row[0] + row[-1]; the
+    elliptic lattice has one row, with column t.  Each row of f or g packs
+    into the integer sum of n 2^(s (col - lo)) over its terms, lo its least
+    column, and one big-integer product per pair of rows whose traces add
+    up to at most the bound, shifted into its target row, sums every pair
+    of their terms at once.
+
+    The slot width s is the least multiple of 8 bits with
+    s >= bits(max|f|) + bits(max|g|) + bits(|f| |g|) + 1: a slot of a
+    target row sums at most |f| |g| term products, so its value c has
+    |c| < 2^(s-1), and adding 2^(s-1) to every slot leaves each in
+    [0, 2^s) with no carry between them, to be read off as bytes.  Only
+    the supports are walked, never ``indices(bound)``; products of fewer
+    than ``_PAIRWISE_BELOW`` term pairs are summed pair by pair instead."""
     if not _same_lattice(f.lattice, g.lattice):
         raise SpaceMismatch(f"{f.lattice} vs {g.lattice}")
     lat = f.lattice
-    trace = lat.trace
-    add = lat.add
     bound = min(f.trace_bound, g.trace_bound)
-    gterms = sorted(g.nums.items(), key=lambda term: trace(term[0]))
-    gtraces = [trace(u) for u, _ in gterms]
-    acc = defaultdict(int)
-    for s, a in f.nums.items():
-        # the g terms of trace <= bound - trace(s); islice does not copy them
-        for u, b in islice(gterms, bisect_right(gtraces, bound - trace(s))):
-            acc[add(s, u)] += a * b
-    return TruncatedExpansion._of(lat, f.weight + g.weight, bound, f.den * g.den, acc)
+    fn, gn = _within(f, bound), _within(g, bound)
+    if len(fn) * len(gn) < _PAIRWISE_BELOW:
+        nums = _pairwise(lat, fn, gn, bound)
+    else:
+        s = 8 * ((_bits(fn) + _bits(gn) + (len(fn) * len(gn)).bit_length() + 8) // 8)
+        if lat is ELLIPTIC:  # one row, whose slots past the bound are dropped
+            (flo, fp), (glo, gp) = (_pack(repeat(0), h, h.values(), s)[0] for h in (fn, gn))
+            nums = dict(zip(range(flo + glo, bound + 1), _unpack(fp * gp, s)))
+        else:
+            row_of = itemgetter(0, *range(2, len(lat.zero)))
+            k = (2 * bound).bit_length() + 1  # a product's row entries lie in [-2 bound, 2 bound]
+            nums = _multiply_rows(_rows(fn, row_of, s, k), _rows(gn, row_of, s, k), bound, s)
+    return TruncatedExpansion._of(lat, f.weight + g.weight, bound, f.den * g.den, nums)
+
+
+def _pairwise(lat, fn: dict, gn: dict, bound: int) -> dict:
+    """f * g summed over each pair of terms within the bound."""
+    trace = lat.trace
+    plus = add if lat is ELLIPTIC else (lambda t, u: tuple(map(add, t, u)))
+    gterms = sorted((trace(u), u, b) for u, b in gn.items())
+    nums = {}
+    for t, a in fn.items():
+        room = bound - trace(t)
+        for tu, u, b in gterms:
+            if tu > room:
+                break
+            key = plus(t, u)
+            nums[key] = nums.get(key, 0) + a * b
+    return nums
+
+
+def _bits(nums: dict) -> int:
+    return max(max(nums.values()), -min(nums.values())).bit_length()
+
+
+def _add_at(acc: dict, key, lo: int, p: int, s: int):
+    """Add p 2^(s lo) to acc[key] = [lo', v], which stands for v 2^(s lo'),
+    lo' the least lo added."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = [lo, p]
+    elif lo >= cur[0]:
+        cur[1] += p << s * (lo - cur[0])
+    else:
+        cur[0], cur[1] = lo, p + (cur[1] << s * (cur[0] - lo))
+
+
+def _pack(rows, cols, values, s: int) -> dict:
+    """row -> [lo, P] with P = sum n 2^(s (col - lo)) over the terms n at
+    (row, col) and lo their least column."""
+    acc = {}
+    for row, col, n in zip(rows, cols, values):
+        cur = acc.get(row)
+        if cur is not None and col >= cur[0]:  # always, for terms in canonical order
+            cur[1] += n << s * (col - cur[0])
+        else:
+            _add_at(acc, row, col, n, s)
+    return acc
+
+
+def _unpack(v: int, s: int) -> list:
+    """The slots c of v = sum c 2^(s k), |c| < 2^(s - 1), from k = 0 up:
+    v plus 2^(s - 1) in every slot, read s / 8 bytes at a time."""
+    w, slots = s // 8, v.bit_length() // s + 1
+    b = (v + int.from_bytes((bytes(w - 1) + b"\x80") * slots, "little")).to_bytes(slots * w, "little")
+    return list(map(sub, [int.from_bytes(b[i:i + w], "little") for i in range(0, len(b), w)],
+                    repeat(1 << (s - 1))))
+
+
+def _rows(nums: dict, row_of, s: int, k: int) -> list:
+    """(trace, code, row, lo, P) for each row of the support, in trace
+    order: (lo, P) the packed row, and code = sum row[i] 2^(k i), which adds
+    as the rows do and tells apart rows whose entries lie in (-2^(k-1), 2^(k-1))."""
+    rows = _pack(map(row_of, nums), map(itemgetter(1), nums), nums.values(), s)
+    return sorted((row[0] + row[-1], sum(map(lshift, row, range(0, k * len(row), k))), row, lo, p)
+                  for row, (lo, p) in rows.items())
+
+
+def _multiply_rows(frows: list, grows: list, bound: int, s: int) -> dict:
+    """The packed products of every pair of rows within the bound, summed
+    per target row, then unpacked."""
+    acc, targets = {}, {}  # target code -> [lo, P]; -> an (f row, g row) pair adding up to it
+    for ft, fc, fr, flo, fp in frows:
+        for gt, gc, gr, glo, gp in grows:
+            if ft + gt > bound:
+                break
+            if fc + gc not in targets:
+                targets[fc + gc] = fr, gr
+            _add_at(acc, fc + gc, flo + glo, fp * gp, s)
+    nums = {}
+    for code, (lo, v) in acc.items():
+        a, *rest = map(add, *targets[code])
+        nums.update(zip(zip(repeat(a), count(lo), *map(repeat, rest)), _unpack(v, s)))
+    return nums
 
 
 def lift_coefficient(lattice, k: int, t, alpha, constant):

@@ -71,9 +71,6 @@ class HermitianLattice(Degree2Lattice):
         a, x, y, c = h
         return a >= 0 and c >= 0 and -self.disc * a * c >= self.field.norm(x, y)
 
-    def add(self, h, s):
-        return (h[0] + s[0], h[1] + s[1], h[2] + s[2], h[3] + s[3])
-
     def enumerate_all(self, bound):
         """Every index of trace <= bound in canonical order.  In the cell of
         trace s and first entry a, c = s - a is fixed and 4 N(x, y) =

@@ -46,9 +46,6 @@ class SiegelLattice(Degree2Lattice):
         a, b2, c = t
         return a >= 0 and c >= 0 and 4 * a * c - b2 * b2 >= 0
 
-    def add(self, t, s):
-        return (t[0] + s[0], t[1] + s[1], t[2] + s[2])
-
     def enumerate_all(self, bound):
         """Every index of trace <= bound in canonical order: trace s, then a,
         then b2 with b2^2 <= 4ac for c = s - a."""

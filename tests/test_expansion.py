@@ -16,6 +16,7 @@ from eiscong.arith import format_rational, primes
 from eiscong.congruence import cusp_correction
 from eiscong.elliptic import delta_expansion, elliptic_eisenstein
 from eiscong.expansion import (
+    _PAIRWISE_BELOW,
     ELLIPTIC,
     TruncatedExpansion,
     constant_one,
@@ -472,21 +473,115 @@ def parity_twist(f):
     })
 
 
+# every lattice, at a trace bound where an operand on every index has at
+# least 32 terms, so that two of them take the packed product, not the
+# pairwise one, and the quadratic oracle stays quick
+PRODUCT_LATTICES = {
+    ELLIPTIC: 40,
+    SIEGEL: 5,
+    **{hermitian_lattice(d): 3 if d > -19 else 2 for d in CLASS_NUMBER_ONE_DISCRIMINANTS},
+}
+
+# numerators up to 2^256 in size, with the extremes +-(2^k - 1) of k-bit values
+EXTREMES = [sign * (2**k - 1) for k in (1, 7, 8, 63, 64, 127, 128, 254, 255, 256) for sign in (1, -1)]
+wide_value = st.one_of(
+    st.integers(min_value=-(2**256), max_value=2**256),
+    st.sampled_from(EXTREMES),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@st.composite
+def product_operand(draw, lat, bound, weight, dense):
+    """Every index of the table or a random part of it; random values, or
+    one extreme value at every term."""
+    indices = lat.indices(bound)
+    if dense:
+        chosen = list(indices)
+    else:
+        chosen = draw(st.lists(st.sampled_from(indices), unique=True, max_size=len(indices)))
+    if draw(st.booleans()):
+        values = [draw(st.sampled_from(EXTREMES))] * len(chosen)
+    else:
+        values = draw(st.lists(wide_value, min_size=len(chosen), max_size=len(chosen)))
+    return TruncatedExpansion(lat, weight, bound, dict(zip(chosen, values)))
+
+
+@st.composite
+def wide_factor_pairs(draw):
+    """Half the time two dense operands, at the lattice's top bound and at
+    that bound or one more, whose product is packed; else any bounds, dense
+    or not, mostly summed pair by pair."""
+    lat = draw(st.sampled_from(list(PRODUCT_LATTICES)))
+    top = PRODUCT_LATTICES[lat]
+    if draw(st.booleans()):
+        bounds, dense = (top, draw(st.sampled_from([top, top + 1]))), (True, True)
+    else:
+        bounds, dense = draw(st.tuples(st.integers(0, top), st.integers(0, top))), draw(
+            st.tuples(st.booleans(), st.booleans()))
+    f = draw(product_operand(lat, bounds[0], 4, dense[0]))
+    g = draw(product_operand(lat, bounds[1], 6, dense[1]))
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+def constant_operand(lat, bound, weight, value):
+    return TruncatedExpansion(lat, weight, bound, dict.fromkeys(lat.indices(bound), value))
+
+
 class TestProductKernel:
-    @given(factor_pairs())
+    @settings(max_examples=100, deadline=None)
+    @given(wide_factor_pairs())
     def test_product_matches_reference(self, pair):
         f, g = pair
         fg = exp_multiply(f, g)
         assert fg == reference_product(f, g)
         assert fg == exp_multiply(g, f)
+        assert_well_formed(fg)
 
-    @given(factor_pairs())
+    @settings(max_examples=40, deadline=None)
+    @given(wide_factor_pairs())
     def test_cancelling_terms_are_dropped(self, pair):
         f, _ = pair
         g = parity_twist(f)
         fg = exp_multiply(f, g)
         assert fg == reference_product(f, g)
-        assert all(f.lattice.trace(t) % 2 == 0 for t in fg.coeffs)
+        assert all(f.lattice.trace(t) % 2 == 0 for t in fg.nums)
+
+    def test_dense_operands_take_the_packed_product(self):
+        for lat, top in PRODUCT_LATTICES.items():
+            assert len(lat.indices(top)) ** 2 >= _PAIRWISE_BELOW, lat
+
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+    def test_slots_at_their_width(self, signs):
+        """32 terms of 2^254 - 1 a side: the slot width is 254 + 254 +
+        bits(32 * 32) + 1 = 520 bits, a whole number of bytes with no
+        slack, and the slot at q^31 sums 32 products, just under 2^513 in
+        size, more than a slot one byte narrower holds."""
+        f, g = (constant_operand(ELLIPTIC, 31, 4, sign * (2**254 - 1)) for sign in signs)
+        fg = exp_multiply(f, g)
+        assert fg.nums[31] == signs[0] * signs[1] * 32 * (2**254 - 1) ** 2
+        assert fg == reference_product(f, g)
+
+    @pytest.mark.parametrize("lat", list(PRODUCT_LATTICES), ids=repr)
+    def test_extreme_dense_products(self, lat):
+        top = PRODUCT_LATTICES[lat]
+        f = constant_operand(lat, top, 4, 2**256 - 1)
+        g = constant_operand(lat, top, 6, -(2**256 - 1))
+        assert exp_multiply(f, g) == reference_product(f, g)
+        assert exp_multiply(f, f) == reference_product(f, f)
+
+    def test_sparse_products_build_no_index_table(self):
+        before = SIEGEL.indices.cache_info()
+        f = TruncatedExpansion(SIEGEL, 4, 400, {(100, 3, 100): 5})
+        g = TruncatedExpansion(SIEGEL, 6, 400, {(199, -1, 1): -7})
+        assert exp_multiply(f, g).nums == {(299, 2, 101): -35}
+        # and through the packed product: one row of 40 terms by 40 rows of one
+        f = TruncatedExpansion(SIEGEL, 4, 400, {(100, b, 100): b + 21 for b in range(-20, 20)})
+        g = TruncatedExpansion(SIEGEL, 6, 400, {(1, 0, c): -c for c in range(1, 41)})
+        assert len(f.nums) * len(g.nums) >= _PAIRWISE_BELOW
+        assert exp_multiply(f, g).nums == {
+            (101, b, 100 + c): -(b + 21) * c for b in range(-20, 20) for c in range(1, 41)}
+        assert SIEGEL.indices.cache_info() == before
 
 
 def assert_well_formed(f):
