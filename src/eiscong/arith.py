@@ -51,7 +51,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (for n < 3.3e24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES_SMALL:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -302,24 +302,11 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
     return Fraction(acc if f == 1 else 2 * acc, f * den)
 
 
-def divisor_power_sum(
-    m: int,
-    N: int,
-    char: KroneckerCharacter | None = None,
-    star: bool = False,
-) -> int:
-    """sigma_m(N), or its chi-twists sigma_{m,chi} / sigma*_{m,chi}.
-
-    With a character: star=False sums chi(d) d^m over divisors d, star=True
-    sums chi(N/d) d^m.
-    """
+def divisor_power_sum(m: int, N: int) -> int:
+    """sigma_m(N), the sum of d^m over the divisors d of N."""
     if N < 1:
         raise ValueError("divisor_power_sum expects N >= 1")
-    if char is None:
-        return sum(d**m for d in divisors(N))
-    if star:
-        return sum(char(N // d) * d**m for d in divisors(N))
-    return sum(char(d) * d**m for d in divisors(N))
+    return sum(d**m for d in divisors(N))
 
 
 def g_value(D: int, m: int, N: int) -> int:

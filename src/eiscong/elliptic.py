@@ -11,8 +11,11 @@ as diag(i, 0) plus another of index 1, so (Eichler and Zagier, §6)
     phi0(FG) = phi0(F) phi0(G),
     alpha_FG(N) = sum_{0 <= i <= N/m} phi0_F(i) alpha_G(N - m i) + alpha_F(N - m i) phi0_G(i)
 
-with m the lattice's Fourier-Jacobi stride and alpha = 0 below 0; every
-factor of Q_k is E4 or E6, so each monomial's alpha depends on N alone.
+with m the lattice's Fourier-Jacobi stride and alpha = 0 below 0.  Both
+rules are products of degree-1 series in q: with phi0 held as phi0(q^m),
+alpha_FG = phi0_F(q^m) alpha_G + alpha_F phi0_G(q^m), so ``exp_multiply``
+evaluates them.  Every factor of Q_k is E4 or E6, so each monomial's alpha
+depends on N alone.
 """
 
 from __future__ import annotations
@@ -20,14 +23,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import mul
 
 from .arith import bernoulli, divisor_power_sum
 from .errors import InsufficientTruncation, InvalidWeight, NotInSpace, UnsupportedFieldForm
 from .expansion import (
     ELLIPTIC,
     TruncatedExpansion,
-    _over_one_denominator,
     constant_one,
     exp_add,
     exp_multiply,
@@ -152,23 +153,20 @@ CUSP_FORMS = {
 }
 
 
-def _maass_factor(lattice, j: int, n_max: int):
-    """The degree-2 E_j as (den, phi0, alpha), integer numerators over den."""
-    p = n_max // lattice.fj_stride
-    scale = 1 / lattice.g_constant(j)
-    values = [*map(elliptic_eisenstein(j, p).coefficient, range(p + 1))]
-    table = lattice.g_alpha_table(j, n_max)
-    den, nums = _over_one_denominator(values + [scale * a for a in table])
-    return den, nums[:p + 1], nums[p + 1:]
+def _maass_factor(lattice, j: int, n: int):
+    """The degree-2 E_j as its pair (phi0(q^m), alpha) of degree-1
+    expansions truncated at n, m the lattice's Fourier-Jacobi stride."""
+    m = lattice.fj_stride
+    phi = elliptic_eisenstein(j, n // m)
+    alpha = TruncatedExpansion(ELLIPTIC, j, n, dict(enumerate(lattice.g_alpha_table(j, n))))
+    return (TruncatedExpansion._of(ELLIPTIC, j, n, phi.den, {m * i: v for i, v in phi.nums.items()}),
+            exp_scale(1 / lattice.g_constant(j), alpha))
 
 
-def _maass_product(f, g, m: int):
-    """(den, phi0, alpha) of the product of two Maass forms, m the stride."""
-    (fden, fphi, falpha), (gden, gphi, galpha) = f, g
-    phi = [sum(map(mul, fphi[:n + 1], gphi[n::-1])) for n in range(len(fphi))]
-    alpha = [sum(map(mul, fphi, galpha[N::-m])) + sum(map(mul, gphi, falpha[N::-m]))
-             for N in range(len(falpha))]
-    return fden * gden, phi, alpha
+def _maass_product(f, g):
+    """The pair (phi0(q^m), alpha) of the product of two Maass forms."""
+    (fphi, falpha), (gphi, galpha) = f, g
+    return exp_multiply(fphi, gphi), exp_add(exp_multiply(fphi, galpha), exp_multiply(falpha, gphi))
 
 
 @lru_cache(maxsize=None)
@@ -179,14 +177,14 @@ def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
         raise UnsupportedFieldForm(f"no cusp form {key[2]!r} over disc {key[1]}")
     k, front = CUSP_FORMS[key]
     lattice = lattice_for(*key[:2])
-    m, n = lattice.fj_stride, lattice.fj_stride * trace_bound**2 // 4
+    n = lattice.fj_stride * trace_bound**2 // 4
     factors = {j: _maass_factor(lattice, j, n) for j in {4, 6, k}}
-    pieces = [(1, factors[k])] + [
-        (-c, reduce(lambda f, g: _maass_product(f, g, m), [factors[4]] * a + [factors[6]] * b))
-        for (a, b), c in _BOUNDARY_RELATIONS[k].terms
-    ]
-    table = [front * sum(c * Fraction(v[N], d) for c, (d, _, v) in pieces) for N in range(n + 1)]
-    return lift(lattice, k, trace_bound, table, 0)
+    alpha = factors[k][1]
+    for (a, b), c in _BOUNDARY_RELATIONS[k].terms:
+        _, monomial = reduce(_maass_product, [factors[4]] * a + [factors[6]] * b)
+        alpha = exp_add(alpha, exp_scale(-c, monomial))
+    alpha = exp_scale(front, alpha)
+    return lift(lattice, k, trace_bound, [*map(alpha.coefficient, range(n + 1))], 0)
 
 
 def isobaric_monomials(k: int) -> list[tuple[int, int]]:

@@ -301,9 +301,6 @@ def exp_scale(c, f: TruncatedExpansion) -> TruncatedExpansion:
     return TruncatedExpansion._of(f.lattice, f.weight, f.trace_bound, c.denominator * f.den, nums)
 
 
-_PAIRWISE_BELOW = 1 << 10  # |f| |g| under which summing term pairs costs less than packing
-
-
 def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpansion:
     """f * g, exact inside the truncation, by Kronecker substitution
     (Harvey, J. Symbolic Comput. 2009).  A degree-2 index splits into a row,
@@ -320,41 +317,24 @@ def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpan
     target row sums at most |f| |g| term products, so its value c has
     |c| < 2^(s-1), and adding 2^(s-1) to every slot leaves each in
     [0, 2^s) with no carry between them, to be read off as bytes.  Only
-    the supports are walked, never ``indices(bound)``; products of fewer
-    than ``_PAIRWISE_BELOW`` term pairs are summed pair by pair instead."""
+    the supports are walked, never ``indices(bound)``, and every product,
+    however small, is packed; an empty operand gives zero at once."""
     if not _same_lattice(f.lattice, g.lattice):
         raise SpaceMismatch(f"{f.lattice} vs {g.lattice}")
     lat = f.lattice
     bound = min(f.trace_bound, g.trace_bound)
     fn, gn = _within(f, bound), _within(g, bound)
-    if len(fn) * len(gn) < _PAIRWISE_BELOW:
-        nums = _pairwise(lat, fn, gn, bound)
+    if not (fn and gn):
+        return zero_expansion(lat, f.weight + g.weight, bound)
+    s = 8 * ((_bits(fn) + _bits(gn) + (len(fn) * len(gn)).bit_length() + 8) // 8)
+    if lat is ELLIPTIC:  # one row, whose slots past the bound are dropped
+        (flo, fp), (glo, gp) = (_pack(repeat(0), h, h.values(), s)[0] for h in (fn, gn))
+        nums = dict(zip(range(flo + glo, bound + 1), _unpack(fp * gp, s)))
     else:
-        s = 8 * ((_bits(fn) + _bits(gn) + (len(fn) * len(gn)).bit_length() + 8) // 8)
-        if lat is ELLIPTIC:  # one row, whose slots past the bound are dropped
-            (flo, fp), (glo, gp) = (_pack(repeat(0), h, h.values(), s)[0] for h in (fn, gn))
-            nums = dict(zip(range(flo + glo, bound + 1), _unpack(fp * gp, s)))
-        else:
-            row_of = itemgetter(0, *range(2, len(lat.zero)))
-            k = (2 * bound).bit_length() + 1  # a product's row entries lie in [-2 bound, 2 bound]
-            nums = _multiply_rows(_rows(fn, row_of, s, k), _rows(gn, row_of, s, k), bound, s)
+        row_of = itemgetter(0, *range(2, len(lat.zero)))
+        k = (2 * bound).bit_length() + 1  # a product's row entries lie in [-2 bound, 2 bound]
+        nums = _multiply_rows(_rows(fn, row_of, s, k), _rows(gn, row_of, s, k), bound, s)
     return TruncatedExpansion._of(lat, f.weight + g.weight, bound, f.den * g.den, nums)
-
-
-def _pairwise(lat, fn: dict, gn: dict, bound: int) -> dict:
-    """f * g summed over each pair of terms within the bound."""
-    trace = lat.trace
-    plus = add if lat is ELLIPTIC else (lambda t, u: tuple(map(add, t, u)))
-    gterms = sorted((trace(u), u, b) for u, b in gn.items())
-    nums = {}
-    for t, a in fn.items():
-        room = bound - trace(t)
-        for tu, u, b in gterms:
-            if tu > room:
-                break
-            key = plus(t, u)
-            nums[key] = nums.get(key, 0) + a * b
-    return nums
 
 
 def _bits(nums: dict) -> int:

@@ -265,16 +265,6 @@ class TestDivisorSums:
                 m, a
             ) * divisor_power_sum(m, b)
 
-    def test_twisted_sigma_example(self):
-        chi = kronecker_character(-4)
-        # sigma_{2,chi}(5) = chi(1)*1 + chi(5)*25 = 26
-        assert divisor_power_sum(2, 5, char=chi) == 26
-        # starred version twists the codivisor: chi(5)*1 + chi(1)*25 = 26
-        assert divisor_power_sum(2, 5, char=chi, star=True) == 26
-        # N = 3: sigma_{2,chi}(3) = 1 - 9 = -8, starred = -1 + 9 = 8
-        assert divisor_power_sum(2, 3, char=chi) == -8
-        assert divisor_power_sum(2, 3, char=chi, star=True) == 8
-
 
 class TestGValue:
     def test_integrality_grid(self):
@@ -292,12 +282,11 @@ class TestGValue:
         assert g_value(-4, 2, 5) == 0
         # chi_-4(3) = -1 (inert): sigma = -8, sigma* = 8, halved
         assert g_value(-4, 2, 3) == -8
-        # ramified N: chi(N) = 0, the plain difference
+        # ramified N: chi(N) = 0, the plain difference of the sums of
+        # chi(d) d^2 and chi(N/d) d^2 over the divisors d
         chi = kronecker_character(-4)
         assert chi(2) == 0
-        assert g_value(-4, 2, 2) == divisor_power_sum(2, 2, char=chi) - divisor_power_sum(
-            2, 2, char=chi, star=True
-        )
+        assert g_value(-4, 2, 2) == sum((chi(d) - chi(2 // d)) * d**2 for d in (1, 2))
 
 
 class TestFundamentalDecomposition:

@@ -40,6 +40,7 @@ from eiscong.errors import (
     NonIntegralCoefficient,
     NonInvertibleReference,
     WeightMismatch,
+    WitnessSearchExhausted,
 )
 from eiscong.hermitian import hermitian_cusp_form, hermitian_expansion, hermitian_lattice
 from eiscong.reference_values import CONDITION_B_TABLES
@@ -298,10 +299,10 @@ class TestCuspCorrection:
         # correction takes the degree-2 products and returns zero
         e4 = eisenstein(lat, "E", 4, bound)
         cube = e4 * e4 * e4
-        m = lat.fj_stride
-        factor = _maass_factor(lat, 4, m * bound**2 // 4)
-        den, phi, alpha = _maass_product(_maass_product(factor, factor, m), factor, m)
-        own = lift(lat, 12, bound, [Fraction(a, den) for a in alpha], Fraction(phi[0], den))
+        n = lat.fj_stride * bound**2 // 4
+        factor = _maass_factor(lat, 4, n)
+        phi, alpha = _maass_product(_maass_product(factor, factor), factor)
+        own = lift(lat, 12, bound, [*map(alpha.coefficient, range(n + 1))], phi.coefficient(0))
         assert own != cube
         assert cusp_correction(cube).is_zero()
 
@@ -622,6 +623,13 @@ class TestWitness:
         assert is_prime(w.q)
         assert kronecker_chi(-3, w.q) == -1
         assert pow(w.q, 8, 809) == w.pow_residue != 1
+
+    def test_progression_cap_edge(self):
+        # the constructed witness 8093 sits at the third progression step
+        with pytest.raises(WitnessSearchExhausted, match="no witness within 2 progression steps"):
+            nontriviality_witness(-3, 10, 809, direct_limit=2, progression_cap=2)
+        assert nontriviality_witness(-3, 10, 809, direct_limit=2, progression_cap=3) == (
+            WitnessReport(q=8093, chi_value=-1, pow_residue=89, method="crt-construction"))
 
     def test_report_is_an_immutable_record(self):
         # the benchmark hashes this repr for its witness operations

@@ -16,7 +16,6 @@ from eiscong.arith import format_rational, primes
 from eiscong.congruence import cusp_correction
 from eiscong.elliptic import delta_expansion, elliptic_eisenstein
 from eiscong.expansion import (
-    _PAIRWISE_BELOW,
     ELLIPTIC,
     TruncatedExpansion,
     constant_one,
@@ -474,8 +473,7 @@ def parity_twist(f):
 
 
 # every lattice, at a trace bound where an operand on every index has at
-# least 32 terms, so that two of them take the packed product, not the
-# pairwise one, and the quadratic oracle stays quick
+# least 32 terms, and the quadratic oracle stays quick
 PRODUCT_LATTICES = {
     ELLIPTIC: 40,
     SIEGEL: 5,
@@ -510,8 +508,7 @@ def product_operand(draw, lat, bound, weight, dense):
 @st.composite
 def wide_factor_pairs(draw):
     """Half the time two dense operands, at the lattice's top bound and at
-    that bound or one more, whose product is packed; else any bounds, dense
-    or not, mostly summed pair by pair."""
+    that bound or one more; else any bounds, dense or not."""
     lat = draw(st.sampled_from(list(PRODUCT_LATTICES)))
     top = PRODUCT_LATTICES[lat]
     if draw(st.booleans()):
@@ -528,7 +525,30 @@ def constant_operand(lat, bound, weight, value):
     return TruncatedExpansion(lat, weight, bound, dict.fromkeys(lat.indices(bound), value))
 
 
+def small_products(lat, top):
+    """Products of a few terms, of a zero operand or at trace bound 0, by case."""
+    table, first = lat.indices(top), lat.indices(1)[1]  # first: an index of trace 1
+    last = table[-1]  # an index of trace top
+    return {
+        "zero-operand": (zero_expansion(lat, 4, top), constant_operand(lat, top, 6, 3)),
+        "one-term-operands": (TruncatedExpansion(lat, 4, top, {first: -5}),
+                              TruncatedExpansion(lat, 6, top, {first: 7})),
+        "both-at-bound-0": (constant_operand(lat, 0, 4, 2), constant_operand(lat, 0, 6, -3)),
+        "bounds-0-and-top": (constant_operand(lat, 0, 4, 2), constant_operand(lat, top, 6, -3)),
+        "lowest-term-past-the-bound": (TruncatedExpansion(lat, 4, top, {last: 2}),
+                                       TruncatedExpansion(lat, 6, top, {first: -3, last: 5})),
+    }
+
+
 class TestProductKernel:
+    @pytest.mark.parametrize("case", list(small_products(ELLIPTIC, 40)))
+    @pytest.mark.parametrize("lat", list(PRODUCT_LATTICES), ids=repr)
+    def test_small_products(self, lat, case):
+        f, g = small_products(lat, PRODUCT_LATTICES[lat])[case]
+        for fg, (a, b) in ((exp_multiply(f, g), (f, g)), (exp_multiply(g, f), (g, f))):
+            assert fg == reference_product(a, b)
+            assert_well_formed(fg)
+
     @settings(max_examples=100, deadline=None)
     @given(wide_factor_pairs())
     def test_product_matches_reference(self, pair):
@@ -546,10 +566,6 @@ class TestProductKernel:
         fg = exp_multiply(f, g)
         assert fg == reference_product(f, g)
         assert all(f.lattice.trace(t) % 2 == 0 for t in fg.nums)
-
-    def test_dense_operands_take_the_packed_product(self):
-        for lat, top in PRODUCT_LATTICES.items():
-            assert len(lat.indices(top)) ** 2 >= _PAIRWISE_BELOW, lat
 
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
     def test_slots_at_their_width(self, signs):
@@ -575,10 +591,9 @@ class TestProductKernel:
         f = TruncatedExpansion(SIEGEL, 4, 400, {(100, 3, 100): 5})
         g = TruncatedExpansion(SIEGEL, 6, 400, {(199, -1, 1): -7})
         assert exp_multiply(f, g).nums == {(299, 2, 101): -35}
-        # and through the packed product: one row of 40 terms by 40 rows of one
+        # and one row of 40 terms by 40 rows of one
         f = TruncatedExpansion(SIEGEL, 4, 400, {(100, b, 100): b + 21 for b in range(-20, 20)})
         g = TruncatedExpansion(SIEGEL, 6, 400, {(1, 0, c): -c for c in range(1, 41)})
-        assert len(f.nums) * len(g.nums) >= _PAIRWISE_BELOW
         assert exp_multiply(f, g).nums == {
             (101, b, 100 + c): -(b + 21) * c for b in range(-20, 20) for c in range(1, 41)}
         assert SIEGEL.indices.cache_info() == before
