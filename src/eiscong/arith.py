@@ -1,9 +1,10 @@
 """Exact scalar kernel.
 
-Bernoulli numbers, Kronecker characters of fundamental discriminants,
-character-twisted divisor sums, and p-adic valuations of rationals.
-Everything is computed over ``fractions.Fraction`` / Python
-integers; no floating point enters anywhere.
+Primes, Bernoulli numbers, Kronecker characters of fundamental
+discriminants, character-twisted divisor sums and p-adic valuations, over
+``fractions.Fraction`` and Python integers only.  One odd-only sieve
+(``_odd_sieve``) lists the primes and cuts the condition-B walk's segments;
+chi_D is set at the primes below |D| and spread by multiplicativity.
 
 The even Bernoulli numbers live in one shared table built from tangent
 numbers in integers only, by the in-place recurrence of Brent and Harvey
@@ -24,10 +25,9 @@ import decimal
 import math
 import threading
 from collections import namedtuple
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, compress, count, repeat
 from math import comb, gcd, isqrt
 
 from .errors import (
@@ -73,34 +73,38 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _wheel_candidates() -> Iterator[int]:
-    # 2, 3 and then the 6k+-1 wheel; composites in the stream are harmless
-    # for trial division because their prime factors come first.
-    yield 2
-    yield 3
-    c = 5
-    step = 2
-    while True:
-        yield c
-        c += step
-        step = 6 - step
+def _odd_sieve(a: int, b: int, base) -> bytearray:
+    """Flags of the odd numbers in [a, b), byte i for (a | 1) + 2i: 0 once
+    it is an odd multiple >= p^2 of a p in ``base`` (odd primes, ascending).
+    With every odd prime up to isqrt(b - 1) as base, the flags left are the
+    odd primes in [a, b), and 1 when a <= 1."""
+    lo = a | 1
+    seg = bytearray(b"\1") * len(range(lo, b, 2))
+    for p in base:
+        if p * p >= b:
+            break
+        i = (max(p * p, (lo + p - 1) // (2 * p) * 2 * p + p) - lo) // 2  # odd multiples
+        seg[i::p] = bytes(len(range(i, len(seg), p)))
+    return seg
 
 
-def primes(limit: int) -> Iterator[int]:
-    """Yield the primes below ``limit`` in increasing order."""
-    for c in _wheel_candidates():
-        if c >= limit:
-            return
-        if is_prime(c):
-            yield c
+def primes(limit: int) -> list[int]:
+    """The primes below ``limit`` in increasing order: 2, then the odd
+    numbers other than 1 that ``_odd_sieve`` leaves when the odd primes up
+    to isqrt(limit - 1), found the same way, strike their multiples."""
+    if limit <= 2:
+        return []
+    seg = _odd_sieve(0, limit, primes(isqrt(limit - 1) + 1)[1:])
+    seg[0] = 0  # 1 is not prime
+    return [2, *compress(range(1, limit, 2), seg)]
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by wheel trial division."""
+    """Prime factorization of n >= 1 by trial division by 2, then by the odd numbers."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
-    for p in _wheel_candidates():
+    for p in chain((2,), count(3, 2)):
         if p * p > n:
             break
         while n % p == 0:
@@ -205,39 +209,6 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-def kronecker_symbol(a: int, n: int) -> int:
-    """The Kronecker symbol (a/n) with the standard extension at 2, 0 and
-    negative arguments."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if a == 0:
-        return 1 if n in (1, -1) else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    # (a/2) factor: 0 for even a, else +1 if a = +-1 mod 8, -1 if a = +-3.
-    while n % 2 == 0:
-        if a % 2 == 0:
-            return 0
-        n //= 2
-        if a % 8 in (3, 5):
-            result = -result
-    # Jacobi symbol (a/n) for odd n > 0 by quadratic reciprocity.
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 class KroneckerCharacter(namedtuple("KroneckerCharacter", "discriminant table")):
     """The real character chi_D = (D/.) of a fundamental discriminant D,
     tabulated over one period: ``table[r]`` is chi_D(r) for 0 <= r < |D|."""
@@ -255,10 +226,21 @@ class KroneckerCharacter(namedtuple("KroneckerCharacter", "discriminant table"))
 
 @lru_cache(maxsize=None)
 def kronecker_character(D: int) -> KroneckerCharacter:
+    """chi_D over one period, set at each prime p < |D| and spread to the
+    rest by complete multiplicativity: chi_D(p) is read from D mod 8 at
+    p = 2 and is D^((p-1)/2) mod p by Euler's criterion elsewhere, and a
+    slice multiplies it into the multiples of each power of p."""
     if not is_fundamental_discriminant(D):
         raise NonFundamentalDiscriminant(f"{D} is not a fundamental discriminant")
-    table = tuple(kronecker_symbol(D, r) for r in range(abs(D)))
-    return KroneckerCharacter(D, table)
+    f = abs(D)
+    table = [int(f == 1)] + [1] * (f - 1)
+    for p in primes(f):
+        chi_p = (0, 1, 0, -1, 0, -1, 0, 1)[D % 8] if p == 2 else (pow(D, p // 2, p) + 1) % p - 1
+        q = p
+        while chi_p != 1 and q < f:  # chi_p is 0 or -1
+            table[q::q] = [chi_p * c for c in table[q::q]]
+            q *= p
+    return KroneckerCharacter(D, tuple(table))
 
 
 def kronecker_chi(D: int, n: int) -> int:

@@ -2,25 +2,25 @@
 multiplier solving, divisibility scanners, non-triviality witnesses, and
 the cusp-correction construction.
 
-The condition-B scanner factors numerators of B_{k-1,chi} up to a bound.
+The condition-B scanner factors numerators of B_{k-1,chi} up to 10^7.
 It divides out 2, 3, 5 and 7, splits the rest with Brent's variant of
 Pollard rho (Brent, *An improved Monte Carlo factorization algorithm*, BIT
 1980) under a fixed step budget, and walks by trial division only a piece
-that rho cannot split, by the primes of a segmented sieve.  The answer
-is exact whatever rho does: the primes up to the bound, plus the leftover
-when it tests prime, else the leftover as an unfactored cofactor (see
-``_prime_factors_bounded``).
+that rho cannot split, by the primes each segment of the sieve in
+``arith`` leaves.  The answer is exact whatever rho does: the primes up to
+the bound, plus the leftover when it tests prime, else the leftover as an
+unfactored cofactor (see ``_prime_factors_bounded``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
 
 from .arith import (
+    _odd_sieve,
     bernoulli,
     factorize,
     generalized_bernoulli,
@@ -171,7 +171,7 @@ def irregular_pairs(p_max: int) -> list[tuple[int, int]]:
     the numerator of B_m."""
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
-    ps = list(primes(p_max + 1))
+    ps = primes(p_max + 1)
     if ps[-1] > 3:
         bernoulli(ps[-1] - 3)  # the largest B_m tested: one table build, not a chain
     nums = [bernoulli(m).numerator for m in range(0, ps[-1] - 2, 2)]  # B_m at m // 2
@@ -186,6 +186,7 @@ _WHEEL_210 = tuple(r for r in range(210) if gcd(10 + r, 210) == 1)
 # about 1.3*sqrt(p) steps on average, and its rounds double.
 _RHO_STEPS = 8
 _RHO_BATCH = 128  # products |x - y| taken per gcd
+CONDITION_B_BOUND = 10**7  # condition-B scans find every prime factor up to it
 
 
 def _brent_split(n: int, budget: int) -> int:
@@ -227,26 +228,24 @@ def _trial_walk(n: int, bound: int) -> set[int]:
     """The primes up to ``bound`` that divide n, where n has no factor 2,
     3, 5 or 7 up to the bound, by trial division by primes only.
 
-    A chunk [a, b) is an odd-only segment, sieved by the primes from 11 to
-    isqrt(b), found once per call.  Each class a + r prime to 210 is the
-    slice seg[(r - 1) / 2::105] under ``compress``, tested in C, so only a
-    prime costs a mod (one ``compress`` over all odd numbers was no faster:
-    it builds as many more integers as it saves mods).  Only a chunk that
-    holds a divisor is walked in Python, in increasing order.  Chunks
+    A chunk [a, b) is an odd-only segment from ``arith._odd_sieve``, by
+    the primes from 11 to isqrt(b) that ``arith.primes`` lists once per
+    call.  Each class a + r prime to 210 is the slice seg[(r - 1) / 2::105]
+    under ``compress``, tested in C, so only a prime costs a mod (one
+    ``compress`` over all odd numbers was no faster: it builds as many more
+    integers as it saves mods).  Only a chunk that holds a divisor is
+    walked in Python, in increasing order.  Chunks
     double from 8 to 2^10 steps of 210, so a small factor is met early and
     a segment is at most 105 KiB, and start at 10 (mod 210), so no class
     is skipped at an edge.  The walk stops at the bound, once c^2 > n, or
     once the cofactor is prime.
     """
     found: set[int] = set()
-    sieving = [p for p in primes(isqrt(min(bound, isqrt(n))) + 1) if p > 7]
+    sieving = primes(isqrt(min(bound, isqrt(n))) + 1)[4:]  # from 11 on
     a, width = 10, 8
     while a + 1 <= min(bound, isqrt(n)):
         b = min(a + 210 * width, bound + 1, isqrt(n) + 1)
-        seg = bytearray(b"\1") * ((b - a) // 2)  # seg[i] flags a + 1 + 2i
-        for p in sieving[:bisect(sieving, isqrt(b - 1))]:
-            i = (max(p * p, (a + p) // (2 * p) * 2 * p + p) - a - 1) // 2  # odd multiples
-            seg[i::p] = bytes(len(range(i, len(seg), p)))
+        seg = _odd_sieve(a, b, sieving)  # seg[i] flags a + 1 + 2i
         if not all(all(map(n.__mod__, compress(range(a + r, b, 210), seg[(r - 1) // 2::105])))
                    for r in _WHEEL_210):
             # the flags pass multiples of 3, 5 and 7 too, which never divide n
@@ -319,31 +318,26 @@ def _prime_factors_bounded(n: int, bound: int) -> tuple[set[int], int]:
     return found, rest
 
 
-def condition_b_factors(
-    disc: int, k_max: int, *, k_min: int = 4, trial_bound: int = 10**7
-) -> dict[int, tuple[list[int], int]]:
-    """For each even weight k, the primes p > k + 1 found dividing the
-    numerator of the (k-1)-th generalized Bernoulli number of the field
-    character, and the cofactor of that numerator left unfactored: 1, or a
-    composite with no prime factor up to ``trial_bound`` (0 if the number
-    vanishes).  A positive ``disc``, a real quadratic field, is a ValueError."""
+def condition_b_factors(disc: int, k_max: int) -> dict[int, tuple[list[int], int]]:
+    """For each even weight 4 <= k <= k_max, the primes p > k + 1 found
+    dividing the numerator of the (k-1)-th generalized Bernoulli number of
+    the field character, and the cofactor of that numerator left unfactored:
+    1, or a composite with no prime factor up to ``CONDITION_B_BOUND`` = 10^7
+    (0 if it vanishes).  A positive ``disc``, a real field, is a ValueError."""
     if disc > 0:
         raise ValueError(f"condition B needs an imaginary quadratic field, got disc {disc}")
     out: dict[int, tuple[list[int], int]] = {}
-    for k in range(k_min, k_max + 1, 2):
+    for k in range(4, k_max + 1, 2):
         num = generalized_bernoulli(k - 1, disc).numerator
-        ps, rest = _prime_factors_bounded(num, trial_bound)
+        ps, rest = _prime_factors_bounded(num, CONDITION_B_BOUND)
         out[k] = (sorted(p for p in ps if p > k + 1), rest)
     return out
 
 
-def condition_b_primes(
-    disc: int, k_max: int, *, k_min: int = 4, trial_bound: int = 10**7
-) -> dict[int, list[int]]:
-    """The primes of ``condition_b_factors``, without the unfactored
-    cofactors."""
-    rows = condition_b_factors(disc, k_max, k_min=k_min, trial_bound=trial_bound)
-    return {k: ps for k, (ps, _) in rows.items()}
+def condition_b_primes(disc: int, k_max: int) -> dict[int, list[int]]:
+    """The primes of ``condition_b_factors`` for k = 4, 6, ..., k_max,
+    without the unfactored cofactors."""
+    return {k: ps for k, (ps, _) in condition_b_factors(disc, k_max).items()}
 
 
 def condition_a_check(disc: int, p: int) -> bool:
@@ -382,7 +376,7 @@ def nontriviality_witness(
     if disc % p == 0:
         raise ValueError("requires p not dividing the discriminant")
     chi = kronecker_character(disc)
-    for q in primes(direct_limit):
+    for q in filter(is_prime, range(direct_limit)):  # lazily: a witness is nearly always small
         if chi(q) == -1:
             r = pow(q, k - 2, p)
             if r != 1:

@@ -3,28 +3,29 @@
 These deliberately take different routes than the library: Bernoulli
 numbers via the binomial-sum recurrence (``bernoulli_binomial_recurrence``,
 the library's route before it built its table from tangent numbers), via
-the Akiyama-Tanigawa triangle and via Seidel's zigzag triangle, Delta
-via the eta product, chi values via Euler's criterion, expansion products
-target by target over every index pair, Hermitian E_k coefficients by their
-own closed form rather than as a multiple of G_k, generalized Bernoulli
-numbers from a Bernoulli polynomial at every residue
+the Akiyama-Tanigawa triangle and via Seidel's zigzag triangle, Delta via
+the eta product, chi values via Euler's criterion and via quadratic
+reciprocity at every residue (``kronecker_symbol``, the library's route
+before it set chi_D at primes and spread it by multiplicativity), expansion
+products target by target over every index pair, Hermitian E_k coefficients
+by their own closed form rather than as a multiple of G_k, generalized
+Bernoulli numbers from a Bernoulli polynomial at every residue
 (``generalized_bernoulli_by_polynomials``, the library's route before it
 summed integer powers), bounded factoring by trial division by the primes
 of a sieve of Eratosthenes, with a Miller-Rabin test of its own
-(``prime_factors_by_sieve``; the library splits by Brent's rho and walks a
-wheel), and reduction, verification and solving mod m index by index, one
-modular inverse per coefficient (``reduce_mod_p_by_index``,
+(``prime_factors_by_sieve``; the library splits by Brent's rho and walks
+sieve segments), and reduction, verification and solving mod m index by
+index, one modular inverse per coefficient (``reduce_mod_p_by_index``,
 ``verify_congruence_by_index`` and ``solve_lambda_by_index``, the library's
 route before it reduced each expansion with one inverse), the index
 enumeration of every lattice unordered, with a norm filter on Hermitian
 lattices (``enumerate_by_filtering``, the library's route before each
-lattice enumerated in canonical order and the index table stopped
-sorting), the text form by
-sorting the support (``serialize_by_sorting``) and Maass lifts by
-``lift_coefficient`` at each index (``lift_by_index``), the library's routes
-before it read both from one index table.  The degree-2 forms
-have the library's routes from before it built them as Maass lifts: G_k
-coefficients index by index, by the Siegel closed form with its Moebius
+lattice enumerated in canonical order and the index table stopped sorting),
+the text form by sorting the support (``serialize_by_sorting``) and Maass
+lifts by ``lift_coefficient`` at each index (``lift_by_index``), the
+library's routes before it read both from one index table.  The degree-2
+forms have the library's routes from before it built them as Maass lifts:
+G_k coefficients index by index, by the Siegel closed form with its Moebius
 inner sum (``siegel_g_closed_form``) and the Hermitian one with its divisor
 sum of g values (``hermitian_g_closed_form``), and the cusp forms as
 front * (E_k - Q_k(E4, E6)) with full degree-2 products
@@ -242,6 +243,39 @@ def delta_eta_product(n_max: int) -> list[int]:
     for i in range(1, n_max + 1):
         out[i] = poly[i - 1]
     return out
+
+
+def kronecker_symbol(a: int, n: int) -> int:
+    """The Kronecker symbol (a/n) with the standard extension at 2, 0 and
+    negative arguments."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    if a == 0:
+        return 1 if n in (1, -1) else 0
+    result = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            result = -result
+    # (a/2) factor: 0 for even a, else +1 if a = +-1 mod 8, -1 if a = +-3.
+    while n % 2 == 0:
+        if a % 2 == 0:
+            return 0
+        n //= 2
+        if a % 8 in (3, 5):
+            result = -result
+    # Jacobi symbol (a/n) for odd n > 0 by quadratic reciprocity.
+    a %= n
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def chi_via_euler_criterion(D: int, q: int) -> int:

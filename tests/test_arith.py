@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from eiscong.arith import (
     KroneckerCharacter,
+    _odd_sieve,
     bernoulli,
     divisor_power_sum,
     divisors,
@@ -40,6 +41,8 @@ from .oracles import (
     chi_via_euler_criterion,
     generalized_bernoulli_by_polynomials,
     is_p_integral,
+    kronecker_symbol,
+    primes_up_to,
     sigma_bruteforce,
 )
 from .records import check_record
@@ -55,6 +58,25 @@ class TestPrimes:
 
     def test_primes_stream_agrees_with_is_prime(self):
         assert list(primes(200)) == [n for n in range(2, 201) if is_prime(n)]
+        for limit in [*range(2001), 10**5, 10**5 + 1]:
+            assert primes(limit) == [p for p in primes_up_to(limit) if p < limit], limit
+
+    #: segments from 0, as ``primes`` sieves them, and from 10 (mod 210), as
+    #: the condition-B walk does, with ends on either side of a square
+    SEGMENTS = [(0, 1), (0, 2), (0, 3), (0, 26), (0, 1000), (0, 10**4 + 1), (10, 11),
+                (10, 1690), (1690, 5050), (10 + 210 * 56, 109**2), (10 + 210 * 56, 109**2 + 1),
+                (10 + 210 * 500, 10 + 210 * 524)]
+
+    @pytest.mark.parametrize("a, b", SEGMENTS)
+    def test_odd_sieve_segments_against_the_oracle(self, a, b):
+        odd = range(a | 1, b, 2)
+        odd_primes = list(primes_up_to(math.isqrt(b - 1)))[1:]
+        # every odd prime up to isqrt(b - 1): the flags left are the odd primes, and 1
+        prime = set(primes_up_to(b - 1)) | {1}
+        assert list(_odd_sieve(a, b, odd_primes)) == [n in prime for n in odd]
+        # the walk's base, from 11 on, strikes exactly its odd multiples >= p^2
+        base = odd_primes[3:]
+        assert list(_odd_sieve(a, b, base)) == [all(n % p or n < p * p for p in base) for n in odd]
 
     def test_large_known_primes(self):
         assert is_prime(43867)
@@ -173,6 +195,15 @@ class TestKronecker:
             f = abs(d)
             for n in range(1, f + 1):
                 assert (chi(n) == 0) == (math.gcd(n, f) != 1)
+
+    def test_tables_against_the_reciprocity_oracle(self):
+        # every fundamental D down to -1000, past the -144 the Siegel alpha
+        # tables read at trace bound 12, and the real fields with D = 1
+        discs = [d for d in range(-1000, 1001) if is_fundamental_discriminant(d)]
+        assert len(discs) == 608 and {1, 5, 8, -3, -4} <= set(discs)
+        for d in discs:
+            expected = tuple(kronecker_symbol(d, r) for r in range(abs(d)))
+            assert kronecker_character(d).table == expected, d
 
     def test_against_euler_criterion_oracle(self):
         for d in FIELD_DISCS:
