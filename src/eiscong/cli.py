@@ -193,7 +193,11 @@ def _emit(text: str, out):
 
 def _read_expansion(path: str):
     try:
-        return exp_parse(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:  # a ValueError, but the file is at fault
+            raise ParseError(exc.object.count(b"\n", 0, exc.start) + 1, str(exc)) from None
+        return exp_parse(text)
     except ParseError as exc:  # the file is at fault: name it
         exc.path = path
         raise

@@ -18,16 +18,18 @@ term of its Eisenstein series G_k, so ``eisenstein`` builds G_k and E_k on
 every lattice, and ``elliptic.cusp_form`` every cusp form.  The lifts, the
 mod-p walks and the text format read one cached ``IndexTable``, ``indices(bound)``,
 which keeps the lattice's enumeration as it comes: nothing sorts the table.
+``exp_parse`` reads a canonical body in bulk and any other line by line.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import count, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, lshift, sub
+from operator import add, itemgetter, lshift, mul, sub
 from types import MappingProxyType
 
 from .arith import divisors, format_rational, parse_ratio
@@ -452,6 +454,8 @@ def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:
 
 _SENTINEL = "coefficients"
 _MAX_DEN_DIGITS = 4300  # exp_parse refuses a common denominator past 10**this
+_MAX_DEN = 10**_MAX_DEN_DIGITS
+_VALUES = r"(?:-?[0-9]+(?:/[0-9]+)?\n)*"  # value tokens, one a line; compiled on first use
 
 
 def exp_serialize(f: TruncatedExpansion) -> str:
@@ -492,9 +496,12 @@ def exp_parse(text: str) -> TruncatedExpansion:
     other is refused; each value must be a token ``-?[0-9]+(/[0-9]+)?`` with a
     nonzero denominator, reduced or not; a common denominator past 10**4300
     or one whose bits times the body's lines pass 1200 per character of text
-    is refused; and each fault is a ParseError with its line number.  A key is
-    looked up in ``indices(bound)``: O(|indices|) once per process, as for
-    exp_serialize, solve, verify, reduce and cusp-correct; others take ``parse_key``."""
+    is refused; and each fault is a ParseError with its line number.  Two
+    routes, one contract: a canonical body, every key found in ``indices(bound)``
+    and every value of the grammar, is read in bulk; any other body goes to
+    the line loop, which alone raises ParseError and takes ``parse_key`` for a
+    key spelled otherwise.  The table costs O(|indices|) once per process, as
+    for exp_serialize, solve, verify, reduce and cusp-correct."""
     header: dict[str, tuple[int, str]] = {}  # field -> (line number, value)
     lines = text.splitlines()
     body_start = None
@@ -537,6 +544,41 @@ def exp_parse(text: str) -> TruncatedExpansion:
         raise ParseError(header[at][0], str(exc)) from None
     if lat.disc != disc:  # exp_serialize writes a disc on Hermitian files only
         raise ParseError(header["disc"][0], f"a {space} file has no disc")
+    den, nums = (_parse_canonical(lat.indices(bound).lookup, lines, body_start, len(text))
+                 or _parse_lines(lat, bound, lines, body_start, text))
+    return TruncatedExpansion._of(lat, weight, bound, den, nums)
+
+
+def _parse_canonical(lookup, lines, start, size):
+    """(den, nums) read in bulk from the body lines[start:] of a text of ``size``
+    characters; None, for the line loop, unless the lcm of the distinct
+    denominators keeps within the loop's bounds as it grows and each nonblank
+    line is a key of ``lookup``, never repeated, and a value of the grammar."""
+    rows, den = lines[start:], 1
+    try:  # a ValueError past the int-to-str digit limit, a KeyError at a key spelled otherwise
+        for d in map(int, dict.fromkeys(re.findall(r"/([0-9]+)", "\n".join(rows)))):
+            if den % d:  # a ZeroDivisionError at d = 0
+                den = lcm(den, d)
+                if den > _MAX_DEN or den.bit_length() * len(rows) > 1200 * size:
+                    return None
+        body = list(filter(None, map(str.split, rows)))
+        if set(map(len, body)) != {2}:
+            return None
+        keys, values = zip(*body)
+        if not re.fullmatch(_VALUES, "\n".join(values) + "\n") or len(set(keys)) < len(keys):
+            return None
+        idxs = list(map(lookup.__getitem__, keys))
+        if den == 1:
+            return 1, dict(zip(idxs, map(int, values)))
+        ns, _, ds = zip(*map(str.partition, values, repeat("/")))
+        scale = {s: den // int(s or 1) for s in dict.fromkeys(ds)}
+        return den, dict(zip(idxs, map(mul, map(int, ns), map(scale.get, ds))))
+    except (KeyError, ValueError, ZeroDivisionError):
+        return None
+
+
+def _parse_lines(lat, bound, lines, body_start, text):
+    """(den, nums) read line by line, with a ParseError at the first faulty line."""
     lookup = lat.indices(bound).lookup  # a hit is a psd index within the bound
     seen, den = {}, 1  # index -> (n, d), with d | den when n != 0
     for lineno, line in enumerate(lines[body_start:], body_start + 1):
@@ -570,5 +612,4 @@ def exp_parse(text: str) -> TruncatedExpansion:
             # a file printing den on every line keeps under log2(10) bits per character
             if den.bit_length() * (len(lines) - body_start) > 1200 * len(text):
                 raise ParseError(lineno, "common denominator too large for the file's size")
-    return TruncatedExpansion._of(
-        lat, weight, bound, den, {idx: n * (den // d) for idx, (n, d) in seen.items()})
+    return den, {idx: n * (den // d) for idx, (n, d) in seen.items()}

@@ -424,6 +424,24 @@ class TestCongruence:
         assert code == 3
         assert err.startswith(f"invalid expansion file {bad}: line ")
 
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff\xfe\x00bad", 1),
+        (b"space siegel\r\nweight 4\r\ntrace_bound 1\r\ncoefficients\r\n0,0,0 1\xe9\r\n", 5),
+    ], ids=["first-byte", "crlf-body"])
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys, data, line):
+        # the decoder's error is a ValueError, which would read as a usage error
+        bad = tmp_path / "bin.exp"
+        bad.write_bytes(data)
+        good, _ = self.make_files(tmp_path, capsys)
+        for lhs, rhs in ((bad, good), (good, bad)):
+            code, _, err = run(capsys, "congruence", "solve", "--lhs", str(lhs),
+                               "--rhs", str(rhs), "--mod", "43867")
+            assert code == 3
+            assert err.startswith(f"invalid expansion file {bad}: line {line}: ")
+        code, _, err = run(capsys, "cusp-correct", "--in", str(bad))
+        assert code == 3
+        assert err.startswith(f"invalid expansion file {bad}: line {line}: ")
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "congruence", "solve", "--lhs", str(tmp_path / "no.exp"),

@@ -7,12 +7,14 @@ import pickle
 import time
 from fractions import Fraction
 from itertools import accumulate
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eiscong.arith import format_rational, primes
+from eiscong import expansion
+from eiscong.arith import format_rational, parse_rational, primes
 from eiscong.congruence import cusp_correction
 from eiscong.elliptic import delta_expansion, elliptic_eisenstein
 from eiscong.expansion import (
@@ -368,14 +370,49 @@ class TestSerialization:
         # the same denominator over a few lines is still read
         assert exp_parse(self.elliptic_text([ONE_OVER_10_4300] + ["1"] * 3)).den == 10**4300
 
+    def test_parse_refuses_many_distinct_denominators_in_linear_time(self):
+        # the lcm of 1/(10**9 + i) passes 10**4300 at line 630; the bulk
+        # route bounds it as it grows, before it tokenizes a line
+        text = self.elliptic_text([f"1/{10**9 + i}" for i in range(20000)])
+        assert 368_000 < len(text.encode()) < 370_000
+        ELLIPTIC.indices(20000).lookup  # built once per process, as by any reader
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="common denominator exceeds") as exc:
+            exp_parse(text)
+        assert time.perf_counter() - start < 0.2
+        assert exc.value.line == 630
+
     def test_benchmark_pipeline_files_still_parse(self):
-        forms = [
-            siegel_expansion("G", 10, 8), igusa_x10(8), siegel_expansion("G", 12, 8),
-            igusa_x12(8), hermitian_expansion("G", -4, 10, 5), hermitian_cusp_form("F10", -4, 5),
-            hermitian_expansion("G", -3, 12, 5), hermitian_cusp_form("F12", -3, 5),
-        ]
-        for f in forms:
+        for f in pipeline_forms():
             assert exp_parse(exp_serialize(f)) == f
+
+
+def pipeline_forms():
+    """The eight forms whose files the benchmark's CLI pipeline writes and reads."""
+    return [
+        siegel_expansion("G", 10, 8), igusa_x10(8), siegel_expansion("G", 12, 8),
+        igusa_x12(8), hermitian_expansion("G", -4, 10, 5), hermitian_cusp_form("F10", -4, 5),
+        hermitian_expansion("G", -3, 12, 5), hermitian_cusp_form("F12", -3, 5),
+    ]
+
+
+def parse_by_loop(text):
+    """exp_parse with the bulk route off: the line loop reads every body."""
+    with mock.patch.object(expansion, "_parse_canonical", return_value=None):
+        return exp_parse(text)
+
+
+def parse_in_bulk(text):
+    """exp_parse with the line loop made to fail: only the bulk route reads."""
+    with mock.patch.object(expansion, "_parse_lines", side_effect=AssertionError("line loop")):
+        return exp_parse(text)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.line, str(exc)
 
 
 class TestIndices:
@@ -761,3 +798,92 @@ class TestIndexTable:
         parsed = exp_parse(text)
         assert parsed == TruncatedExpansion(lat, 6, bound, values)
         assert_well_formed(parsed)
+
+
+P_2200, Q_2200 = 10**2200 + 1, 10**2200 + 3  # coprime, with an lcm past 10**4300
+MUTATIONS = ["duplicate", "delete", "swap", "blank", "double-space", "respell", "scale",
+             "zero", "refused", "zero-denominator", "past-the-bound"]
+
+
+@st.composite
+def mutated_text(draw):
+    """A serialized expansion with one to four of MUTATIONS made to its body
+    lines, then maybe CRLF endings and a truncation."""
+    lat, bound = draw(lattice_and_bound())
+    f = draw(sparse_expansion(lat, bound, 6))
+    keys = lat.indices(bound).keys
+    if draw(st.integers(0, 7)) == 0:  # a value past the int <-> str digit limit
+        f = exp_add(f, TruncatedExpansion(lat, 6, bound, {draw(st.sampled_from(lat.indices(bound))):
+                                                          draw(huge_value)}))
+    lines = exp_serialize(f).splitlines()
+    head = lines.index("coefficients") + 1
+    if head == len(lines):
+        lines.append(f"{draw(st.sampled_from(keys))} 1")
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=4)):
+        body = st.integers(head, len(lines) - 1)
+        i, j = draw(body), draw(body)
+        key, _, token = lines[i].strip().partition(" ")
+        if kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "delete" and len(lines) > head + 1:
+            del lines[i]
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "blank":
+            k = draw(st.integers(0, len(lines)))
+            lines.insert(k, draw(st.sampled_from(["", " ", "\t"])))
+            head += k < head
+        elif kind == "double-space":
+            lines[i] = lines[i].replace(" ", "  ", 1)
+        elif kind == "respell" and key:
+            t = lat.parse_key(key)
+            lines[i] = (draw(spelled(t)) if lat is ELLIPTIC
+                        else ",".join(draw(spelled(x)) for x in t)) + " " + token
+        elif kind == "scale" and token:
+            try:
+                v, m = parse_rational(token), draw(st.integers(2, 50))
+            except (ValueError, ZeroDivisionError):  # a token already mutated
+                continue
+            lines[i] = (f"{key} {format_rational(Fraction(v.numerator * m))}/"
+                        f"{format_rational(Fraction(v.denominator * m))}")
+        elif kind in ("zero", "refused", "zero-denominator"):
+            lines[i] = key + " " + draw(st.sampled_from(["0", "0/5", "-0", "00"]) if kind == "zero"
+                                        else refused_token.map(lambda r: r[0]) if kind == "refused"
+                                        else st.sampled_from(["1/0", "0/0", "-3/00"]))
+        elif kind == "past-the-bound":
+            lines[i] = f"{key} 1/{P_2200}"
+            lines.insert(j, f"{draw(st.sampled_from(keys))} -2/{Q_2200}")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + end
+    return text[:draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+class TestBulkParse:
+    """exp_parse reads a canonical body in bulk; the line loop reads any other
+    body, and is the reference: both give the same expansion or the same error."""
+
+    ONE_FAULT = "space elliptic\nweight 6\ntrace_bound 2\ncoefficients\n0 1\n{}\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutated_text())
+    @example(ONE_FAULT.format("1 +3"))
+    @example(ONE_FAULT.format("0 1"))
+    @example(ONE_FAULT.format(f"1 1/{P_2200}\n2 -2/{Q_2200}"))
+    def test_bulk_route_matches_the_line_loop(self, text):
+        parsed = parse_outcome(exp_parse, text)
+        assert parsed == parse_outcome(parse_by_loop, text)
+        if isinstance(parsed, TruncatedExpansion):
+            assert_well_formed(parsed)
+
+    def test_serialized_files_take_the_bulk_route(self):
+        # a CRLF ending or a blank line in the body does not change the route
+        forms = pipeline_forms() + [
+            TruncatedExpansion(lat, 6, bound, {t: Fraction(i % 7 - 3, i % 4 + 1)
+                                               for i, t in enumerate(lat.indices(bound))})
+            for lat in KERNEL_LATTICES for bound in range(4)]
+        for f in forms:
+            text = exp_serialize(f)
+            head, _, body = text.partition("coefficients\n")
+            for variant in (text, text.replace("\n", "\r\n"),
+                            f"{head}coefficients\n\n{body}\n  \n"):
+                assert parse_in_bulk(variant) == f == parse_by_loop(variant)
