@@ -28,7 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, count, repeat
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 
 from .errors import (
     IntegralityViolation,

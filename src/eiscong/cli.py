@@ -127,7 +127,7 @@ def _resolve(space, disc, form, weight, bound):
         if key not in CUSP_FORMS:
             over = "" if lattice.disc is None else f" over disc {disc}"
             raise ValueError(f"form {form} is not a {space} form{over}")
-        expected = CUSP_FORMS[key][0]
+        expected = CUSP_FORMS[key]
         if weight is not None and weight != expected:
             raise ValueError(f"form {form} has weight {expected}")
         weight, build = expected, partial(cusp_form, key, bound)
@@ -251,7 +251,7 @@ def _reproduce_congruences(cases):
     a case is (the cusp form's CUSP_FORMS key, tag, indices, data)."""
     checks = []
     for key, tag, indices, data in cases:
-        (space, disc, name), k = key, CUSP_FORMS[key][0]
+        (space, disc, name), k = key, CUSP_FORMS[key]
         eis, cusp = eisenstein(lattice_for(space, disc), "G", k, 3), cusp_form(key, 3)
         for t, gval, cval in zip(indices, data["eis"], data["cusp"]):
             checks.append((f"a_G{k}{tag}{t} = {format_rational(gval)}",
@@ -337,13 +337,12 @@ def main(argv=None) -> int:
             print(_CONDITION_B_LEGEND)
             print("(not scanned: k = 2, below the first weight k = 4 of the condition-B scan)")
             return 0
-        if args.command == "reproduce":
-            section = {
-                "1": _reproduce_1, "4.1": _reproduce_41,
-                "4.2": _reproduce_42, "5": _reproduce_5,
-            }[args.section]
-            return _checks_result(section())
-        parser.error(f"unknown command {args.command}")
+        # reproduce: the required subparsers leave no other command
+        section = {
+            "1": _reproduce_1, "4.1": _reproduce_41,
+            "4.2": _reproduce_42, "5": _reproduce_5,
+        }[args.section]
+        return _checks_result(section())
     except ParseError as exc:  # raised through _read_expansion, which names the file
         print(f"invalid expansion file {exc.path}: {exc}", file=sys.stderr)
         return 3
@@ -353,7 +352,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 _CONDITION_B_LEGEND = """\
@@ -385,11 +383,10 @@ def _cmd_scan(args) -> int:
         print(f"q = {w.q}  chi = {w.chi_value}  "
               f"q^(k-2) mod p = {w.pow_residue}  method = {w.method}")
         return 0
-    if args.scan_command == "bruinier":
-        d0 = bruinier_search(args.weight, args.mod, args.max_disc)
-        print("none" if d0 is None else str(d0))
-        return 0
-    return 2
+    # bruinier: the required subparser leaves no other choice
+    d0 = bruinier_search(args.weight, args.mod, args.max_disc)
+    print("none" if d0 is None else str(d0))
+    return 0
 
 
 def entry():  # console-script wrapper

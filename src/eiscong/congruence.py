@@ -15,7 +15,6 @@ unfactored cofactor (see ``_prime_factors_bounded``).
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
 

@@ -1,9 +1,10 @@
 """Degree-1 q-expansions: Eisenstein series, Delta / tau, and the exact
 decomposition of a level-1 form into E4^a E6^b monomials; also the table
-of degree-2 cusp forms front * (E_k - Q_k(E4, E6)), Q_k the degree-1 relation.
-``cusp_form(key, bound)`` builds every one of them as a Maass lift over the
-lattice ``lattice_for(space, disc)``, from the alpha table and constant term
-of G_j that the lattice carries (``g_alpha_table``, ``g_constant``).  A Maass form F
+of degree-2 cusp forms c (E_k - Q_k(E4, E6)), Q_k the degree-1 relation and
+c the scale that makes the form's first nonzero alpha 1.  ``cusp_form(key,
+bound)`` builds every one of them as a Maass lift over the lattice
+``lattice_for(space, disc)``, from the alpha table and constant term of G_j
+that the lattice carries (``g_alpha_table``, ``g_constant``).  A Maass form F
 is the pair (phi0, alpha) of its boundary q-series and its coefficients at
 Fourier-Jacobi index 1 as a function of det N.  An index of Fourier-Jacobi index 1 splits only
 as diag(i, 0) plus another of index 1, so (Eichler and Zagier, §6)
@@ -139,17 +140,15 @@ _BOUNDARY_RELATIONS = {
     ),
 }
 
-# (space, disc, name) -> (weight k, front): the cusp form is
-# front * (E_k - Q_k(E4, E6)) with the degree-2 Eisenstein series E_k
+# (space, disc, name) -> weight k: the cusp form is c (E_k - Q_k(E4, E6)),
+# E_k the degree-2 Eisenstein series and c the scale set by cusp_form
 CUSP_FORMS = {
-    ("siegel", None, "X10"): (10, Fraction(-43867, 2**10 * 3**5 * 5**2 * 7 * 53)),
-    ("siegel", None, "X12"): (
-        12, Fraction(-691 * 131 * 593, 2**11 * 3**6 * 5**3 * 7**2 * 337)
-    ),
-    ("hermitian", -4, "CHI8"): (8, Fraction(-61, 230400)),
-    ("hermitian", -4, "F10"): (10, Fraction(-277, 2419200)),
-    ("hermitian", -3, "F10"): (10, Fraction(-809, 21772800)),
-    ("hermitian", -3, "F12"): (12, Fraction(-1276277, 36578304000)),
+    ("siegel", None, "X10"): 10,
+    ("siegel", None, "X12"): 12,
+    ("hermitian", -4, "CHI8"): 8,
+    ("hermitian", -4, "F10"): 10,
+    ("hermitian", -3, "F10"): 10,
+    ("hermitian", -3, "F12"): 12,
 }
 
 
@@ -172,18 +171,21 @@ def _maass_product(f, g):
 @lru_cache(maxsize=None)
 def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
     """The CUSP_FORMS entry key = (space, disc, name), over the lattice
-    of that space, from the alpha and constant term of its G_j."""
+    of that space, from the alpha and constant term of its G_j, scaled so
+    that its first nonzero alpha is 1.  Alpha is built to det at least the
+    Fourier-Jacobi stride m, where that value lies, so that the scale holds
+    at every trace bound."""
     if key not in CUSP_FORMS:
         raise UnsupportedFieldForm(f"no cusp form {key[2]!r} over disc {key[1]}")
-    k, front = CUSP_FORMS[key]
+    k = CUSP_FORMS[key]
     lattice = lattice_for(*key[:2])
     n = lattice.fj_stride * trace_bound**2 // 4
-    factors = {j: _maass_factor(lattice, j, n) for j in {4, 6, k}}
+    factors = {j: _maass_factor(lattice, j, max(n, lattice.fj_stride)) for j in {4, 6, k}}
     alpha = factors[k][1]
     for (a, b), c in _BOUNDARY_RELATIONS[k].terms:
         _, monomial = reduce(_maass_product, [factors[4]] * a + [factors[6]] * b)
         alpha = exp_add(alpha, exp_scale(-c, monomial))
-    alpha = exp_scale(front, alpha)
+    alpha = exp_scale(1 / alpha.coefficient(min(alpha.nums)), alpha)
     return lift(lattice, k, trace_bound, [*map(alpha.coefficient, range(n + 1))], 0)
 
 

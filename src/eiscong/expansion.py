@@ -13,9 +13,10 @@ Every degree-2 form here is a Maass lift (Maass 1979; Eichler and Zagier,
 a(T) = sum over d | content(T) of d^(k-1) alpha(det(T) / d^2), with alpha a
 function of one integer and det the lattice's integral determinant.  Each
 degree-2 lattice (a ``Degree2Lattice``: ``siegel.SIEGEL`` and
-``hermitian.hermitian_lattice(d)``) carries the alpha table and the constant
-term of its Eisenstein series G_k, so ``eisenstein`` builds G_k and E_k on
-every lattice, and ``elliptic.cusp_form`` every cusp form.  The lifts, the
+``hermitian.hermitian_lattice(d)``) carries the alpha table of its
+Eisenstein series G_k, whose alpha(0) fixes the constant term a(0) =
+-B_k / (2k) alpha(0), so ``eisenstein`` builds G_k and E_k on every
+lattice, and ``elliptic.cusp_form`` every cusp form.  The lifts, the
 mod-p walks and the text format read one cached ``IndexTable``, ``indices(bound)``,
 which keeps the lattice's enumeration as it comes: nothing sorts the table.
 ``exp_parse`` reads a canonical body in bulk and any other line by line.
@@ -32,7 +33,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, lshift, mul, sub
 from types import MappingProxyType
 
-from .arith import divisors, format_rational, parse_ratio
+from .arith import bernoulli, divisors, format_rational, parse_ratio
 from .errors import (
     InvalidWeight,
     NotPositiveSemidefinite,
@@ -96,14 +97,25 @@ ELLIPTIC = EllipticLattice()
 
 class Degree2Lattice:
     """Degree-2 indices: integer tuples with the diagonal entries first and
-    last.  A subclass gives ``zero``, ``det``, ``is_psd``,
-    ``enumerate_all``, ``fj_stride`` and, for G_k, ``g_alpha(k, N)``, its
-    table ``g_alpha_table(k, n)`` and ``g_constant(k)``.  ``enumerate_all(bound)``
-    lists every index of trace <= bound in canonical (``sort_key``) order,
-    which ``indices`` keeps without sorting."""
+    last.  A subclass gives ``zero``, ``det``, ``enumerate_all``,
+    ``fj_stride`` and, for G_k, ``g_alpha(k, N)`` and its table
+    ``g_alpha_table(k, n)``; ``is_psd`` and ``g_constant`` follow from
+    ``det`` and alpha(0).  ``enumerate_all(bound)`` lists every index of
+    trace <= bound in canonical (``sort_key``) order, which ``indices``
+    keeps without sorting."""
 
     def trace(self, t):
         return t[0] + t[-1]
+
+    def is_psd(self, t):
+        """An index of the lattice's length with a psd matrix: nonnegative
+        diagonal and det."""
+        return len(t) == len(self.zero) and t[0] >= 0 and t[-1] >= 0 and self.det(t) >= 0
+
+    def g_constant(self, k: int) -> Fraction:
+        """The constant term of G_k, -B_k / (2k) alpha(0), as for every Maass
+        lift (Eichler and Zagier, §6; Krieg 1991)."""
+        return -bernoulli(k) / (2 * k) * self.g_alpha(k, 0)
 
     indices = lru_cache(maxsize=32)(IndexTable)  # indices(bound), one cached table
 
@@ -607,7 +619,7 @@ def _parse_lines(lat, bound, lines, body_start, text):
             g = gcd(n, d)
             seen[idx] = n // g, d // g
             den = lcm(den, d // g)
-            if den > 10**_MAX_DEN_DIGITS:
+            if den > _MAX_DEN:
                 raise ParseError(lineno, f"common denominator exceeds 10**{_MAX_DEN_DIGITS}")
             # a file printing den on every line keeps under log2(10) bits per character
             if den.bit_length() * (len(lines) - body_start) > 1200 * len(text):

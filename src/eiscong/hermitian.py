@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .arith import bernoulli, g_value, generalized_bernoulli, kronecker_character
+from .arith import g_value, generalized_bernoulli, kronecker_character
 from .errors import IntegralityViolation
 from .elliptic import cusp_form
 from .expansion import Degree2Lattice, TruncatedExpansion, eisenstein
@@ -67,10 +67,6 @@ class HermitianLattice(Degree2Lattice):
         """|d| det(H) = |d| a c - N(beta); an integer by construction."""
         return -self.disc * h[0] * h[3] - self.field.norm(h[1], h[2])
 
-    def is_psd(self, h):
-        a, x, y, c = h
-        return a >= 0 and c >= 0 and -self.disc * a * c >= self.field.norm(x, y)
-
     def enumerate_all(self, bound):
         """Every index of trace <= bound in canonical order.  In the cell of
         trace s and first entry a, c = s - a is fixed and 4 N(x, y) =
@@ -111,9 +107,6 @@ class HermitianLattice(Degree2Lattice):
                 raise IntegralityViolation(f"g_value({self.disc}, {k - 2}, {N}) is not integral")
             table.append(q)
         return tuple(table)
-
-    def g_constant(self, k: int) -> Fraction:
-        return bernoulli(k) * generalized_bernoulli(k - 1, self.disc) / (4 * k * (k - 1))
 
     def __repr__(self):
         return f"HermitianLattice(disc={self.disc})"

@@ -42,10 +42,6 @@ class SiegelLattice(Degree2Lattice):
         """4 det(T) = 4ac - b2^2."""
         return 4 * t[0] * t[2] - t[1] * t[1]
 
-    def is_psd(self, t):
-        a, b2, c = t
-        return a >= 0 and c >= 0 and 4 * a * c - b2 * b2 >= 0
-
     def enumerate_all(self, bound):
         """Every index of trace <= bound in canonical order: trace s, then a,
         then b2 with b2^2 <= 4ac for c = s - a."""
@@ -69,9 +65,6 @@ class SiegelLattice(Degree2Lattice):
                 for f in range(1, isqrt(n // -D) + 1):
                     table[-D * f * f] = _cohen_alpha(k, D, f)
         return tuple(table)
-
-    def g_constant(self, k: int) -> Fraction:
-        return -bernoulli(k) * bernoulli(2 * k - 2) / (4 * k * (k - 1))
 
     def __repr__(self):
         return "SiegelLattice()"

@@ -27,11 +27,14 @@ library's routes before it read both from one index table.  The degree-2
 forms have the library's routes from before it built them as Maass lifts:
 G_k coefficients index by index, by the Siegel closed form with its Moebius
 inner sum (``siegel_g_closed_form``) and the Hermitian one with its divisor
-sum of g values (``hermitian_g_closed_form``), and the cusp forms as
-front * (E_k - Q_k(E4, E6)) with full degree-2 products
-(``cusp_form_by_products``).  ``bernoulli_polynomial``, ``is_p_integral``
-and ``PrimeLocalization`` were library names that nothing in the library
-called; they serve the tests from here.
+sum of g values (``hermitian_g_closed_form``), their constant terms in
+closed form (``siegel_g_constant``, ``hermitian_g_constant``), and the cusp
+forms as front * (E_k - Q_k(E4, E6)) with full degree-2 products and the
+published fronts (``cusp_form_by_products``, ``CUSP_FORM_FRONTS``), where
+the library scales each form by its first nonzero alpha.
+``bernoulli_polynomial``, ``is_p_integral`` and ``PrimeLocalization`` were
+library names that nothing in the library called; they serve the tests
+from here.
 """
 
 from dataclasses import dataclass
@@ -55,7 +58,7 @@ from eiscong.arith import (
     p_valuation,
 )
 from eiscong.congruence import CongruenceReport
-from eiscong.elliptic import _BOUNDARY_RELATIONS, CUSP_FORMS
+from eiscong.elliptic import _BOUNDARY_RELATIONS
 from eiscong.errors import AllZeroRhs, NonIntegralCoefficient, NonInvertibleReference
 from eiscong.expansion import (
     TruncatedExpansion, _check_compatible, exp_add, exp_scale, lift_coefficient,
@@ -391,12 +394,22 @@ def hermitian_e_closed_form(field, k: int, h) -> Fraction:
     ) * total
 
 
+def siegel_g_constant(k: int) -> Fraction:
+    """The constant term of the Siegel G_k in closed form."""
+    return -bernoulli(k) * bernoulli(2 * k - 2) / (4 * k * (k - 1))
+
+
+def hermitian_g_constant(d: int, k: int) -> Fraction:
+    """The constant term of the Hermitian G_{k,K} over disc d in closed form."""
+    return bernoulli(k) * generalized_bernoulli(k - 1, d) / (4 * k * (k - 1))
+
+
 def siegel_g_closed_form(k: int, t) -> Fraction:
     """Coefficient of the Siegel G_k at a psd index t: the rank-0 and rank-1
     closed forms, and in rank 2 the divisor sum over the content with the
     Moebius inner sum over the square part f of -det4(t) = D f^2."""
     if t == (0, 0, 0):
-        return -bernoulli(k) * bernoulli(2 * k - 2) / (4 * k * (k - 1))
+        return siegel_g_constant(k)
     if det4(t) == 0:
         return bernoulli(2 * k - 2) / (2 * k - 2) * divisor_power_sum(
             k - 1, siegel_content(t))
@@ -423,7 +436,7 @@ def hermitian_g_closed_form(field, k: int, h) -> Fraction:
     rank-1 closed forms, and in rank 2 the divisor sum of g values."""
     d = field.disc
     if h == (0, 0, 0, 0):
-        return bernoulli(k) * generalized_bernoulli(k - 1, d) / (4 * k * (k - 1))
+        return hermitian_g_constant(d, k)
     det = det_scaled(field, h)
     eps = content(h)
     if det == 0:
@@ -442,10 +455,25 @@ def closed_form_expansion(lattice, k: int, bound: int, coefficient) -> Truncated
         t: coefficient(t) for t in lattice.enumerate_all(bound)})
 
 
+# (space, disc, name) -> (weight k, front): the published normalizations of
+# the cusp forms, whose numerators are the moduli of their congruences
+CUSP_FORM_FRONTS = {
+    ("siegel", None, "X10"): (10, Fraction(-43867, 2**10 * 3**5 * 5**2 * 7 * 53)),
+    ("siegel", None, "X12"): (
+        12, Fraction(-691 * 131 * 593, 2**11 * 3**6 * 5**3 * 7**2 * 337)
+    ),
+    ("hermitian", -4, "CHI8"): (8, Fraction(-61, 230400)),
+    ("hermitian", -4, "F10"): (10, Fraction(-277, 2419200)),
+    ("hermitian", -3, "F10"): (10, Fraction(-809, 21772800)),
+    ("hermitian", -3, "F12"): (12, Fraction(-691 * 1847, 36578304000)),
+}
+
+
 def cusp_form_by_products(key, eis) -> TruncatedExpansion:
-    """The CUSP_FORMS entry ``key`` as front * (E_k - Q_k(E4, E6)), with the
-    degree-2 products of Q_k taken in full; eis(k) gives the degree-2 E_k."""
-    k, front = CUSP_FORMS[key]
+    """The cusp form ``key`` as front * (E_k - Q_k(E4, E6)), with its weight
+    and front from ``CUSP_FORM_FRONTS`` and the degree-2 products of Q_k
+    taken in full; eis(k) gives the degree-2 E_k."""
+    k, front = CUSP_FORM_FRONTS[key]
     q = _BOUNDARY_RELATIONS[k]
     e4 = eis(4)
     e6 = eis(6) if any(b for (_, b), _ in q.terms) else e4  # Q_8 = E4^2 needs no E6

@@ -86,6 +86,18 @@ class TestContainer:
         with pytest.raises(NotPositiveSemidefinite):
             TruncatedExpansion(SIEGEL, 10, 3, {(1, 5, 1): Fraction(1)})
 
+    @pytest.mark.parametrize("lat, bad", [
+        (SIEGEL, (1, 0, 0, 1)), (SIEGEL, (1, 1)),
+        (hermitian_lattice(-3), (1, 0, 0, 0, 1)), (hermitian_lattice(-3), (1, 0, 1)),
+    ], ids=repr)
+    def test_wrong_length_index_rejected(self, lat, bad):
+        with pytest.raises(NotPositiveSemidefinite):
+            TruncatedExpansion(lat, 10, 3, {bad: Fraction(1)})
+        with pytest.raises(NotPositiveSemidefinite):
+            zero_expansion(lat, 10, 3).coefficient(bad)
+        with pytest.raises(NotPositiveSemidefinite):
+            lat.coefficient(10, bad)
+
     def test_restrict(self):
         f = small_elliptic(4, 5, [1, 2, 3, 4, 5, 6])
         g = f.restrict(2)

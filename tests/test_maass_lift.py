@@ -28,10 +28,13 @@ from eiscong.siegel import (
 )
 
 from .oracles import (
+    CUSP_FORM_FRONTS,
     closed_form_expansion,
     cusp_form_by_products,
     hermitian_g_closed_form,
+    hermitian_g_constant,
     siegel_g_closed_form,
+    siegel_g_constant,
 )
 
 WEIGHTS = range(4, 13, 2)
@@ -71,6 +74,26 @@ def test_hermitian_g_is_the_closed_form(disc):
         assert hermitian_expansion("G", disc, k, 5) == oracle_g(disc, k, 5)
         for h in hermitian_lattice(disc).enumerate_all(2):
             assert hermitian_g_coefficient(field, k, h) == hermitian_g_closed_form(field, k, h)
+
+
+@pytest.mark.parametrize("lat", [SIEGEL] + [hermitian_lattice(d) for d in CLASS_NUMBER_ONE_DISCRIMINANTS],
+                         ids=repr)
+def test_g_constant_is_the_closed_form(lat):
+    # -B_k / (2k) alpha(0), derived on Degree2Lattice, against each space's closed form
+    for k in range(4, 41, 2):
+        want = siegel_g_constant(k) if lat.disc is None else hermitian_g_constant(lat.disc, k)
+        assert lat.g_constant(k) == want
+
+
+def test_cusp_forms_have_the_weights_of_the_published_fronts():
+    assert CUSP_FORMS == {key: k for key, (k, _) in CUSP_FORM_FRONTS.items()}
+
+
+@pytest.mark.parametrize("key", CUSP_FORMS, ids=lambda key: f"{key[0]}{key[1] or ''}/{key[2]}")
+def test_cusp_forms_at_small_bounds_are_the_product_built_forms(key):
+    # below trace bound 2 every coefficient is 0, yet the scale is still found
+    for bound in range(4):
+        assert elliptic.cusp_form(key, bound) == oracle_cusp_form(key, bound)
 
 
 @pytest.mark.parametrize("build, key", [
