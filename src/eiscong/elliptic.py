@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import comb
 
 from .arith import bernoulli, divisor_power_sum
 from .errors import InsufficientTruncation, InvalidWeight, NotInSpace, UnsupportedFieldForm
@@ -38,15 +39,6 @@ from .expansion import (
     lift,
     zero_expansion,
 )
-
-
-def dim_level_one(k: int) -> int:
-    """dim M_k(SL2(Z)) by the classical formula."""
-    if k < 0 or k % 2 == 1:
-        return 0
-    if k % 12 == 2:
-        return k // 12
-    return k // 12 + 1
 
 
 @lru_cache(maxsize=None)
@@ -83,11 +75,9 @@ def ramanujan_tau(n: int) -> Fraction:
     return delta_expansion(bound).coefficient(n)
 
 
-def _monomial(e4: TruncatedExpansion, e6: TruncatedExpansion, a: int, b: int):
-    """E4^a E6^b; the constant one only for the empty product."""
-    if a == b == 0:
-        return constant_one(e4.lattice, min(e4.trace_bound, e6.trace_bound))
-    return reduce(exp_multiply, [e4] * a + [e6] * b)
+def _product(factors: list, lattice, bound: int) -> TruncatedExpansion:
+    """The product of the expansions ``factors``; the constant one for none."""
+    return reduce(exp_multiply, factors) if factors else constant_one(lattice, bound)
 
 
 class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "weight terms")):
@@ -127,7 +117,7 @@ class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "weight terms")):
         lat = e4.lattice
         acc = zero_expansion(lat, self.weight, bound)
         for (a, b), c in self.terms:
-            acc = exp_add(acc, exp_scale(c, _monomial(e4, e6, a, b)))
+            acc = exp_add(acc, exp_scale(c, _product([e4] * a + [e6] * b, lat, bound)))
         return acc
 
 
@@ -196,67 +186,35 @@ def isobaric_monomials(k: int) -> list[tuple[int, int]]:
             if (k - 4 * a) % 6 == 0]
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve the (possibly overdetermined) system rows*x = rhs exactly;
-    raises NotInSpace when inconsistent."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pr = aug[r]
-        inv = 1 / pr[col]
-        aug[r] = [v * inv for v in pr]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            raise NotInSpace("linear system is inconsistent")
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
-    return x
-
-
 def decompose_into_e4_e6(f: TruncatedExpansion, k: int) -> IsobaricPolynomial:
-    """Write a degree-1 weight-k expansion as Q(E4, E6); the residual must
-    vanish identically up to the truncation."""
+    """Write a degree-1 weight-k expansion as Q(E4, E6) up to its truncation.  With
+    (a_j, b_j) = (a_0 - 3j, b_0 + 2j) the monomials of ``isobaric_monomials(k)`` and
+    x = E4^3 - E6^2, the forms u_j = E4^(a_j) E6^(b_0) x^j = 1728^j q^j + O(q^(j+1))
+    are a triangular basis of M_k (Serre, A Course in Arithmetic, VII §3): c_j =
+    rest[q^j] / 1728^j, rest -= c_j u_j, and a rest left over raises NotInSpace at
+    its first q^n.  By the binomial theorem on x^j, Q's coefficient at (a_i, b_i)
+    is (-1)^i sum_j C(j, i) c_j."""
     if f.lattice.space != "elliptic":
         raise ValueError("decomposition expects a degree-1 expansion")
     if f.weight != k:
         raise ValueError(f"expansion has weight {f.weight}, expected {k}")
     monos = isobaric_monomials(k)
     n_max = f.trace_bound
-    if f.is_zero() and not monos:
-        return IsobaricPolynomial(k, ())
     if n_max + 1 < len(monos):
-        raise InsufficientTruncation(
-            f"trace bound {n_max} too small to determine {len(monos)} monomials"
-        )
-    e4 = elliptic_eisenstein(4, n_max)
-    e6 = elliptic_eisenstein(6, n_max)
-    columns = []
-    for a, b in monos:
-        mono = _monomial(e4, e6, a, b)
-        columns.append([mono.coefficient(n) for n in range(n_max + 1)])
-    rows = [[columns[j][n] for j in range(len(monos))] for n in range(n_max + 1)]
-    rhs = [f.coefficient(n) for n in range(n_max + 1)]
-    sol = _solve_exact(rows, rhs)
-    # residual check over every available coefficient
-    for n in range(n_max + 1):
-        if sum(sol[j] * columns[j][n] for j in range(len(monos))) != rhs[n]:
-            raise NotInSpace(f"residual does not vanish at q^{n}")
-    return IsobaricPolynomial.from_dict(
-        k, {monos[j]: sol[j] for j in range(len(monos))}
-    )
+        raise InsufficientTruncation(f"trace bound {n_max} too small to determine "
+                                     f"{len(monos)} monomials")
+    e4, e6 = (elliptic_eisenstein(j, n_max) for j in (4, 6))
+    cube = x = None  # E4^3 and x, read only where there are two monomials or more
+    if len(monos) > 1:
+        cube = exp_multiply(exp_multiply(e4, e4), e4)
+        x = exp_add(cube, exp_scale(-1, exp_multiply(e6, e6)))
+    rest, cs = f, []
+    for j, (a, _) in enumerate(monos):
+        # u_j = E4^(a_j % 3) (E4^3)^(a_j // 3) E6^(b_0) x^j
+        u = [e4] * (a % 3) + [cube] * (a // 3) + [e6] * monos[0][1] + [x] * j
+        cs.append(rest.coefficient(j) / 1728**j)
+        rest = exp_add(rest, exp_scale(-cs[j], _product(u, ELLIPTIC, n_max)))
+    if not rest.is_zero():
+        raise NotInSpace(f"residual does not vanish at q^{min(rest.nums)}")
+    return IsobaricPolynomial.from_dict(k, {
+        m: (-1) ** i * sum(comb(j, i) * c for j, c in enumerate(cs)) for i, m in enumerate(monos)})

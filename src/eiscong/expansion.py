@@ -150,7 +150,9 @@ class Degree2Lattice:
         if not self.is_psd(t):
             over = "" if self.disc is None else f" over disc {self.disc}"
             raise NotPositiveSemidefinite(f"{t} is not psd{over}")
-        return lift_coefficient(self, k, t, partial(self.g_alpha, k), self.g_constant(k))
+        if t == self.zero:
+            return self.g_constant(k)
+        return lift_coefficient(self, k, t, partial(self.g_alpha, k))
 
 
 def _check_weight(k: int):
@@ -416,10 +418,8 @@ def _multiply_rows(frows: list, grows: list, bound: int, s: int) -> dict:
     return nums
 
 
-def lift_coefficient(lattice, k: int, t, alpha, constant):
-    """The Maass lift's coefficient at t: ``constant`` at the zero index."""
-    if t == lattice.zero:
-        return constant
+def lift_coefficient(lattice, k: int, t, alpha):
+    """The Maass lift's coefficient at a nonzero index t."""
     det, e = lattice.det(t), lattice.content(t)
     if e == 1:
         return alpha(det)

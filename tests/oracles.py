@@ -4,10 +4,14 @@ These deliberately take different routes than the library: Bernoulli
 numbers via the binomial-sum recurrence (``bernoulli_binomial_recurrence``,
 the library's route before it built its table from tangent numbers), via
 the Akiyama-Tanigawa triangle and via Seidel's zigzag triangle, Delta via
-the eta product, chi values via Euler's criterion and via quadratic
-reciprocity at every residue (``kronecker_symbol``, the library's route
-before it set chi_D at primes and spread it by multiplicativity), expansion
-products target by target over every index pair, Hermitian E_k coefficients
+the eta product, dim M_k(SL2(Z)) by its classical formula
+(``dim_level_one``), decompositions into E4^a E6^b by Gauss-Jordan
+elimination on the monomials' coefficients (``decompose_by_elimination``,
+the library's route before it substituted forward on a triangular basis),
+chi values via Euler's criterion and via quadratic reciprocity at every
+residue (``kronecker_symbol``, the library's route before it set chi_D at
+primes and spread it by multiplicativity), expansion products target by
+target over every index pair, Hermitian E_k coefficients
 by their own closed form rather than as a multiple of G_k, generalized
 Bernoulli numbers from a Bernoulli polynomial at every residue
 (``generalized_bernoulli_by_polynomials``, the library's route before it
@@ -39,7 +43,7 @@ from here.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, compress, islice, tee
 from math import comb, gcd, isqrt
 from operator import not_
@@ -58,10 +62,15 @@ from eiscong.arith import (
     p_valuation,
 )
 from eiscong.congruence import CongruenceReport
-from eiscong.elliptic import _BOUNDARY_RELATIONS
-from eiscong.errors import AllZeroRhs, NonIntegralCoefficient, NonInvertibleReference
+from eiscong.elliptic import (
+    _BOUNDARY_RELATIONS, IsobaricPolynomial, elliptic_eisenstein, isobaric_monomials,
+)
+from eiscong.errors import (
+    AllZeroRhs, InsufficientTruncation, NonIntegralCoefficient, NonInvertibleReference, NotInSpace,
+)
 from eiscong.expansion import (
-    TruncatedExpansion, _check_compatible, exp_add, exp_scale, lift_coefficient,
+    ELLIPTIC, TruncatedExpansion, _check_compatible, constant_one, exp_add, exp_multiply,
+    exp_scale, lift_coefficient,
 )
 from eiscong.hermitian import content, det_scaled
 from eiscong.siegel import content as siegel_content, det4
@@ -248,6 +257,82 @@ def delta_eta_product(n_max: int) -> list[int]:
     return out
 
 
+def dim_level_one(k: int) -> int:
+    """dim M_k(SL2(Z)) by the classical formula."""
+    if k < 0 or k % 2 == 1:
+        return 0
+    if k % 12 == 2:
+        return k // 12
+    return k // 12 + 1
+
+
+def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve the (possibly overdetermined) system rows*x = rhs exactly;
+    raises NotInSpace when inconsistent."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pr = aug[r]
+        inv = 1 / pr[col]
+        aug[r] = [v * inv for v in pr]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            raise NotInSpace("linear system is inconsistent")
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        x[col] = aug[i][n]
+    return x
+
+
+def decompose_by_elimination(f: TruncatedExpansion, k: int) -> IsobaricPolynomial:
+    """elliptic.decompose_into_e4_e6 by Gauss-Jordan elimination on the
+    (n+1) x d matrix of the monomials' coefficients q^0..q^n, with the
+    residual checked at every q^n."""
+    if f.lattice.space != "elliptic":
+        raise ValueError("decomposition expects a degree-1 expansion")
+    if f.weight != k:
+        raise ValueError(f"expansion has weight {f.weight}, expected {k}")
+    monos = isobaric_monomials(k)
+    n_max = f.trace_bound
+    if f.is_zero() and not monos:
+        return IsobaricPolynomial(k, ())
+    if n_max + 1 < len(monos):
+        raise InsufficientTruncation(
+            f"trace bound {n_max} too small to determine {len(monos)} monomials"
+        )
+    e4 = elliptic_eisenstein(4, n_max)
+    e6 = elliptic_eisenstein(6, n_max)
+    columns = []
+    for a, b in monos:
+        mono = reduce(exp_multiply, [e4] * a + [e6] * b, constant_one(ELLIPTIC, n_max))
+        columns.append([mono.coefficient(n) for n in range(n_max + 1)])
+    rows = [[columns[j][n] for j in range(len(monos))] for n in range(n_max + 1)]
+    rhs = [f.coefficient(n) for n in range(n_max + 1)]
+    sol = _solve_exact(rows, rhs)
+    # residual check over every available coefficient
+    for n in range(n_max + 1):
+        if sum(sol[j] * columns[j][n] for j in range(len(monos))) != rhs[n]:
+            raise NotInSpace(f"residual does not vanish at q^{n}")
+    return IsobaricPolynomial.from_dict(
+        k, {monos[j]: sol[j] for j in range(len(monos))}
+    )
+
+
 def kronecker_symbol(a: int, n: int) -> int:
     """The Kronecker symbol (a/n) with the standard extension at 2, 0 and
     negative arguments."""
@@ -372,7 +457,7 @@ def lift_by_index(lattice, k: int, bound: int, table, constant) -> TruncatedExpa
     of ``enumerate_all``, with Fraction values, through the public
     constructor."""
     return TruncatedExpansion(lattice, k, bound, {
-        t: lift_coefficient(lattice, k, t, table.__getitem__, constant)
+        t: constant if t == lattice.zero else lift_coefficient(lattice, k, t, table.__getitem__)
         for t in lattice.enumerate_all(bound)})
 
 

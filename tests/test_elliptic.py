@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eiscong.elliptic import (
@@ -12,15 +12,14 @@ from eiscong.elliptic import (
     _BOUNDARY_RELATIONS,
     decompose_into_e4_e6,
     delta_expansion,
-    dim_level_one,
     elliptic_eisenstein,
     isobaric_monomials,
     ramanujan_tau,
 )
-from eiscong.expansion import ELLIPTIC, TruncatedExpansion, exp_multiply, exp_scale
-from eiscong.errors import NotInSpace
+from eiscong.expansion import ELLIPTIC, TruncatedExpansion, exp_add, exp_multiply, exp_scale
+from eiscong.errors import InsufficientTruncation, NotInSpace
 
-from .oracles import delta_eta_product
+from .oracles import decompose_by_elimination, delta_eta_product, dim_level_one
 from .records import check_record
 
 
@@ -140,7 +139,7 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("k", sorted(_BOUNDARY_RELATIONS))
     def test_boundary_relations_are_what_the_solver_finds(self, k):
-        # the cusp-form table's Q_k, checked against the linear solver
+        # the cusp-form table's Q_k, checked against the solver
         q = decompose_into_e4_e6(elliptic_eisenstein(k, 4), k)
         assert _BOUNDARY_RELATIONS[k] == q
 
@@ -151,17 +150,65 @@ class TestDecomposition:
             (0, 2): Fraction(-1, 1728),
         }
 
-    @given(
-        st.fractions(max_denominator=20),
-        st.fractions(max_denominator=20),
-    )
-    def test_left_inverse(self, a, b):
-        # decompose(evaluate(Q)) == Q for arbitrary weight-12 polynomials
-        q = IsobaricPolynomial.from_dict(12, {(3, 0): a, (0, 2): b})
-        e4 = elliptic_eisenstein(4, 4)
-        e6 = elliptic_eisenstein(6, 4)
-        f = q.evaluate(e4, e6)
-        assert decompose_into_e4_e6(f, 12) == q
+    @given(st.data())
+    def test_left_inverse(self, data):
+        # decompose(evaluate(Q)) == Q for arbitrary weight-k polynomials;
+        # k = 24 and 36 have 3 and 4 monomials, so C(j, i) reaches 2 and 3
+        k = data.draw(st.sampled_from([12, 24, 36]), label="k")
+        monos = isobaric_monomials(k)
+        coeffs = data.draw(st.lists(st.fractions(max_denominator=20),
+                                    min_size=len(monos), max_size=len(monos)))
+        q = IsobaricPolynomial.from_dict(k, dict(zip(monos, coeffs)))
+        f = q.evaluate(elliptic_eisenstein(4, 6), elliptic_eisenstein(6, 6))
+        assert decompose_into_e4_e6(f, k) == q
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_agrees_with_elimination(self, data):
+        # weights 0..48 (up to 5 monomials), truncations 0..12; Q(E4, E6),
+        # E_k, Delta E_(k-12), and series off the space: the same
+        # polynomial, or the same exception class, from both solvers
+        k = data.draw(st.sampled_from(range(49)), label="k")
+        n = data.draw(st.sampled_from(range(13)), label="n")
+        kind = data.draw(st.sampled_from(["Q", "E", "Delta E", "perturbed Q", "noise"]))
+        modular = k % 2 == 0 and k >= 4
+        if kind == "E" and modular:
+            f = elliptic_eisenstein(k, n)
+        elif kind == "Delta E" and modular and k >= 12 and k != 14:
+            f = delta_expansion(n)
+            if k > 12:
+                f = exp_multiply(f, elliptic_eisenstein(k - 12, n))
+        elif kind == "noise":
+            f = TruncatedExpansion(ELLIPTIC, k, n, {
+                i: data.draw(st.integers(-3, 3)) for i in range(n + 1)})
+        else:
+            monos = isobaric_monomials(k)
+            coeffs = data.draw(st.lists(st.fractions(max_denominator=12),
+                                        min_size=len(monos), max_size=len(monos)))
+            q = IsobaricPolynomial.from_dict(k, dict(zip(monos, coeffs)))
+            f = q.evaluate(elliptic_eisenstein(4, n), elliptic_eisenstein(6, n))
+            if kind == "perturbed Q":
+                m = data.draw(st.integers(0, n))
+                f = exp_add(f, TruncatedExpansion(ELLIPTIC, k, n, {m: 1}))
+
+        def outcome(solve):
+            try:
+                return solve(f, k)
+            except (InsufficientTruncation, NotInSpace) as e:
+                return type(e)
+
+        assert outcome(decompose_into_e4_e6) == outcome(decompose_by_elimination)
+
+    def test_not_in_space_names_the_first_q_n_that_does_not_vanish(self):
+        e12 = elliptic_eisenstein(12, 6)
+        for n in range(2, 7):
+            f = exp_add(e12, TruncatedExpansion(ELLIPTIC, 12, 6, {n: Fraction(1, 7)}))
+            with pytest.raises(NotInSpace, match=rf"residual does not vanish at q\^{n}$"):
+                decompose_into_e4_e6(f, 12)
+        # no monomials of weight 2: the first nonzero coefficient is the residual's
+        f = TruncatedExpansion(ELLIPTIC, 2, 4, {3: 1, 4: 5})
+        with pytest.raises(NotInSpace, match=r"residual does not vanish at q\^3$"):
+            decompose_into_e4_e6(f, 2)
 
     def test_non_modular_input_rejected(self):
         f = TruncatedExpansion(

@@ -3,7 +3,7 @@ the per-index closed forms of G_k and the cusp forms built with full
 degree-2 products (``tests/oracles.py``)."""
 
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 
 import pytest
@@ -83,6 +83,30 @@ def test_g_constant_is_the_closed_form(lat):
     for k in range(4, 41, 2):
         want = siegel_g_constant(k) if lat.disc is None else hermitian_g_constant(lat.disc, k)
         assert lat.g_constant(k) == want
+
+
+@pytest.mark.parametrize("lat", [SIEGEL, hermitian_lattice(-3), hermitian_lattice(-163)], ids=repr)
+def test_coefficient_reads_g_constant_at_the_zero_index_only(lat, monkeypatch):
+    # G_k's constant term is read at the zero index and nowhere else
+    class Unread(Exception):
+        pass
+
+    def unread(k):
+        raise Unread(k)
+
+    k = 12
+    if lat.disc is None:
+        constant, closed_form = siegel_g_constant(k), partial(siegel_g_closed_form, k)
+    else:
+        constant = hermitian_g_constant(lat.disc, k)
+        closed_form = partial(hermitian_g_closed_form, imag_quad_field(lat.disc), k)
+    monkeypatch.setattr(lat, "g_constant", unread)
+    for t in lat.enumerate_all(3)[1:]:
+        assert lat.coefficient(k, t) == closed_form(t)
+    with pytest.raises(Unread):
+        lat.coefficient(k, lat.zero)
+    monkeypatch.undo()
+    assert lat.coefficient(k, lat.zero) == constant
 
 
 def test_cusp_forms_have_the_weights_of_the_published_fronts():
