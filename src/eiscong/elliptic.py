@@ -1,13 +1,15 @@
 """Degree-1 q-expansions: Eisenstein series, Delta / tau, and the exact
 decomposition of a level-1 form into E4^a E6^b monomials; also the table
 of degree-2 cusp forms c (E_k - Q_k(E4, E6)), Q_k the degree-1 relation and
-c the scale that makes the form's first nonzero alpha 1.  ``cusp_form(key,
-bound)`` builds every one of them as a Maass lift over the lattice
-``lattice_for(space, disc)``, from the alpha table and constant term of G_j
-that the lattice carries (``g_alpha_table``, ``g_constant``).  A Maass form F
-is the pair (phi0, alpha) of its boundary q-series and its coefficients at
-Fourier-Jacobi index 1 as a function of det N.  An index of Fourier-Jacobi index 1 splits only
-as diag(i, 0) plus another of index 1, so (Eichler and Zagier, §6)
+c the scale that makes the form's first nonzero alpha 1.  ``_basis`` alone
+multiplies out E4 and E6; the decomposition, ``evaluate`` and Delta read it.
+``cusp_form(key, bound)`` takes Q_k from the decomposition of E_k and builds
+each cusp form as a Maass lift over ``lattice_for(space, disc)``, from the
+alpha table and constant term of G_j that the lattice carries
+(``g_alpha_table``, ``g_constant``).  A Maass form F is the pair (phi0,
+alpha) of its boundary q-series and its coefficients at Fourier-Jacobi index
+1 as a function of det N.  An index of Fourier-Jacobi index 1 splits only as
+diag(i, 0) plus another of index 1, so (Eichler and Zagier, §6)
 
     phi0(FG) = phi0(F) phi0(G),
     alpha_FG(N) = sum_{0 <= i <= N/m} phi0_F(i) alpha_G(N - m i) + alpha_F(N - m i) phi0_G(i)
@@ -55,12 +57,9 @@ def elliptic_eisenstein(k: int, n_max: int) -> TruncatedExpansion:
 
 @lru_cache(maxsize=None)
 def delta_expansion(n_max: int) -> TruncatedExpansion:
-    """Delta = (E4^3 - E6^2) / 1728."""
-    e4 = elliptic_eisenstein(4, n_max)
-    e6 = elliptic_eisenstein(6, n_max)
-    num = exp_add(exp_multiply(exp_multiply(e4, e4), e4),
-                  exp_scale(-1, exp_multiply(e6, e6)))
-    return exp_scale(Fraction(1, 1728), num)
+    """Delta = x / 1728, x = E4^3 - E6^2 the u_1 of ``_basis(E4, E6, 12)``."""
+    _, x = _basis(elliptic_eisenstein(4, n_max), elliptic_eisenstein(6, n_max), 12)
+    return exp_scale(Fraction(1, 1728), x)
 
 
 _delta_bound = 0  # bound of the Delta expansion ramanujan_tau reads
@@ -75,19 +74,32 @@ def ramanujan_tau(n: int) -> Fraction:
     return delta_expansion(bound).coefficient(n)
 
 
-def _product(factors: list, lattice, bound: int) -> TruncatedExpansion:
-    """The product of the expansions ``factors``; the constant one for none."""
-    return reduce(exp_multiply, factors) if factors else constant_one(lattice, bound)
+def _basis(e4: TruncatedExpansion, e6: TruncatedExpansion, k: int):
+    """Yield u_j = E4^(a_j mod 3) (E4^3)^(a_j div 3) E6^(b_0) x^j over e4's
+    lattice, x = E4^3 - E6^2 and (a_j, b_j) = (a_0 - 3j, b_0 + 2j) the monomials
+    of ``isobaric_monomials(k)``: in degree 1, 1728^j q^j + O(q^(j+1)), a
+    triangular basis of M_k (Serre, A Course in Arithmetic, VII §3).  Each u_j
+    is multiplied out when asked for, never by the constant one."""
+    monos, bound = isobaric_monomials(k), min(e4.trace_bound, e6.trace_bound)
+    cube = x = None  # E4^3 and x, read only where there are two monomials or more
+    if len(monos) > 1:
+        cube = exp_multiply(exp_multiply(e4, e4), e4)
+        x = exp_add(cube, exp_scale(-1, exp_multiply(e6, e6)))
+    for j, (a, _) in enumerate(monos):
+        u = [e4] * (a % 3) + [cube] * (a // 3) + [e6] * monos[0][1] + [x] * j
+        yield reduce(exp_multiply, u) if u else constant_one(e4.lattice, bound)
 
 
 class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "weight terms")):
-    """Polynomial in (E4, E6) with every monomial of total weight k: terms,
-    sorted ((a, b), Fraction) pairs, maps (a, b) with 4a + 6b = k to its coefficient."""
+    """Polynomial in (E4, E6) with every monomial of total weight k: terms, sorted
+    ((a, b), Fraction) pairs, maps each a, b >= 0 with 4a + 6b = k to its coefficient."""
 
     __slots__ = ()
 
     def __new__(cls, weight: int, terms: tuple):
         for (a, b), _ in terms:
+            if a < 0 or b < 0:
+                raise ValueError(f"monomial ({a},{b}) has a negative exponent")
             if 4 * a + 6 * b != weight:
                 raise ValueError(f"monomial ({a},{b}) has weight {4*a+6*b}, "
                                  f"expected {weight}")
@@ -112,23 +124,17 @@ class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "weight terms")):
         return not self.terms
 
     def evaluate(self, e4: TruncatedExpansion, e6: TruncatedExpansion) -> TruncatedExpansion:
-        """Evaluate on weight-4 / weight-6 expansions of any space."""
-        bound = min(e4.trace_bound, e6.trace_bound)
-        lat = e4.lattice
-        acc = zero_expansion(lat, self.weight, bound)
-        for (a, b), c in self.terms:
-            acc = exp_add(acc, exp_scale(c, _product([e4] * a + [e6] * b, lat, bound)))
+        """sum_j c_j u_j over ``_basis`` on weight-4 / weight-6 expansions of any space,
+        c_j = (-1)^j sum_i C(i, j) q_i (q_i at the i-th monomial) inverting decompose's
+        binomial transform; c_j = 0 past the last q_i, where the basis stops."""
+        pos = {m: i for i, m in enumerate(isobaric_monomials(self.weight))}
+        cs = [(-1) ** j * sum(comb(pos[m], j) * c for m, c in self.terms)
+              for j in range(max((pos[m] for m, _ in self.terms), default=-1) + 1)]
+        acc = zero_expansion(e4.lattice, self.weight, min(e4.trace_bound, e6.trace_bound))
+        for c, u in zip(cs, _basis(e4, e6, self.weight)):
+            acc = exp_add(acc, exp_scale(c, u))
         return acc
 
-
-# E_k = Q_k(E4, E6) in degree 1, for the weights of the cusp forms below
-_BOUNDARY_RELATIONS = {
-    8: IsobaricPolynomial.from_dict(8, {(2, 0): 1}),
-    10: IsobaricPolynomial.from_dict(10, {(1, 1): 1}),
-    12: IsobaricPolynomial.from_dict(
-        12, {(3, 0): Fraction(441, 691), (0, 2): Fraction(250, 691)}
-    ),
-}
 
 # (space, disc, name) -> weight k: the cusp form is c (E_k - Q_k(E4, E6)),
 # E_k the degree-2 Eisenstein series and c the scale set by cusp_form
@@ -161,18 +167,19 @@ def _maass_product(f, g):
 @lru_cache(maxsize=None)
 def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
     """The CUSP_FORMS entry key = (space, disc, name), over the lattice
-    of that space, from the alpha and constant term of its G_j, scaled so
-    that its first nonzero alpha is 1.  Alpha is built to det at least the
-    Fourier-Jacobi stride m, where that value lies, so that the scale holds
-    at every trace bound."""
+    of that space, from the alpha and constant term of its G_j and Q_k the
+    decomposition of the degree-1 E_k, scaled so that its first nonzero
+    alpha is 1.  Alpha is built to det at least the Fourier-Jacobi stride m,
+    where that value lies, so that the scale holds at every trace bound."""
     if key not in CUSP_FORMS:
         raise UnsupportedFieldForm(f"no cusp form {key[2]!r} over disc {key[1]}")
     k = CUSP_FORMS[key]
+    relation = decompose_into_e4_e6(elliptic_eisenstein(k, len(isobaric_monomials(k)) - 1), k)
     lattice = lattice_for(*key[:2])
     n = lattice.fj_stride * trace_bound**2 // 4
     factors = {j: _maass_factor(lattice, j, max(n, lattice.fj_stride)) for j in {4, 6, k}}
     alpha = factors[k][1]
-    for (a, b), c in _BOUNDARY_RELATIONS[k].terms:
+    for (a, b), c in relation.terms:
         _, monomial = reduce(_maass_product, [factors[4]] * a + [factors[6]] * b)
         alpha = exp_add(alpha, exp_scale(-c, monomial))
     alpha = exp_scale(1 / alpha.coefficient(min(alpha.nums)), alpha)
@@ -187,13 +194,10 @@ def isobaric_monomials(k: int) -> list[tuple[int, int]]:
 
 
 def decompose_into_e4_e6(f: TruncatedExpansion, k: int) -> IsobaricPolynomial:
-    """Write a degree-1 weight-k expansion as Q(E4, E6) up to its truncation.  With
-    (a_j, b_j) = (a_0 - 3j, b_0 + 2j) the monomials of ``isobaric_monomials(k)`` and
-    x = E4^3 - E6^2, the forms u_j = E4^(a_j) E6^(b_0) x^j = 1728^j q^j + O(q^(j+1))
-    are a triangular basis of M_k (Serre, A Course in Arithmetic, VII §3): c_j =
-    rest[q^j] / 1728^j, rest -= c_j u_j, and a rest left over raises NotInSpace at
-    its first q^n.  By the binomial theorem on x^j, Q's coefficient at (a_i, b_i)
-    is (-1)^i sum_j C(j, i) c_j."""
+    """Write a degree-1 weight-k expansion as Q(E4, E6) up to its truncation, by
+    forward substitution on ``_basis``: c_j = rest[q^j] / 1728^j, rest -= c_j u_j,
+    and a rest left over raises NotInSpace at its first q^n.  By the binomial
+    theorem on x^j, Q's coefficient at (a_i, b_i) is (-1)^i sum_j C(j, i) c_j."""
     if f.lattice.space != "elliptic":
         raise ValueError("decomposition expects a degree-1 expansion")
     if f.weight != k:
@@ -204,16 +208,10 @@ def decompose_into_e4_e6(f: TruncatedExpansion, k: int) -> IsobaricPolynomial:
         raise InsufficientTruncation(f"trace bound {n_max} too small to determine "
                                      f"{len(monos)} monomials")
     e4, e6 = (elliptic_eisenstein(j, n_max) for j in (4, 6))
-    cube = x = None  # E4^3 and x, read only where there are two monomials or more
-    if len(monos) > 1:
-        cube = exp_multiply(exp_multiply(e4, e4), e4)
-        x = exp_add(cube, exp_scale(-1, exp_multiply(e6, e6)))
     rest, cs = f, []
-    for j, (a, _) in enumerate(monos):
-        # u_j = E4^(a_j % 3) (E4^3)^(a_j // 3) E6^(b_0) x^j
-        u = [e4] * (a % 3) + [cube] * (a // 3) + [e6] * monos[0][1] + [x] * j
+    for j, u in enumerate(_basis(e4, e6, k)):
         cs.append(rest.coefficient(j) / 1728**j)
-        rest = exp_add(rest, exp_scale(-cs[j], _product(u, ELLIPTIC, n_max)))
+        rest = exp_add(rest, exp_scale(-cs[j], u))
     if not rest.is_zero():
         raise NotInSpace(f"residual does not vanish at q^{min(rest.nums)}")
     return IsobaricPolynomial.from_dict(k, {

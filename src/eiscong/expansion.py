@@ -204,7 +204,8 @@ class TruncatedExpansion:
         g = gcd(den, *nums.values())
         self.lattice, self.weight, self.trace_bound = lattice, weight, trace_bound
         self.den = den // g
-        self.nums = {idx: n // g for idx, n in nums.items() if n}
+        self.nums = (dict(nums) if g == 1 and all(nums.values())  # canonical: copy at C speed
+                     else {idx: n // g for idx, n in nums.items() if n})
 
     @property
     def coeffs(self) -> Mapping:

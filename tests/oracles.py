@@ -8,6 +8,10 @@ the eta product, dim M_k(SL2(Z)) by its classical formula
 (``dim_level_one``), decompositions into E4^a E6^b by Gauss-Jordan
 elimination on the monomials' coefficients (``decompose_by_elimination``,
 the library's route before it substituted forward on a triangular basis),
+polynomials in E4 and E6 evaluated monomial by monomial
+(``evaluate_by_monomials``, the library's route before it summed over that
+basis), the relations E_k = Q_k(E4, E6) of the cusp forms' weights as data
+(``_BOUNDARY_RELATIONS``, which the library now takes from the solver),
 chi values via Euler's criterion and via quadratic reciprocity at every
 residue (``kronecker_symbol``, the library's route before it set chi_D at
 primes and spread it by multiplicativity), expansion products target by
@@ -62,15 +66,13 @@ from eiscong.arith import (
     p_valuation,
 )
 from eiscong.congruence import CongruenceReport
-from eiscong.elliptic import (
-    _BOUNDARY_RELATIONS, IsobaricPolynomial, elliptic_eisenstein, isobaric_monomials,
-)
+from eiscong.elliptic import IsobaricPolynomial, elliptic_eisenstein, isobaric_monomials
 from eiscong.errors import (
     AllZeroRhs, InsufficientTruncation, NonIntegralCoefficient, NonInvertibleReference, NotInSpace,
 )
 from eiscong.expansion import (
     ELLIPTIC, TruncatedExpansion, _check_compatible, constant_one, exp_add, exp_multiply,
-    exp_scale, lift_coefficient,
+    exp_scale, lift_coefficient, zero_expansion,
 )
 from eiscong.hermitian import content, det_scaled
 from eiscong.siegel import content as siegel_content, det4
@@ -333,6 +335,30 @@ def decompose_by_elimination(f: TruncatedExpansion, k: int) -> IsobaricPolynomia
     )
 
 
+# E_k = Q_k(E4, E6) in degree 1, for the weights of the cusp forms
+_BOUNDARY_RELATIONS = {
+    8: IsobaricPolynomial.from_dict(8, {(2, 0): 1}),
+    10: IsobaricPolynomial.from_dict(10, {(1, 1): 1}),
+    12: IsobaricPolynomial.from_dict(
+        12, {(3, 0): Fraction(441, 691), (0, 2): Fraction(250, 691)}
+    ),
+}
+
+
+def evaluate_by_monomials(q: IsobaricPolynomial, e4: TruncatedExpansion,
+                          e6: TruncatedExpansion) -> TruncatedExpansion:
+    """IsobaricPolynomial.evaluate with every monomial E4^a E6^b built from
+    scratch."""
+    bound = min(e4.trace_bound, e6.trace_bound)
+    lat = e4.lattice
+    acc = zero_expansion(lat, q.weight, bound)
+    for (a, b), c in q.terms:
+        factors = [e4] * a + [e6] * b
+        product = reduce(exp_multiply, factors) if factors else constant_one(lat, bound)
+        acc = exp_add(acc, exp_scale(c, product))
+    return acc
+
+
 def kronecker_symbol(a: int, n: int) -> int:
     """The Kronecker symbol (a/n) with the standard extension at 2, 0 and
     negative arguments."""
@@ -562,7 +588,7 @@ def cusp_form_by_products(key, eis) -> TruncatedExpansion:
     q = _BOUNDARY_RELATIONS[k]
     e4 = eis(4)
     e6 = eis(6) if any(b for (_, b), _ in q.terms) else e4  # Q_8 = E4^2 needs no E6
-    return exp_scale(front, exp_add(eis(k), exp_scale(-1, q.evaluate(e4, e6))))
+    return exp_scale(front, exp_add(eis(k), exp_scale(-1, evaluate_by_monomials(q, e4, e6))))
 
 
 def is_p_integral(q: Fraction, p: int) -> bool:

@@ -5,6 +5,7 @@ import bisect
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eiscong import congruence
+from eiscong import congruence, expansion
 from eiscong.arith import (
     MR_DETERMINISTIC_BOUND, bernoulli, generalized_bernoulli, is_prime, primes,
 )
@@ -291,6 +292,24 @@ class TestCuspCorrection:
     def test_correction_of_cusp_form_is_identity(self):
         x = igusa_x10(3)
         assert cusp_correction(x) == x
+
+    @pytest.mark.parametrize("form, most", [("X10", 0), (10, 1), (12, 3), (24, 6), (36, 11)])
+    def test_degree_2_products(self, monkeypatch, form, most):
+        # Q(E4, E6) is summed over the basis E4^(a_j) E6^(b_0) (E4^3 - E6^2)^j,
+        # which shares E4^3 and E4^3 - E6^2 between its forms; a cusp form's
+        # Q is zero and multiplies nothing
+        g = igusa_x10(4) if form == "X10" else siegel_expansion("G", form, 4)
+        real, calls = expansion.exp_multiply, []
+
+        def counted(f, h):
+            calls.append(f.lattice.space)
+            return real(f, h)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("eiscong") and getattr(module, "exp_multiply", None) is real:
+                monkeypatch.setattr(module, "exp_multiply", counted)
+        assert phi_operator(cusp_correction(g)).is_zero()
+        assert calls.count("siegel") <= most
 
     @pytest.mark.parametrize("lat, bound", [(SIEGEL, 6), (hermitian_lattice(-3), 3)], ids=repr)
     def test_correction_of_a_form_that_is_no_maass_lift(self, lat, bound):

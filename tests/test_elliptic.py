@@ -9,17 +9,26 @@ from hypothesis import strategies as st
 
 from eiscong.elliptic import (
     IsobaricPolynomial,
-    _BOUNDARY_RELATIONS,
     decompose_into_e4_e6,
     delta_expansion,
     elliptic_eisenstein,
     isobaric_monomials,
     ramanujan_tau,
 )
-from eiscong.expansion import ELLIPTIC, TruncatedExpansion, exp_add, exp_multiply, exp_scale
+from eiscong.expansion import (
+    ELLIPTIC, TruncatedExpansion, eisenstein, exp_add, exp_multiply, exp_scale,
+)
 from eiscong.errors import InsufficientTruncation, NotInSpace
+from eiscong.hermitian import hermitian_lattice
+from eiscong.siegel import SIEGEL
 
-from .oracles import decompose_by_elimination, delta_eta_product, dim_level_one
+from .oracles import (
+    _BOUNDARY_RELATIONS,
+    decompose_by_elimination,
+    delta_eta_product,
+    dim_level_one,
+    evaluate_by_monomials,
+)
 from .records import check_record
 
 
@@ -124,6 +133,35 @@ class TestIsobaric:
         e6 = elliptic_eisenstein(6, 5)
         assert q.evaluate(e4, e6) == exp_multiply(e4, e4)
 
+    def test_negative_exponent_rejected(self):
+        # 4 * 4 - 6 = 10 passes the weight check; every way of building refuses it
+        message = r"monomial \(4,-1\) has a negative exponent"
+        for build in (lambda: IsobaricPolynomial(10, (((4, -1), Fraction(1)),)),
+                      lambda: IsobaricPolynomial._make((10, (((4, -1), Fraction(1)),))),
+                      lambda: _BOUNDARY_RELATIONS[10]._replace(terms=(((4, -1), Fraction(1)),)),
+                      lambda: IsobaricPolynomial.from_dict(10, {(4, -1): 1})):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_evaluate_agrees_with_monomials(self, data):
+        # weights 0..48 (up to 5 monomials) on degree-1, Siegel and disc -3
+        # operands; any coefficient may be zero, so sparse Q and the zero
+        # polynomial are drawn too
+        k = data.draw(st.sampled_from(range(49)), label="k")
+        space = data.draw(st.sampled_from(["elliptic", "siegel", "hermitian -3"]), label="space")
+        if space == "elliptic":
+            e4, e6 = elliptic_eisenstein(4, 6), elliptic_eisenstein(6, 6)
+        else:
+            lat = SIEGEL if space == "siegel" else hermitian_lattice(-3)
+            e4, e6 = (eisenstein(lat, "E", j, 2) for j in (4, 6))
+        monos = isobaric_monomials(k)
+        coeffs = data.draw(st.lists(st.one_of(st.just(0), st.fractions(max_denominator=12)),
+                                    min_size=len(monos), max_size=len(monos)))
+        q = IsobaricPolynomial.from_dict(k, dict(zip(monos, coeffs)))
+        assert q.evaluate(e4, e6) == evaluate_by_monomials(q, e4, e6)
+
 
 class TestDecomposition:
     def test_e10_decomposes_as_e4_e6(self):
@@ -139,7 +177,7 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("k", sorted(_BOUNDARY_RELATIONS))
     def test_boundary_relations_are_what_the_solver_finds(self, k):
-        # the cusp-form table's Q_k, checked against the solver
+        # the relations Q_k as data, held against the solver that cusp_form reads
         q = decompose_into_e4_e6(elliptic_eisenstein(k, 4), k)
         assert _BOUNDARY_RELATIONS[k] == q
 
@@ -159,7 +197,7 @@ class TestDecomposition:
         coeffs = data.draw(st.lists(st.fractions(max_denominator=20),
                                     min_size=len(monos), max_size=len(monos)))
         q = IsobaricPolynomial.from_dict(k, dict(zip(monos, coeffs)))
-        f = q.evaluate(elliptic_eisenstein(4, 6), elliptic_eisenstein(6, 6))
+        f = evaluate_by_monomials(q, elliptic_eisenstein(4, 6), elliptic_eisenstein(6, 6))
         assert decompose_into_e4_e6(f, k) == q
 
     @settings(max_examples=250, deadline=None)
