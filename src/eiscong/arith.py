@@ -291,6 +291,17 @@ def divisor_power_sum(m: int, N: int) -> int:
     return sum(d**m for d in divisors(N))
 
 
+def divisor_power_sums(m: int, n: int) -> list[int]:
+    """[0, sigma_m(1), ..., sigma_m(n)] by one sieve, d^m added at each multiple of d."""
+    if n < 0:
+        raise ValueError(f"divisor_power_sums expects n >= 0, got {n}")
+    sums = [0] * (n + 1)
+    for d in range(1, n + 1):
+        power = d**m
+        sums[d::d] = [s + power for s in sums[d::d]]
+    return sums
+
+
 def g_value(D: int, m: int, N: int) -> int:
     """(sigma_{m,chi_D}(N) - sigma*_{m,chi_D}(N)) / (1 + |chi_D(N)|),
     always an exact integer."""

@@ -2,7 +2,8 @@
 decomposition of a level-1 form into E4^a E6^b monomials; also the table
 of degree-2 cusp forms c (E_k - Q_k(E4, E6)), Q_k the degree-1 relation and
 c the scale that makes the form's first nonzero alpha 1.  ``_basis`` alone
-multiplies out E4 and E6; the decomposition, ``evaluate`` and Delta read it.
+multiplies out E4 and E6; the decomposition, ``evaluate``, Delta and the
+Siegel alpha tables (``siegel._jacobi_alpha``) read it.
 ``cusp_form(key, bound)`` takes Q_k from the decomposition of E_k and builds
 each cusp form as a Maass lift over ``lattice_for(space, disc)``, from the
 alpha table and constant term of G_j that the lattice carries
@@ -28,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 
-from .arith import bernoulli, divisor_power_sum
+from .arith import bernoulli, divisor_power_sums
 from .errors import InsufficientTruncation, InvalidWeight, NotInSpace, UnsupportedFieldForm
 from .expansion import (
     ELLIPTIC,
@@ -49,9 +50,8 @@ def elliptic_eisenstein(k: int, n_max: int) -> TruncatedExpansion:
     if k < 4 or k % 2 == 1:
         raise InvalidWeight(f"elliptic Eisenstein series needs even k >= 4, got {k}")
     scale = Fraction(-2 * k) / bernoulli(k)
-    nums = {0: scale.denominator}
-    for n in range(1, n_max + 1):
-        nums[n] = scale.numerator * divisor_power_sum(k - 1, n)
+    nums = {n: scale.numerator * s for n, s in enumerate(divisor_power_sums(k - 1, n_max))}
+    nums[0] = scale.denominator
     return TruncatedExpansion._of(ELLIPTIC, k, n_max, scale.denominator, nums)
 
 

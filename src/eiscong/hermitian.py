@@ -87,6 +87,8 @@ class HermitianLattice(Degree2Lattice):
 
     def g_alpha(self, k: int, N: int) -> Fraction:
         """alpha of G_{k,K} at det_scaled = N."""
+        if N < 0:
+            raise ValueError(f"g_alpha expects N >= 0, got {N}")
         if N == 0:
             return -generalized_bernoulli(k - 1, self.disc) / (2 * k - 2)
         return Fraction(g_value(self.disc, k - 2, N))
@@ -94,6 +96,8 @@ class HermitianLattice(Degree2Lattice):
     @lru_cache(maxsize=64)
     def g_alpha_table(self, k: int, n: int) -> tuple:
         """(g_alpha(k, 0), ..., g_alpha(k, n)), sieving N = d q <= n."""
+        if n < 0:
+            raise ValueError(f"g_alpha_table expects n >= 0, got {n}")
         chi = [*map(kronecker_character(self.disc), range(n + 1))]
         acc = [0] * (n + 1)
         for d in range(1, n + 1):

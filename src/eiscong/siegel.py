@@ -6,19 +6,24 @@ Indices are half-integral symmetric 2x2 matrices stored as integer triples
 alpha of G_k (Cohen's H(k-1, N), Math. Ann. 1975, up to a constant): at
 N > 0, with -N = D f^2 and D a fundamental discriminant,
 B_{k-1,chi_D} / (k-1) * sum_{g | f} mu(g) chi_D(g) g^(k-2) sigma_{2k-3}(f/g),
-tabulated by walking the D and f.  The public builders here are one call
-into ``expansion.eisenstein`` and ``elliptic.cusp_form``.
+tabulated by walking the D and f at weight 4 only: alpha_6 is alpha_4 under
+the heat operator, and past 6 alpha_k is read off J_{k,1} = M_{k-4} E_{4,1} +
+M_{k-6} E_{6,1} (Eichler and Zagier, *The Theory of Jacobi Forms*, §3).  The
+public builders here are one call into ``expansion.eisenstein`` and
+``elliptic.cusp_form``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import isqrt
 
 from .arith import (
     bernoulli,
     divisor_power_sum,
+    divisor_power_sums,
     divisors,
     fundamental_decomposition,
     generalized_bernoulli,
@@ -26,8 +31,9 @@ from .arith import (
     kronecker_character,
     mobius,
 )
-from .elliptic import cusp_form
-from .expansion import Degree2Lattice, TruncatedExpansion, _check_weight, eisenstein
+from .elliptic import _basis, _maass_factor, cusp_form
+from .expansion import (ELLIPTIC, Degree2Lattice, TruncatedExpansion, _check_weight, eisenstein,
+                        exp_add, exp_multiply, exp_scale, zero_expansion)
 
 
 class SiegelLattice(Degree2Lattice):
@@ -50,6 +56,8 @@ class SiegelLattice(Degree2Lattice):
 
     def g_alpha(self, k: int, N: int) -> Fraction:
         """alpha of G_k at det4 = N; 0 where no index has that det4."""
+        if N < 0:
+            raise ValueError(f"g_alpha expects N >= 0, got {N}")
         if N == 0:
             return bernoulli(2 * k - 2) / (2 * k - 2)
         if N % 4 in (1, 2):
@@ -58,7 +66,12 @@ class SiegelLattice(Degree2Lattice):
 
     @lru_cache(maxsize=64)
     def g_alpha_table(self, k: int, n: int) -> tuple:
-        """(g_alpha(k, 0), ..., g_alpha(k, n)), walking -N = D f^2."""
+        """(g_alpha(k, 0), ..., g_alpha(k, n)) for even k >= 4: a walk over
+        -N = D f^2 at k = 4, ``_jacobi_alpha`` past it (Eichler and Zagier, §3)."""
+        if n < 0:
+            raise ValueError(f"g_alpha_table expects n >= 0, got {n}")
+        if _check_weight(k) > 4:
+            return tuple(map(_jacobi_alpha(k, n).coefficient, range(n + 1)))
         table = [self.g_alpha(k, 0), *[0] * n]
         for D in range(-3, -n - 1, -1):
             if D % 4 in (0, 1) and is_fundamental_discriminant(D):
@@ -80,6 +93,35 @@ def _cohen_alpha(k: int, D: int, f: int) -> Fraction:
     inner = sum(mobius(g) * chi(g) * g ** (k - 2) * divisor_power_sum(2 * k - 3, f // g)
                 for g in divisors(f))
     return generalized_bernoulli(k - 1, D) / (k - 1) * inner
+
+
+def _jacobi_alpha(k: int, n: int) -> TruncatedExpansion:
+    """alpha_k, even k >= 6, to q^max(n, k), past every pivot, level by level: level
+    j holds u_j(q^4) alpha_4, v_j(q^4) alpha_6 or both (u, v the ``_basis`` of M_{k-4},
+    M_{k-6}), zero below 4j.  The first fits g_alpha at 4j; a second, less the multiple
+    of the first that clears 4j, at 4j + 3, as 1728^j [[alpha_4(0), alpha_6(0)],
+    [alpha_4(3), alpha_6(3)]] is nonsingular.  k = 6 is one level, E2(q^4) alpha_4 and
+    N alpha_4 (the heat operator), with E2 = 1 - 24 sum sigma_1(i) q^i."""
+    n = max(n, k)
+    if k == 6:
+        _, a4 = _maass_factor(SIEGEL, 4, n)
+        e2 = {4 * i: -24 * s if i else 1 for i, s in enumerate(divisor_power_sums(1, n // 4))}
+        heat = {N: N * a for N, a in a4.nums.items()}
+        us = [exp_multiply(TruncatedExpansion._of(ELLIPTIC, 2, n, 1, e2), a4)]
+        vs = [TruncatedExpansion._of(ELLIPTIC, 6, n, a4.den, heat)]
+    else:
+        (e4, a4), (e6, a6) = (_maass_factor(SIEGEL, j, n) for j in (4, 6))
+        us, vs = ([exp_multiply(b, a) for b in _basis(e4, e6, k - j)]
+                  for j, a in ((4, a4), (6, a6)))
+    alpha = zero_expansion(ELLIPTIC, k, n)
+    for j, level in enumerate(zip_longest(us, vs)):
+        first, *rest = (g for g in level if g is not None)
+        rest = [exp_add(g, exp_scale(-g.coefficient(4 * j) / first.coefficient(4 * j), first))
+                for g in rest]
+        for N, g in zip((4 * j, 4 * j + 3), (first, *rest)):
+            c = (SIEGEL.g_alpha(k, N) - alpha.coefficient(N)) / g.coefficient(N)
+            alpha = exp_add(alpha, exp_scale(c, g))
+    return alpha
 
 
 def siegel_g_coefficient(k: int, t) -> Fraction:

@@ -39,10 +39,12 @@ sum of g values (``hermitian_g_closed_form``), their constant terms in
 closed form (``siegel_g_constant``, ``hermitian_g_constant``), and the cusp
 forms as front * (E_k - Q_k(E4, E6)) with full degree-2 products and the
 published fronts (``cusp_form_by_products``, ``CUSP_FORM_FRONTS``), where
-the library scales each form by its first nonzero alpha.
-``bernoulli_polynomial``, ``is_p_integral`` and ``PrimeLocalization`` were
-library names that nothing in the library called; they serve the tests
-from here.
+the library scales each form by its first nonzero alpha.  The Siegel alpha
+tables of every weight walk -N = D f^2 (``siegel_alpha_table_by_walk``),
+the library's route before it read weights past 4 off the index-1 Jacobi
+forms.  ``bernoulli_polynomial``, ``is_p_integral`` and
+``PrimeLocalization`` were library names that nothing in the library
+called; they serve the tests from here.
 """
 
 from dataclasses import dataclass
@@ -60,6 +62,7 @@ from eiscong.arith import (
     fundamental_decomposition,
     g_value,
     generalized_bernoulli,
+    is_fundamental_discriminant,
     is_prime,
     kronecker_character,
     mobius,
@@ -75,7 +78,7 @@ from eiscong.expansion import (
     exp_scale, lift_coefficient, zero_expansion,
 )
 from eiscong.hermitian import content, det_scaled
-from eiscong.siegel import content as siegel_content, det4
+from eiscong.siegel import SIEGEL, _cohen_alpha, content as siegel_content, det4
 
 
 def bernoulli_binomial_recurrence(n: int) -> list[Fraction]:
@@ -513,6 +516,16 @@ def siegel_g_constant(k: int) -> Fraction:
 def hermitian_g_constant(d: int, k: int) -> Fraction:
     """The constant term of the Hermitian G_{k,K} over disc d in closed form."""
     return bernoulli(k) * generalized_bernoulli(k - 1, d) / (4 * k * (k - 1))
+
+
+def siegel_alpha_table_by_walk(k: int, n: int) -> tuple:
+    """(g_alpha(k, 0), ..., g_alpha(k, n)) on Siegel, walking -N = D f^2."""
+    table = [SIEGEL.g_alpha(k, 0), *[0] * n]
+    for D in range(-3, -n - 1, -1):
+        if D % 4 in (0, 1) and is_fundamental_discriminant(D):
+            for f in range(1, isqrt(n // -D) + 1):
+                table[-D * f * f] = _cohen_alpha(k, D, f)
+    return tuple(table)
 
 
 def siegel_g_closed_form(k: int, t) -> Fraction:

@@ -14,6 +14,7 @@ from eiscong.arith import (
     _odd_sieve,
     bernoulli,
     divisor_power_sum,
+    divisor_power_sums,
     divisors,
     factorize,
     format_rational,
@@ -284,6 +285,16 @@ class TestDivisorSums:
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=400))
     def test_plain_sigma_bruteforce(self, m, n):
         assert divisor_power_sum(m, n) == sigma_bruteforce(m, n)
+
+    @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=150))
+    def test_sieve_agrees_with_single_values(self, m, n):
+        sums = divisor_power_sums(m, n)
+        assert sums == [0, *(divisor_power_sum(m, N) for N in range(1, n + 1))]
+        assert sums == [0, *(sigma_bruteforce(m, N) for N in range(1, n + 1))]
+
+    def test_sieve_refuses_a_negative_length(self):
+        with pytest.raises(ValueError, match="n >= 0"):
+            divisor_power_sums(1, -1)
 
     @given(
         st.integers(min_value=1, max_value=5),

@@ -8,8 +8,9 @@ from math import gcd
 
 import pytest
 
-from eiscong import elliptic, expansion
+from eiscong import arith, elliptic, expansion
 from eiscong.elliptic import CUSP_FORMS
+from eiscong.errors import InvalidWeight
 from eiscong.expansion import exp_scale
 from eiscong.hermitian import (
     CLASS_NUMBER_ONE_DISCRIMINANTS,
@@ -33,6 +34,7 @@ from .oracles import (
     cusp_form_by_products,
     hermitian_g_closed_form,
     hermitian_g_constant,
+    siegel_alpha_table_by_walk,
     siegel_g_closed_form,
     siegel_g_constant,
 )
@@ -216,8 +218,39 @@ def test_cusp_forms_build_without_degree_2_products(monkeypatch):
 @pytest.mark.parametrize("lat", [SIEGEL] + [hermitian_lattice(d) for d in CLASS_NUMBER_ONE_DISCRIMINANTS],
                          ids=repr)
 def test_alpha_table_agrees_with_alpha_at_each_det(lat):
-    # -163 at trace bound 3 reads alpha up to 366
-    for k in range(4, 17, 2):
-        for n in (0, 1, 2, 3, 4, 37, 400):
-            assert lat.g_alpha_table(k, n) == tuple(lat.g_alpha(k, N) for N in range(n + 1))
+    # -163 at trace bound 3 reads alpha up to 366; Siegel tables past weight 4 come from the
+    # index-1 Jacobi forms, held to the walk over D and f up to weight 40, where M_{k-4} has 4 levels
+    for k in range(4, 41 if lat is SIEGEL else 17, 2):
+        for n in (0, 1, 2, 3, 4, 7, 37, 400):
+            table = lat.g_alpha_table(k, n)
+            if lat is SIEGEL:
+                assert table == siegel_alpha_table_by_walk(k, n)
+            if k <= 16:
+                assert table == tuple(lat.g_alpha(k, N) for N in range(n + 1))
+
+
+@pytest.mark.parametrize("lat", [SIEGEL, hermitian_lattice(-3), hermitian_lattice(-4)], ids=repr)
+def test_negative_det_and_table_length_refused(lat):
+    for N in (-1, -2, -3, -4):
+        with pytest.raises(ValueError, match=r"g_alpha expects N >= 0, got -"):
+            lat.g_alpha(10, N)
+    with pytest.raises(ValueError, match=r"g_alpha_table expects n >= 0, got -1"):
+        lat.g_alpha_table(10, -1)
+
+
+def test_siegel_table_refuses_a_weight_without_jacobi_forms():
+    # odd k has no basis levels: the fit would return zeros, not G_k's alpha
+    for k in (2, 5, 7):
+        with pytest.raises(InvalidWeight):
+            SIEGEL.g_alpha_table(k, 10)
+
+
+def test_siegel_tables_walk_the_discriminants_at_weight_4_only():
+    # Cohen's walk misses generalized_bernoulli(3, D) at the 46 fundamental D >= -144; weights 6,
+    # 10 and 12 read the closed form at N = 3 alone (N = 0 is a Bernoulli number), one miss each
+    arith.generalized_bernoulli.cache_clear()
+    type(SIEGEL).g_alpha_table.cache_clear()
+    for k in (4, 6, 10, 12):
+        SIEGEL.g_alpha_table(k, 144)
+    assert arith.generalized_bernoulli.cache_info().misses <= 49
 
