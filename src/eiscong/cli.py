@@ -237,12 +237,10 @@ def _checks_result(checks) -> int:
 
 
 def _reproduce_1():
-    from .arith import divisor_power_sum
+    from .arith import divisor_power_sums
 
-    ok = all(
-        (divisor_power_sum(11, n) - ramanujan_tau(n)) % 691 == 0
-        for n in range(1, 201)
-    )
+    sigma = divisor_power_sums(11, 200)
+    ok = all((sigma[n] - ramanujan_tau(n)) % 691 == 0 for n in range(1, 201))
     return [("sigma_11(n) = tau(n) mod 691 for n <= 200", ok)]
 
 

@@ -150,12 +150,12 @@ CUSP_FORMS = {
 
 def _maass_factor(lattice, j: int, n: int):
     """The degree-2 E_j as its pair (phi0(q^m), alpha) of degree-1
-    expansions truncated at n, m the lattice's Fourier-Jacobi stride."""
+    expansions truncated at n, m the lattice's Fourier-Jacobi stride: alpha is
+    the lattice's cached ``g_alpha_table`` of G_j, scaled into a new expansion."""
     m = lattice.fj_stride
     phi = elliptic_eisenstein(j, n // m)
-    alpha = TruncatedExpansion(ELLIPTIC, j, n, dict(enumerate(lattice.g_alpha_table(j, n))))
     return (TruncatedExpansion._of(ELLIPTIC, j, n, phi.den, {m * i: v for i, v in phi.nums.items()}),
-            exp_scale(1 / lattice.g_constant(j), alpha))
+            exp_scale(1 / lattice.g_constant(j), lattice.g_alpha_table(j, n)))
 
 
 def _maass_product(f, g):
@@ -183,7 +183,7 @@ def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
         _, monomial = reduce(_maass_product, [factors[4]] * a + [factors[6]] * b)
         alpha = exp_add(alpha, exp_scale(-c, monomial))
     alpha = exp_scale(1 / alpha.coefficient(min(alpha.nums)), alpha)
-    return lift(lattice, k, trace_bound, [*map(alpha.coefficient, range(n + 1))], 0)
+    return lift(lattice, k, trace_bound, alpha, 0)
 
 
 def isobaric_monomials(k: int) -> list[tuple[int, int]]:

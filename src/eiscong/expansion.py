@@ -35,6 +35,7 @@ from types import MappingProxyType
 
 from .arith import bernoulli, divisors, format_rational, parse_ratio
 from .errors import (
+    InsufficientTruncation,
     InvalidWeight,
     NotPositiveSemidefinite,
     OutOfTruncation,
@@ -183,8 +184,10 @@ class TruncatedExpansion:
     __slots__ = ("lattice", "weight", "trace_bound", "den", "nums")
 
     def __init__(self, lattice, weight: int, trace_bound: int, coeffs: Mapping):
-        den, nums = _over_one_denominator([Fraction(v) for v in coeffs.values()])
-        self._fill(lattice, weight, trace_bound, den, dict(zip(coeffs, nums)))
+        values = dict(zip(coeffs, map(Fraction, coeffs.values())))
+        den = lcm(*(v.denominator for v in values.values()))
+        self._fill(lattice, weight, trace_bound, den,
+                   {idx: v.numerator * (den // v.denominator) for idx, v in values.items()})
         for idx in self.nums:
             if not lattice.is_psd(idx):
                 raise NotPositiveSemidefinite(f"index {idx} is not psd")
@@ -269,12 +272,6 @@ class TruncatedExpansion:
             f"<TruncatedExpansion {tag} weight={self.weight} "
             f"bound={self.trace_bound} terms={len(self.nums)}>"
         )
-
-
-def _over_one_denominator(values) -> tuple[int, list]:
-    """(den, nums) with values[i] = nums[i] / den, den the lcm of the denominators."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def zero_expansion(lattice, weight, trace_bound) -> TruncatedExpansion:
@@ -427,15 +424,23 @@ def lift_coefficient(lattice, k: int, t, alpha):
     return sum(d ** (k - 1) * alpha(det // (d * d)) for d in divisors(e))
 
 
-def lift(lattice, k: int, trace_bound: int, table, constant) -> TruncatedExpansion:
-    """The weight-k Maass lift of the alpha table alpha(0..n) over every
-    index; n >= m B^2 / 4, with m the lattice's Fourier-Jacobi stride and B
-    the trace bound, bounds every det.  Integer sums over one denominator."""
-    den, [top, *alpha] = _over_one_denominator([constant, *table])
+def lift(lattice, k: int, trace_bound: int, alpha, constant) -> TruncatedExpansion:
+    """The weight-k Maass lift over every index of alpha, a degree-1 expansion read
+    in place, which must reach q^n, n = m B^2 / 4 past every det (m the lattice's
+    Fourier-Jacobi stride, B the trace bound): a shorter one raises
+    InsufficientTruncation.  Integer sums over one denominator."""
+    n = lattice.fj_stride * trace_bound**2 // 4
+    if alpha.trace_bound < n:
+        raise InsufficientTruncation(f"trace bound {trace_bound} reads alpha to q^{n}, "
+                                     f"not q^{alpha.trace_bound}")
+    constant = Fraction(constant)
+    den = lcm(alpha.den, constant.denominator)
+    top, scale = constant.numerator * (den // constant.denominator), den // alpha.den
+    table = [alpha.nums.get(N, 0) * scale for N in range(n + 1)]
     tab = lattice.indices(trace_bound)
     terms = {e: [(d ** (k - 1), d * d) for d in divisors(e)] for e in set(tab.contents) if e > 1}
-    nums = {t: alpha[n] if e == 1 else sum(c * alpha[n // q] for c, q in terms[e])
-            for t, n, e in zip(tab, tab.dets, tab.contents) if e}
+    nums = {t: table[N] if e == 1 else sum(c * table[N // q] for c, q in terms[e])
+            for t, N, e in zip(tab, tab.dets, tab.contents) if e}
     nums[lattice.zero] = top
     return TruncatedExpansion._of(lattice, k, trace_bound, den, nums)
 
@@ -448,8 +453,8 @@ def eisenstein(lattice, form: str, k: int, trace_bound: int) -> TruncatedExpansi
     _check_weight(k)
     if form == "E":
         return exp_scale(1 / lattice.g_constant(k), eisenstein(lattice, "G", k, trace_bound))
-    table = lattice.g_alpha_table(k, lattice.fj_stride * trace_bound**2 // 4)
-    return lift(lattice, k, trace_bound, table, lattice.g_constant(k))
+    alpha = lattice.g_alpha_table(k, lattice.fj_stride * trace_bound**2 // 4)
+    return lift(lattice, k, trace_bound, alpha, lattice.g_constant(k))
 
 
 def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:

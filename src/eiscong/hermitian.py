@@ -22,7 +22,7 @@ from math import isqrt
 from .arith import g_value, generalized_bernoulli, kronecker_character
 from .errors import IntegralityViolation
 from .elliptic import cusp_form
-from .expansion import Degree2Lattice, TruncatedExpansion, eisenstein
+from .expansion import ELLIPTIC, Degree2Lattice, TruncatedExpansion, eisenstein
 
 CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
@@ -94,8 +94,9 @@ class HermitianLattice(Degree2Lattice):
         return Fraction(g_value(self.disc, k - 2, N))
 
     @lru_cache(maxsize=64)
-    def g_alpha_table(self, k: int, n: int) -> tuple:
-        """(g_alpha(k, 0), ..., g_alpha(k, n)), sieving N = d q <= n."""
+    def g_alpha_table(self, k: int, n: int) -> TruncatedExpansion:
+        """g_alpha(k, 0..n) as a degree-1 expansion of weight k to q^n, sieving
+        N = d q <= n: integers over alpha(0)'s denominator."""
         if n < 0:
             raise ValueError(f"g_alpha_table expects n >= 0, got {n}")
         chi = [*map(kronecker_character(self.disc), range(n + 1))]
@@ -104,13 +105,14 @@ class HermitianLattice(Degree2Lattice):
             power = d ** (k - 2)
             for q in range(1, n // d + 1):
                 acc[d * q] += (chi[d] - chi[q]) * power
-        table = [self.g_alpha(k, 0)]
+        top = self.g_alpha(k, 0)
+        nums = {0: top.numerator}
         for N in range(1, n + 1):
             q, r = divmod(acc[N], 1 + abs(chi[N]))
             if r:
                 raise IntegralityViolation(f"g_value({self.disc}, {k - 2}, {N}) is not integral")
-            table.append(q)
-        return tuple(table)
+            nums[N] = q * top.denominator
+        return TruncatedExpansion._of(ELLIPTIC, k, n, top.denominator, nums)
 
     def __repr__(self):
         return f"HermitianLattice(disc={self.disc})"

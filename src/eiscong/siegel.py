@@ -6,11 +6,11 @@ Indices are half-integral symmetric 2x2 matrices stored as integer triples
 alpha of G_k (Cohen's H(k-1, N), Math. Ann. 1975, up to a constant): at
 N > 0, with -N = D f^2 and D a fundamental discriminant,
 B_{k-1,chi_D} / (k-1) * sum_{g | f} mu(g) chi_D(g) g^(k-2) sigma_{2k-3}(f/g),
-tabulated by walking the D and f at weight 4 only: alpha_6 is alpha_4 under
-the heat operator, and past 6 alpha_k is read off J_{k,1} = M_{k-4} E_{4,1} +
-M_{k-6} E_{6,1} (Eichler and Zagier, *The Theory of Jacobi Forms*, §3).  The
-public builders here are one call into ``expansion.eisenstein`` and
-``elliptic.cusp_form``.
+tabulated as degree-1 series: alpha_4 is alpha_4(0) (theta^7 - 14 theta^3 F_2),
+alpha_6 is alpha_4 under the heat operator, and past 6 alpha_k is read off J_{k,1}
+= M_{k-4} E_{4,1} + M_{k-6} E_{6,1} (Eichler and Zagier, *The Theory of Jacobi
+Forms*, §3).  The public builders here are one call into ``expansion.eisenstein``
+and ``elliptic.cusp_form``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .arith import (
     divisors,
     fundamental_decomposition,
     generalized_bernoulli,
-    is_fundamental_discriminant,
     kronecker_character,
     mobius,
 )
@@ -65,19 +64,23 @@ class SiegelLattice(Degree2Lattice):
         return _cohen_alpha(k, *fundamental_decomposition(-N))
 
     @lru_cache(maxsize=64)
-    def g_alpha_table(self, k: int, n: int) -> tuple:
-        """(g_alpha(k, 0), ..., g_alpha(k, n)) for even k >= 4: a walk over
-        -N = D f^2 at k = 4, ``_jacobi_alpha`` past it (Eichler and Zagier, §3)."""
+    def g_alpha_table(self, k: int, n: int) -> TruncatedExpansion:
+        """g_alpha(k, 0..n), even k >= 4, as a degree-1 expansion of weight k to q^n:
+        ``_jacobi_alpha`` past 4, and at 4 alpha_4(0) theta^3 (theta^4 - 14 F_2), with
+        theta = sum_{m in Z} q^(m^2) and F_2 = sum_{i odd} sigma_1(i) q^i.  Kohnen's plus
+        space of M_{7/2}(Gamma_0(4)), where alpha_4 lies (Math. Ann. 1980), is the line
+        of its basis theta^7, theta^3 F_2 (Koblitz, *Introduction to Elliptic Curves and
+        Modular Forms*, IV §1) that vanishes at q^1."""
         if n < 0:
             raise ValueError(f"g_alpha_table expects n >= 0, got {n}")
         if _check_weight(k) > 4:
-            return tuple(map(_jacobi_alpha(k, n).coefficient, range(n + 1)))
-        table = [self.g_alpha(k, 0), *[0] * n]
-        for D in range(-3, -n - 1, -1):
-            if D % 4 in (0, 1) and is_fundamental_discriminant(D):
-                for f in range(1, isqrt(n // -D) + 1):
-                    table[-D * f * f] = _cohen_alpha(k, D, f)
-        return tuple(table)
+            return _jacobi_alpha(k, n).restrict(n)
+        theta, f2 = (TruncatedExpansion._of(ELLIPTIC, 0, n, 1, nums) for nums in (
+            {m * m: 2 - (m == 0) for m in range(isqrt(n) + 1)},
+            {i: s for i, s in enumerate(divisor_power_sums(1, n)) if i % 2}))
+        cube = exp_multiply(exp_multiply(theta, theta), theta)
+        form = exp_multiply(cube, exp_add(exp_multiply(cube, theta), exp_scale(-14, f2)))
+        return exp_scale(self.g_alpha(4, 0), TruncatedExpansion._of(ELLIPTIC, 4, n, 1, form.nums))
 
     def __repr__(self):
         return "SiegelLattice()"

@@ -42,9 +42,9 @@ published fronts (``cusp_form_by_products``, ``CUSP_FORM_FRONTS``), where
 the library scales each form by its first nonzero alpha.  The Siegel alpha
 tables of every weight walk -N = D f^2 (``siegel_alpha_table_by_walk``),
 the library's route before it read weights past 4 off the index-1 Jacobi
-forms.  ``bernoulli_polynomial``, ``is_p_integral`` and
-``PrimeLocalization`` were library names that nothing in the library
-called; they serve the tests from here.
+forms and weight 4 off theta^7 - 14 theta^3 F_2.  ``bernoulli_polynomial``,
+``is_p_integral`` and ``PrimeLocalization`` were library names that nothing
+in the library called; they serve the tests from here.
 """
 
 from dataclasses import dataclass

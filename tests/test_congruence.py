@@ -321,7 +321,7 @@ class TestCuspCorrection:
         n = lat.fj_stride * bound**2 // 4
         factor = _maass_factor(lat, 4, n)
         phi, alpha = _maass_product(_maass_product(factor, factor), factor)
-        own = lift(lat, 12, bound, [*map(alpha.coefficient, range(n + 1))], phi.coefficient(0))
+        own = lift(lat, 12, bound, alpha, phi.coefficient(0))
         assert own != cube
         assert cusp_correction(cube).is_zero()
 

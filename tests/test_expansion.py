@@ -39,6 +39,7 @@ from eiscong.hermitian import (
 )
 from eiscong.siegel import SIEGEL, igusa_x10, igusa_x12, siegel_expansion
 from eiscong.errors import (
+    InsufficientTruncation,
     NotPositiveSemidefinite,
     OutOfTruncation,
     ParseError,
@@ -753,9 +754,20 @@ class TestIndexTable:
         size = lat.fj_stride * bound**2 // 4 + 1
         table = data.draw(st.lists(sparse_value, min_size=size, max_size=size))
         constant = data.draw(sparse_value)
-        f = lift(lat, k, bound, table, constant)
+        f = lift(lat, k, bound, small_elliptic(k, size - 1, table), constant)
         assert f == lift_by_index(lat, k, bound, table, constant)
         assert_well_formed(f)
+
+    @pytest.mark.parametrize("lat", [SIEGEL, hermitian_lattice(-3), hermitian_lattice(-163)], ids=repr)
+    def test_lift_refuses_an_alpha_short_of_the_largest_det(self, lat):
+        # trace bound 4 reads alpha to q^(4 m) at diag(2, 2), m the stride: a longer alpha
+        # lifts the same, and one a term short is refused rather than read as a zero there
+        n = lat.fj_stride * 4
+        assert lat.det((2, *lat.zero[1:-1], 2)) == n
+        alpha = lat.g_alpha_table(10, n)
+        assert lift(lat, 10, 4, alpha, 1) == lift(lat, 10, 4, lat.g_alpha_table(10, n + 5), 1)
+        with pytest.raises(InsufficientTruncation, match=rf"reads alpha to q\^{n}, not q\^{n - 1}"):
+            lift(lat, 10, 4, alpha.restrict(n - 1), 1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -9,19 +9,23 @@ from math import gcd
 import pytest
 
 from eiscong import arith, elliptic, expansion
+from eiscong.congruence import cusp_correction
 from eiscong.elliptic import CUSP_FORMS
 from eiscong.errors import InvalidWeight
 from eiscong.expansion import exp_scale
 from eiscong.hermitian import (
     CLASS_NUMBER_ONE_DISCRIMINANTS,
+    HermitianLattice,
     hermitian_cusp_form,
     hermitian_expansion,
     hermitian_g_coefficient,
     hermitian_lattice,
     imag_quad_field,
 )
+from eiscong.reference_values import HERMITIAN_EXAMPLES
 from eiscong.siegel import (
     SIEGEL,
+    SiegelLattice,
     igusa_x10,
     igusa_x12,
     siegel_expansion,
@@ -38,6 +42,7 @@ from .oracles import (
     siegel_g_closed_form,
     siegel_g_constant,
 )
+from .test_expansion import assert_well_formed, small_elliptic
 
 WEIGHTS = range(4, 13, 2)
 
@@ -219,14 +224,52 @@ def test_cusp_forms_build_without_degree_2_products(monkeypatch):
                          ids=repr)
 def test_alpha_table_agrees_with_alpha_at_each_det(lat):
     # -163 at trace bound 3 reads alpha up to 366; Siegel tables past weight 4 come from the
-    # index-1 Jacobi forms, held to the walk over D and f up to weight 40, where M_{k-4} has 4 levels
+    # index-1 Jacobi forms, held to the walk over D and f up to weight 40, where M_{k-4} has 4 levels;
+    # each table is the series the public constructor builds from the values
     for k in range(4, 41 if lat is SIEGEL else 17, 2):
         for n in (0, 1, 2, 3, 4, 7, 37, 400):
             table = lat.g_alpha_table(k, n)
+            assert_well_formed(table)
             if lat is SIEGEL:
-                assert table == siegel_alpha_table_by_walk(k, n)
+                assert table == small_elliptic(k, n, siegel_alpha_table_by_walk(k, n))
             if k <= 16:
-                assert table == tuple(lat.g_alpha(k, N) for N in range(n + 1))
+                assert table == small_elliptic(k, n, (lat.g_alpha(k, N) for N in range(n + 1)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 37, 400, 1600])
+def test_siegel_weight_4_table_is_the_theta_series(n):
+    # alpha_4(0) (theta^7 - 14 theta^3 F_2) against Cohen's walk over -N = D f^2
+    assert SIEGEL.g_alpha_table(4, n) == small_elliptic(4, n, siegel_alpha_table_by_walk(4, n))
+
+
+def test_building_the_benchmark_forms_leaves_the_cached_alpha_tables_unchanged(monkeypatch):
+    # consumers read the cached tables in place: record each one handed out while the
+    # benchmark workloads' forms are built, then compare it with a build from cleared caches
+    tables = (SiegelLattice.g_alpha_table, HermitianLattice.g_alpha_table)
+    caches = (elliptic.cusp_form, expansion.eisenstein, *tables)
+    handed = []
+    for cls, cached in zip((SiegelLattice, HermitianLattice), tables):
+        def recorded(self, k, n, cached=cached):
+            handed.append((cached, self, k, n, cached(self, k, n)))
+            return handed[-1][-1]
+
+        monkeypatch.setattr(cls, "g_alpha_table", recorded)
+    for cache in caches:
+        cache.cache_clear()
+    for bound in (8, 12):
+        for k, cusp in ((10, igusa_x10), (12, igusa_x12)):
+            cusp_correction(siegel_expansion("G", k, bound))
+            cusp(bound)
+    for (disc, k), data in HERMITIAN_EXAMPLES.items():
+        for bound in (5, 7):
+            cusp_correction(hermitian_expansion("G", disc, k, bound))
+            hermitian_cusp_form(data["cusp_form"], disc, bound)
+    cusp_correction(hermitian_expansion("G", -163, 10, 3))
+    assert len(handed) > 20
+    for cache in caches:
+        cache.cache_clear()
+    for cached, lat, k, n, table in handed:
+        assert table == cached(lat, k, n)
 
 
 @pytest.mark.parametrize("lat", [SIEGEL, hermitian_lattice(-3), hermitian_lattice(-4)], ids=repr)
@@ -254,3 +297,12 @@ def test_siegel_tables_walk_the_discriminants_at_weight_4_only():
         SIEGEL.g_alpha_table(k, 144)
     assert arith.generalized_bernoulli.cache_info().misses <= 49
 
+
+def test_siegel_tables_read_three_generalized_bernoulli_numbers():
+    # weight 4 is a theta series, with none; weights 6, 10 and 12 read the closed form at
+    # N = 0, a Bernoulli number, and at N = 3, B_{k-1, chi_-3}: three misses in all
+    arith.generalized_bernoulli.cache_clear()
+    type(SIEGEL).g_alpha_table.cache_clear()
+    for k in (4, 6, 10, 12):
+        SIEGEL.g_alpha_table(k, 144)
+    assert arith.generalized_bernoulli.cache_info().misses <= 3
