@@ -2,24 +2,23 @@
 decomposition of a level-1 form into E4^a E6^b monomials; also the table
 of degree-2 cusp forms c (E_k - Q_k(E4, E6)), Q_k the degree-1 relation and
 c the scale that makes the form's first nonzero alpha 1.  ``_basis`` alone
-multiplies out E4 and E6; the decomposition, ``evaluate``, Delta and the
-Siegel alpha tables (``siegel._jacobi_alpha``) read it.
+multiplies out E4 and E6; the decomposition, ``evaluate``, Delta, the
+Siegel alpha tables (``siegel._jacobi_alpha``) and the cusp forms read it.
 ``cusp_form(key, bound)`` takes Q_k from the decomposition of E_k and builds
 each cusp form as a Maass lift over ``lattice_for(space, disc)``, from the
 alpha table and constant term of G_j that the lattice carries
 (``g_alpha_table``, ``g_constant``).  A Maass form F is the pair (phi0,
 alpha) of its boundary q-series and its coefficients at Fourier-Jacobi index
 1 as a function of det N.  An index of Fourier-Jacobi index 1 splits only as
-diag(i, 0) plus another of index 1, so (Eichler and Zagier, §6)
+diag(i, 0) plus another of index 1, so F -> phi0_F(q^m) + eps alpha_F, with
+eps^2 = 0 and m the lattice's Fourier-Jacobi stride, is a ring map into dual
+numbers over degree-1 series in q (Eichler and Zagier, §6).  A polynomial
+Q(E4, E6) therefore has, by the chain rule,
 
-    phi0(FG) = phi0(F) phi0(G),
-    alpha_FG(N) = sum_{0 <= i <= N/m} phi0_F(i) alpha_G(N - m i) + alpha_F(N - m i) phi0_G(i)
+    alpha_Q = dQ/dE4(phi_4, phi_6) alpha_4 + dQ/dE6(phi_4, phi_6) alpha_6,
 
-with m the lattice's Fourier-Jacobi stride and alpha = 0 below 0.  Both
-rules are products of degree-1 series in q: with phi0 held as phi0(q^m),
-alpha_FG = phi0_F(q^m) alpha_G + alpha_F phi0_G(q^m), so ``exp_multiply``
-evaluates them.  Every factor of Q_k is E4 or E6, so each monomial's alpha
-depends on N alone.
+phi_j = phi0_{E_j}(q^m): two ``evaluate`` calls and two ``exp_multiply``.
+Every factor of Q_k is E4 or E6, so alpha_Q depends on N alone.
 """
 
 from __future__ import annotations
@@ -158,30 +157,24 @@ def _maass_factor(lattice, j: int, n: int):
             exp_scale(1 / lattice.g_constant(j), lattice.g_alpha_table(j, n)))
 
 
-def _maass_product(f, g):
-    """The pair (phi0(q^m), alpha) of the product of two Maass forms."""
-    (fphi, falpha), (gphi, galpha) = f, g
-    return exp_multiply(fphi, gphi), exp_add(exp_multiply(fphi, galpha), exp_multiply(falpha, gphi))
-
-
 @lru_cache(maxsize=None)
 def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
-    """The CUSP_FORMS entry key = (space, disc, name), over the lattice
-    of that space, from the alpha and constant term of its G_j and Q_k the
-    decomposition of the degree-1 E_k, scaled so that its first nonzero
-    alpha is 1.  Alpha is built to det at least the Fourier-Jacobi stride m,
-    where that value lies, so that the scale holds at every trace bound."""
+    """The CUSP_FORMS entry key = (space, disc, name) over the lattice of that space:
+    the lift of alpha_k - dQ/dE4(phi_4, phi_6) alpha_4 - dQ/dE6(phi_4, phi_6) alpha_6,
+    Q = Q_k the decomposition of the degree-1 E_k, scaled so that its first nonzero
+    alpha is 1.  Alpha is built to det at least the Fourier-Jacobi stride m, where
+    that value lies, so that the scale holds at every trace bound."""
     if key not in CUSP_FORMS:
         raise UnsupportedFieldForm(f"no cusp form {key[2]!r} over disc {key[1]}")
     k = CUSP_FORMS[key]
-    relation = decompose_into_e4_e6(elliptic_eisenstein(k, len(isobaric_monomials(k)) - 1), k)
+    terms = decompose_into_e4_e6(elliptic_eisenstein(k, len(isobaric_monomials(k)) - 1), k).terms
     lattice = lattice_for(*key[:2])
-    n = lattice.fj_stride * trace_bound**2 // 4
-    factors = {j: _maass_factor(lattice, j, max(n, lattice.fj_stride)) for j in {4, 6, k}}
-    alpha = factors[k][1]
-    for (a, b), c in relation.terms:
-        _, monomial = reduce(_maass_product, [factors[4]] * a + [factors[6]] * b)
-        alpha = exp_add(alpha, exp_scale(-c, monomial))
+    n = max(lattice.alpha_length(trace_bound), lattice.fj_stride)
+    (phi4, alpha4), (phi6, alpha6), (_, alpha) = (_maass_factor(lattice, j, n) for j in (4, 6, k))
+    d4 = IsobaricPolynomial.from_dict(k - 4, {(a - 1, b): a * c for (a, b), c in terms if a})
+    d6 = IsobaricPolynomial.from_dict(k - 6, {(a, b - 1): b * c for (a, b), c in terms if b})
+    for d, a in ((d4, alpha4), (d6, alpha6)):
+        alpha = exp_add(alpha, exp_scale(-1, exp_multiply(d.evaluate(phi4, phi6), a)))
     alpha = exp_scale(1 / alpha.coefficient(min(alpha.nums)), alpha)
     return lift(lattice, k, trace_bound, alpha, 0)
 

@@ -118,6 +118,10 @@ class Degree2Lattice:
         lift (Eichler and Zagier, §6; Krieg 1991)."""
         return -bernoulli(k) / (2 * k) * self.g_alpha(k, 0)
 
+    def alpha_length(self, trace_bound: int) -> int:
+        """m B^2 / 4 (m = ``fj_stride``), past every det at trace <= B: a lift reads alpha to it."""
+        return self.fj_stride * trace_bound**2 // 4
+
     indices = lru_cache(maxsize=32)(IndexTable)  # indices(bound), one cached table
 
     def sort_key(self, t):
@@ -426,10 +430,9 @@ def lift_coefficient(lattice, k: int, t, alpha):
 
 def lift(lattice, k: int, trace_bound: int, alpha, constant) -> TruncatedExpansion:
     """The weight-k Maass lift over every index of alpha, a degree-1 expansion read
-    in place, which must reach q^n, n = m B^2 / 4 past every det (m the lattice's
-    Fourier-Jacobi stride, B the trace bound): a shorter one raises
-    InsufficientTruncation.  Integer sums over one denominator."""
-    n = lattice.fj_stride * trace_bound**2 // 4
+    in place, which must reach q^n, n = ``lattice.alpha_length(trace_bound)``: a
+    shorter one raises InsufficientTruncation.  Integer sums over one denominator."""
+    n = lattice.alpha_length(trace_bound)
     if alpha.trace_bound < n:
         raise InsufficientTruncation(f"trace bound {trace_bound} reads alpha to q^{n}, "
                                      f"not q^{alpha.trace_bound}")
@@ -453,7 +456,7 @@ def eisenstein(lattice, form: str, k: int, trace_bound: int) -> TruncatedExpansi
     _check_weight(k)
     if form == "E":
         return exp_scale(1 / lattice.g_constant(k), eisenstein(lattice, "G", k, trace_bound))
-    alpha = lattice.g_alpha_table(k, lattice.fj_stride * trace_bound**2 // 4)
+    alpha = lattice.g_alpha_table(k, lattice.alpha_length(trace_bound))
     return lift(lattice, k, trace_bound, alpha, lattice.g_constant(k))
 
 

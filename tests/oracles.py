@@ -42,7 +42,10 @@ published fronts (``cusp_form_by_products``, ``CUSP_FORM_FRONTS``), where
 the library scales each form by its first nonzero alpha.  The Siegel alpha
 tables of every weight walk -N = D f^2 (``siegel_alpha_table_by_walk``),
 the library's route before it read weights past 4 off the index-1 Jacobi
-forms and weight 4 off theta^7 - 14 theta^3 F_2.  ``bernoulli_polynomial``,
+forms and weight 4 off theta^7 - 14 theta^3 F_2.  The pair (phi0(q^m), alpha)
+of a product of two Maass forms by the product rule (``_maass_product``) is
+the library's route before it took the alpha of Q_k(E4, E6) by the chain
+rule.  ``bernoulli_polynomial``,
 ``is_p_integral`` and ``PrimeLocalization`` were library names that nothing
 in the library called; they serve the tests from here.
 """
@@ -602,6 +605,12 @@ def cusp_form_by_products(key, eis) -> TruncatedExpansion:
     e4 = eis(4)
     e6 = eis(6) if any(b for (_, b), _ in q.terms) else e4  # Q_8 = E4^2 needs no E6
     return exp_scale(front, exp_add(eis(k), exp_scale(-1, evaluate_by_monomials(q, e4, e6))))
+
+
+def _maass_product(f, g):
+    """The pair (phi0(q^m), alpha) of the product of two Maass forms."""
+    (fphi, falpha), (gphi, galpha) = f, g
+    return exp_multiply(fphi, gphi), exp_add(exp_multiply(fphi, galpha), exp_multiply(falpha, gphi))
 
 
 def is_p_integral(q: Fraction, p: int) -> bool:

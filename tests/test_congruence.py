@@ -32,7 +32,7 @@ from eiscong.congruence import (
     solve_lambda,
     verify_congruence,
 )
-from eiscong.elliptic import _maass_factor, _maass_product
+from eiscong.elliptic import _maass_factor
 from eiscong.expansion import (
     TruncatedExpansion, eisenstein, exp_add, exp_scale, lift, phi_operator,
 )
@@ -48,6 +48,7 @@ from eiscong.reference_values import CONDITION_B_TABLES
 from eiscong.siegel import SIEGEL, igusa_x10, igusa_x12, siegel_expansion
 
 from .oracles import (
+    _maass_product,
     bernoulli_binomial_recurrence,
     bernoulli_tangent,
     prime_factors_by_sieve,
@@ -318,7 +319,7 @@ class TestCuspCorrection:
         # correction takes the degree-2 products and returns zero
         e4 = eisenstein(lat, "E", 4, bound)
         cube = e4 * e4 * e4
-        n = lat.fj_stride * bound**2 // 4
+        n = lat.alpha_length(bound)
         factor = _maass_factor(lat, 4, n)
         phi, alpha = _maass_product(_maass_product(factor, factor), factor)
         own = lift(lat, 12, bound, alpha, phi.coefficient(0))

@@ -215,9 +215,34 @@ def test_cusp_forms_build_without_degree_2_products(monkeypatch):
             (igusa_x10 if name == "X10" else igusa_x12)(4)
         else:
             hermitian_cusp_form(name, disc, 4)
-    # the product rule multiplies degree-1 series only
+    # the chain rule multiplies degree-1 series only
     assert calls and set(calls) == {("elliptic", "elliptic")}
     assert lifts == [(space, disc) for space, disc, _ in CUSP_FORMS]
+
+
+@pytest.mark.parametrize("key, most", [(key, 6 if k == 12 else 3) for key, k in CUSP_FORMS.items()],
+                         ids=lambda v: v if isinstance(v, int) else "-".join(map(str, v)))
+def test_cusp_form_degree_1_products(monkeypatch, key, most):
+    # with the alpha tables of G_4, G_6 and G_k warm: dQ/dE4 and dQ/dE6 on the basis
+    # (E4^2 at weight 12), their two products with alpha_4 and alpha_6, and the
+    # decomposition of the degree-1 E_k (E4^3 and E6^2 at weight 12)
+    space, disc, _ = key
+    bound, lat = (12 if space == "siegel" else 7), expansion.lattice_for(space, disc)
+    for j in {4, 6, CUSP_FORMS[key]}:
+        expansion.eisenstein(lat, "G", j, bound)
+    real, calls = expansion.exp_multiply, []
+
+    def counted(f, g):
+        calls.append(f.lattice.space)
+        return real(f, g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eiscong") and getattr(module, "exp_multiply", None) is real:
+            monkeypatch.setattr(module, "exp_multiply", counted)
+    elliptic.cusp_form.cache_clear()
+    elliptic.cusp_form(key, bound)
+    assert calls.count("elliptic") <= most
+    assert calls.count(space) == 0
 
 
 @pytest.mark.parametrize("lat", [SIEGEL] + [hermitian_lattice(d) for d in CLASS_NUMBER_ONE_DISCRIMINANTS],
@@ -286,16 +311,6 @@ def test_siegel_table_refuses_a_weight_without_jacobi_forms():
     for k in (2, 5, 7):
         with pytest.raises(InvalidWeight):
             SIEGEL.g_alpha_table(k, 10)
-
-
-def test_siegel_tables_walk_the_discriminants_at_weight_4_only():
-    # Cohen's walk misses generalized_bernoulli(3, D) at the 46 fundamental D >= -144; weights 6,
-    # 10 and 12 read the closed form at N = 3 alone (N = 0 is a Bernoulli number), one miss each
-    arith.generalized_bernoulli.cache_clear()
-    type(SIEGEL).g_alpha_table.cache_clear()
-    for k in (4, 6, 10, 12):
-        SIEGEL.g_alpha_table(k, 144)
-    assert arith.generalized_bernoulli.cache_info().misses <= 49
 
 
 def test_siegel_tables_read_three_generalized_bernoulli_numbers():
