@@ -2,6 +2,19 @@
 multiplier solving, divisibility scanners, non-triviality witnesses, and
 the cusp-correction construction.
 
+``solve_lambda`` and ``verify_congruence`` walk every index of trace <= B,
+except between two lifts the library built (``TruncatedExpansion.lifted_from``).
+A weight-k lift has a(T) = sum over d | content(T) of d^(k-1) alpha(det(T) / d^2)
+at T != 0 (Eichler and Zagier, §6; Krieg, Math. Ann. 1991), and every det at
+trace <= B is at most ``alpha_length(B)``.  So for lifts f and g of one weight
+on one lattice, with the denominators of both alpha series and both constant
+terms prime to m, every coefficient is m-integral, and f - lambda g, the lift
+of (alpha_f - lambda alpha_g, c_f - lambda c_g), is 0 mod m at every index once
+c_f = lambda c_g and alpha_f(N) = lambda alpha_g(N) mod m for every N <=
+``alpha_length(B)``: 37 to 145 values at Hermitian B = 7 and Siegel B = 12.  The
+condition is sufficient, not necessary: where it fails, or lambda cannot be
+read off, the walk gives the report or the error.
+
 The condition-B scanner factors numerators of B_{k-1,chi} up to 10^7.
 It divides out 2, 3, 5 and 7, splits the rest with Brent's variant of
 Pollard rho (Brent, *An improved Monte Carlo factorization algorithm*, BIT
@@ -117,11 +130,46 @@ def _check_at(lat, modulus, multiplier, lhs_at, rhs_at, indices) -> CongruenceRe
     return CongruenceReport(modulus, multiplier, failure is None, len(indices), failure)
 
 
+def _lift_report(f, g, modulus: int, multiplier=None):
+    """The verified report of f = multiplier * g mod modulus on the data of two
+    lifts (module docstring), the multiplier read as the walk reads it when None;
+    None, for the walk, wherever the data do not decide."""
+    if f.lifted_from is None or g.lifted_from is None or modulus < 1:
+        return None
+    (f_alpha, f_const), (g_alpha, g_const) = f.lifted_from, g.lifted_from
+    if any(gcd(d, modulus) != 1
+           for d in (f_alpha.den, g_alpha.den, f_const.denominator, g_const.denominator)):
+        return None
+    bound = min(f.trace_bound, g.trace_bound)
+    indices = f.lattice.indices(bound)
+    if multiplier is None:  # f.den and g.den divide the data's: both are units
+        idx = next((t for t in indices if g.nums.get(t, 0) % modulus), None)
+        if idx is None:
+            return None
+        rhs = g.nums[idx] * pow(g.den, -1, modulus) % modulus
+        if gcd(rhs, modulus) != 1:
+            return None
+        multiplier = f.nums.get(idx, 0) * pow(f.den * rhs, -1, modulus) % modulus
+    else:
+        multiplier %= modulus
+    fn, gn, fd, gd = f_alpha.nums, g_alpha.nums, f_alpha.den, g_alpha.den
+    if (f_const - multiplier * g_const).numerator % modulus or any(
+            (fn.get(N, 0) * gd - multiplier * gn.get(N, 0) * fd) % modulus
+            for N in range(f.lattice.alpha_length(bound) + 1)):
+        return None
+    return CongruenceReport(modulus, multiplier, True, len(indices))
+
+
 def verify_congruence(
     f: TruncatedExpansion, g: TruncatedExpansion, modulus: int, multiplier: int
 ) -> CongruenceReport:
-    """Check f = multiplier * g mod modulus at every in-bound index."""
+    """Check f = multiplier * g mod modulus at every in-bound index: on the
+    alpha series and constants of two lifts where they suffice (the module
+    docstring gives the condition and its proof), else index by index."""
     _check_compatible(f, g)
+    report = _lift_report(f, g, modulus, multiplier)
+    if report is not None:
+        return report
     lhs_at, rhs_at = _residues(modulus, f, g)
     indices = f.lattice.indices(min(f.trace_bound, g.trace_bound))
     return _check_at(f.lattice, modulus, multiplier % modulus, lhs_at, rhs_at, indices)
@@ -131,8 +179,13 @@ def solve_lambda(
     f: TruncatedExpansion, g: TruncatedExpansion, modulus: int
 ) -> CongruenceReport:
     """Pick the multiplier from the first index (canonical order) where g
-    does not vanish mod modulus, then verify everywhere."""
+    does not vanish mod modulus, then verify everywhere: on the alpha series
+    and constants of two lifts where they suffice (the module docstring gives
+    the condition and its proof), else index by index."""
     _check_compatible(f, g)
+    report = _lift_report(f, g, modulus)
+    if report is not None:
+        return report
     lat = f.lattice
     lhs_at, rhs_at = _residues(modulus, f, g)
     indices = lat.indices(min(f.trace_bound, g.trace_bound))

@@ -4,10 +4,10 @@ of degree-2 cusp forms c (E_k - Q_k(E4, E6)), Q_k the degree-1 relation and
 c the scale that makes the form's first nonzero alpha 1.  ``_basis`` alone
 multiplies out E4 and E6; the decomposition, ``evaluate``, Delta, the
 Siegel alpha tables (``siegel._jacobi_alpha``) and the cusp forms read it.
-``cusp_form(key, bound)`` takes Q_k from the decomposition of E_k and builds
-each cusp form as a Maass lift over ``lattice_for(space, disc)``, from the
-alpha table and constant term of G_j that the lattice carries
-(``g_alpha_table``, ``g_constant``).  A Maass form F is the pair (phi0,
+``cusp_form(key, bound)`` takes Q_k from the decomposition of E_k, once per
+weight, and builds each cusp form as a Maass lift over ``lattice_for(space,
+disc)``, from the alpha table and constant term of G_j that the lattice
+carries (``g_alpha_table``, ``g_constant``).  A Maass form F is the pair (phi0,
 alpha) of its boundary q-series and its coefficients at Fourier-Jacobi index
 1 as a function of det N.  An index of Fourier-Jacobi index 1 splits only as
 diag(i, 0) plus another of index 1, so F -> phi0_F(q^m) + eps alpha_F, with
@@ -158,6 +158,15 @@ def _maass_factor(lattice, j: int, n: int):
 
 
 @lru_cache(maxsize=None)
+def _q_partials(k: int) -> tuple:
+    """dQ/dE4 and dQ/dE6, of weights k - 4 and k - 6, for Q = Q_k the decomposition
+    of the degree-1 E_k: they depend on k alone, so each weight decomposes once."""
+    terms = decompose_into_e4_e6(elliptic_eisenstein(k, len(isobaric_monomials(k)) - 1), k).terms
+    return (IsobaricPolynomial.from_dict(k - 4, {(a - 1, b): a * c for (a, b), c in terms if a}),
+            IsobaricPolynomial.from_dict(k - 6, {(a, b - 1): b * c for (a, b), c in terms if b}))
+
+
+@lru_cache(maxsize=None)
 def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
     """The CUSP_FORMS entry key = (space, disc, name) over the lattice of that space:
     the lift of alpha_k - dQ/dE4(phi_4, phi_6) alpha_4 - dQ/dE6(phi_4, phi_6) alpha_6,
@@ -167,13 +176,10 @@ def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
     if key not in CUSP_FORMS:
         raise UnsupportedFieldForm(f"no cusp form {key[2]!r} over disc {key[1]}")
     k = CUSP_FORMS[key]
-    terms = decompose_into_e4_e6(elliptic_eisenstein(k, len(isobaric_monomials(k)) - 1), k).terms
     lattice = lattice_for(*key[:2])
     n = max(lattice.alpha_length(trace_bound), lattice.fj_stride)
     (phi4, alpha4), (phi6, alpha6), (_, alpha) = (_maass_factor(lattice, j, n) for j in (4, 6, k))
-    d4 = IsobaricPolynomial.from_dict(k - 4, {(a - 1, b): a * c for (a, b), c in terms if a})
-    d6 = IsobaricPolynomial.from_dict(k - 6, {(a, b - 1): b * c for (a, b), c in terms if b})
-    for d, a in ((d4, alpha4), (d6, alpha6)):
+    for d, a in zip(_q_partials(k), (alpha4, alpha6)):
         alpha = exp_add(alpha, exp_scale(-1, exp_multiply(d.evaluate(phi4, phi6), a)))
     alpha = exp_scale(1 / alpha.coefficient(min(alpha.nums)), alpha)
     return lift(lattice, k, trace_bound, alpha, 0)

@@ -183,9 +183,16 @@ class TruncatedExpansion:
     OutOfTruncation.  Ring results (sums, scalings, products, restrictions,
     lifts, the builders and the parser) hold by construction, so they go
     through ``_of``, which only drops zeros and divides out the gcd.
+
+    ``lifted_from`` is (alpha, constant) of a lift the library built, else
+    None: ``lift`` sets it, ``exp_scale`` scales it, ``restrict`` keeps it and
+    every other result drops it.  Each coefficient at trace <= B is the
+    constant or an integral combination of alpha(N), N <= ``alpha_length(B)``,
+    so two lifts are congruent mod m where their data are, the denominators
+    prime to m: ``congruence.solve_lambda`` checks that first.
     """
 
-    __slots__ = ("lattice", "weight", "trace_bound", "den", "nums")
+    __slots__ = ("lattice", "weight", "trace_bound", "den", "nums", "lifted_from")
 
     def __init__(self, lattice, weight: int, trace_bound: int, coeffs: Mapping):
         values = dict(zip(coeffs, map(Fraction, coeffs.values())))
@@ -210,6 +217,7 @@ class TruncatedExpansion:
             raise ValueError("trace_bound must be >= 0")
         g = gcd(den, *nums.values())
         self.lattice, self.weight, self.trace_bound = lattice, weight, trace_bound
+        self.lifted_from = None
         self.den = den // g
         self.nums = (dict(nums) if g == 1 and all(nums.values())  # canonical: copy at C speed
                      else {idx: n // g for idx, n in nums.items() if n})
@@ -236,8 +244,10 @@ class TruncatedExpansion:
     def restrict(self, trace_bound: int) -> "TruncatedExpansion":
         if trace_bound > self.trace_bound:
             raise OutOfTruncation("cannot extend a truncated expansion")
-        return TruncatedExpansion._of(
+        f = TruncatedExpansion._of(
             self.lattice, self.weight, trace_bound, self.den, _within(self, trace_bound))
+        f.lifted_from = self.lifted_from
+        return f
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedExpansion):
@@ -316,7 +326,10 @@ def exp_scale(c, f: TruncatedExpansion) -> TruncatedExpansion:
     c = Fraction(c)
     p = c.numerator
     nums = {idx: p * n for idx, n in f.nums.items()} if p else {}
-    return TruncatedExpansion._of(f.lattice, f.weight, f.trace_bound, c.denominator * f.den, nums)
+    h = TruncatedExpansion._of(f.lattice, f.weight, f.trace_bound, c.denominator * f.den, nums)
+    if f.lifted_from is not None:
+        h.lifted_from = exp_scale(c, f.lifted_from[0]), c * f.lifted_from[1]
+    return h
 
 
 def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpansion:
@@ -431,7 +444,8 @@ def lift_coefficient(lattice, k: int, t, alpha):
 def lift(lattice, k: int, trace_bound: int, alpha, constant) -> TruncatedExpansion:
     """The weight-k Maass lift over every index of alpha, a degree-1 expansion read
     in place, which must reach q^n, n = ``lattice.alpha_length(trace_bound)``: a
-    shorter one raises InsufficientTruncation.  Integer sums over one denominator."""
+    shorter one raises InsufficientTruncation.  Integer sums over one denominator;
+    the result keeps (alpha, constant) as its ``lifted_from``."""
     n = lattice.alpha_length(trace_bound)
     if alpha.trace_bound < n:
         raise InsufficientTruncation(f"trace bound {trace_bound} reads alpha to q^{n}, "
@@ -445,7 +459,9 @@ def lift(lattice, k: int, trace_bound: int, alpha, constant) -> TruncatedExpansi
     nums = {t: table[N] if e == 1 else sum(c * table[N // q] for c, q in terms[e])
             for t, N, e in zip(tab, tab.dets, tab.contents) if e}
     nums[lattice.zero] = top
-    return TruncatedExpansion._of(lattice, k, trace_bound, den, nums)
+    f = TruncatedExpansion._of(lattice, k, trace_bound, den, nums)
+    f.lifted_from = alpha, constant
+    return f
 
 
 @lru_cache(maxsize=None)

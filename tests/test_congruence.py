@@ -8,6 +8,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,9 +33,10 @@ from eiscong.congruence import (
     solve_lambda,
     verify_congruence,
 )
-from eiscong.elliptic import _maass_factor
+from eiscong.elliptic import CUSP_FORMS, _maass_factor, cusp_form
 from eiscong.expansion import (
-    TruncatedExpansion, eisenstein, exp_add, exp_scale, lift, phi_operator,
+    ELLIPTIC, TruncatedExpansion, eisenstein, exp_add, exp_parse, exp_scale, exp_serialize,
+    lattice_for, lift, phi_operator,
 )
 from eiscong.errors import (
     AllZeroRhs,
@@ -44,7 +46,7 @@ from eiscong.errors import (
     WitnessSearchExhausted,
 )
 from eiscong.hermitian import hermitian_cusp_form, hermitian_expansion, hermitian_lattice
-from eiscong.reference_values import CONDITION_B_TABLES
+from eiscong.reference_values import CONDITION_B_TABLES, HERMITIAN_EXAMPLES, SIEGEL_EXAMPLES
 from eiscong.siegel import SIEGEL, igusa_x10, igusa_x12, siegel_expansion
 
 from .oracles import (
@@ -166,6 +168,119 @@ class TestAgainstPerIndexOracle:
         f = exp_scale(3, g)
         assert outcome(solve_lambda, f, g, 4) == outcome(solve_lambda_by_index, f, g, 4) == (
             NonInvertibleReference, "reference coefficient at 0,0,1 is not invertible mod 4")
+
+
+# the six published pairs: (CUSP_FORMS key, modulus, lambda) of G_k = lambda * F mod p
+PUBLISHED = (
+    [(("siegel", None, f"X{k}"), d["modulus"], d["lambda"]) for k, d in SIEGEL_EXAMPLES.items()]
+    + [(("hermitian", disc, d["cusp_form"]), d["modulus"], d["lambda"])
+       for (disc, _), d in HERMITIAN_EXAMPLES.items()])
+
+
+@st.composite
+def random_lift(draw, lat, k, bound, integral=False):
+    """lift() of a random alpha series and constant, rational or integral."""
+    n = lat.alpha_length(bound) + draw(st.integers(0, 2))
+    value = st.builds(Fraction, st.integers(-60, 60), st.just(1) if integral else denominators)
+    alpha = draw(st.dictionaries(st.integers(0, n), value, max_size=8))
+    return lift(lat, k, bound, TruncatedExpansion(ELLIPTIC, k, n, alpha), draw(value))
+
+
+@st.composite
+def lift_operand(draw, key, bound):
+    """A published form or a random lift at trace bound b >= bound, restricted
+    to bound or not, and scaled or not: every route that keeps ``lifted_from``."""
+    k, lat = CUSP_FORMS[key], lattice_for(*key[:2])
+    b = draw(st.integers(bound, 4))
+    f = draw(st.sampled_from((cusp_form(key, b), eisenstein(lat, "G", k, b), None)))
+    if f is None:
+        f = draw(random_lift(lat, k, b))
+    if draw(st.booleans()):
+        f = f.restrict(bound)
+    if draw(st.booleans()):
+        f = exp_scale(Fraction(draw(st.integers(-5, 5)), draw(denominators)), f)
+    return f
+
+
+@st.composite
+def lift_cases(draw):
+    """(f, g, modulus, multiplier) over lifts of one published pair's weight and
+    lattice, at trace bounds 0-4: f is often a lift of multiplier * (alpha_g,
+    c_g) + modulus * (an integral lift's), so that it holds where the
+    denominators allow; the multiplier is often the published one, right or not."""
+    key, p, lam = draw(st.sampled_from(PUBLISHED))
+    k, lat = CUSP_FORMS[key], lattice_for(*key[:2])
+    bound = draw(st.integers(0, 4))
+    m = draw(st.sampled_from(MODULI + (p, 7 * p)))
+    mult = draw(st.sampled_from((lam, lam + 1, 0)) | st.integers(0, 2 * m))
+    g = draw(lift_operand(key, bound))
+    if draw(st.booleans()):
+        (g_alpha, g_const), (h_alpha, h_const) = g.lifted_from, draw(
+            random_lift(lat, k, bound, integral=True)).lifted_from
+        f = lift(lat, k, bound, exp_add(exp_scale(mult, g_alpha), exp_scale(m, h_alpha)),
+                 mult * g_const + m * h_const)
+    else:
+        f = draw(lift_operand(key, bound))
+    return f, g, m, mult
+
+
+def text_outcome(fn, *args):
+    """A report's text, or the exception's type and message."""
+    try:
+        return fn(*args).to_text()
+    except (NonIntegralCoefficient, AllZeroRhs, NonInvertibleReference) as exc:
+        return type(exc), str(exc)
+
+
+class TestLiftRoute:
+    """Two lifts the library built are checked on their alpha series and
+    constant terms; the walk, and the per-index oracle, give the same text."""
+
+    @staticmethod
+    def both(f, g, m, mult):
+        return (text_outcome(solve_lambda, f, g, m),
+                text_outcome(verify_congruence, f, g, m, mult))
+
+    @settings(max_examples=250, deadline=None)
+    @given(lift_cases())
+    def test_against_the_walk_and_the_oracle(self, case):
+        f, g, m, mult = case
+        with mock.patch.object(congruence, "_lift_report", return_value=None):
+            walk = self.both(f, g, m, mult)
+        assert self.both(f, g, m, mult) == walk == (
+            text_outcome(solve_lambda_by_index, f, g, m),
+            text_outcome(verify_congruence_by_index, f, g, m, mult))
+
+    @pytest.mark.parametrize("key, p, lam", PUBLISHED,
+                             ids=[f"{key[0]}{key[1] or ''}/{key[2]}" for key, _, _ in PUBLISHED])
+    def test_published_pairs_read_no_index_walk(self, monkeypatch, key, p, lam):
+        # at the benchmark's trace bounds the lifts decide; a parsed file, which
+        # carries no lifted_from, takes the walk
+        k, lat = CUSP_FORMS[key], lattice_for(*key[:2])
+        bound = 12 if key[0] == "siegel" else 7
+        calls = []
+        for name in ("_residues", "_check_at"):
+            real = getattr(congruence, name)
+            monkeypatch.setattr(congruence, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        g, f = eisenstein(lat, "G", k, bound), cusp_form(key, bound)
+        solved, verified = solve_lambda(g, f, p), verify_congruence(g, f, p, lam)
+        assert solved == verified == CongruenceReport(p, lam, True, len(lat.indices(bound)))
+        assert calls == []
+        assert solve_lambda(g, exp_parse(exp_serialize(f)), p) == solved
+        assert calls == ["_residues", "_check_at"]
+
+    @pytest.mark.parametrize("lat", [SIEGEL, hermitian_lattice(-3)], ids=repr)
+    def test_every_datum_is_checked(self, lat):
+        # G10 with its constant term, or its alpha at N = alpha_length(2), the det
+        # of an index of trace 2 and content 1, off by one: the walk finds it
+        g = eisenstein(lat, "G", 10, 2)
+        alpha, constant = g.lifted_from
+        bump = TruncatedExpansion(ELLIPTIC, 10, alpha.trace_bound, {lat.alpha_length(2): 1})
+        for f in (lift(lat, 10, 2, alpha, constant + 1), lift(lat, 10, 2, exp_add(alpha, bump), constant)):
+            assert not verify_congruence(f, g, 1009, 1).verified
+            assert verify_congruence(f, g, 1009, 1) == verify_congruence_by_index(f, g, 1009, 1)
+            assert solve_lambda(f, g, 1009) == solve_lambda_by_index(f, g, 1009)
 
 
 @pytest.mark.parametrize("modulus", [0, -1, -3, -43867])

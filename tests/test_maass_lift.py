@@ -3,6 +3,7 @@ the per-index closed forms of G_k and the cusp forms built with full
 degree-2 products (``tests/oracles.py``)."""
 
 import sys
+from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
 
@@ -12,7 +13,10 @@ from eiscong import arith, elliptic, expansion
 from eiscong.congruence import cusp_correction
 from eiscong.elliptic import CUSP_FORMS
 from eiscong.errors import InvalidWeight
-from eiscong.expansion import exp_scale
+from eiscong.expansion import (
+    TruncatedExpansion, exp_add, exp_multiply, exp_parse, exp_scale, exp_serialize, lift,
+    phi_operator,
+)
 from eiscong.hermitian import (
     CLASS_NUMBER_ONE_DISCRIMINANTS,
     HermitianLattice,
@@ -243,6 +247,41 @@ def test_cusp_form_degree_1_products(monkeypatch, key, most):
     elliptic.cusp_form(key, bound)
     assert calls.count("elliptic") <= most
     assert calls.count(space) == 0
+
+
+def test_cusp_form_decomposes_each_weight_once(monkeypatch):
+    # Q_k, and so dQ/dE4 and dQ/dE6, depend on k alone: one decomposition per weight
+    real, weights = elliptic.decompose_into_e4_e6, []
+    monkeypatch.setattr(elliptic, "decompose_into_e4_e6",
+                        lambda f, k: weights.append(k) or real(f, k))
+    elliptic._q_partials.cache_clear()
+    elliptic.cusp_form.cache_clear()
+    for key in CUSP_FORMS:
+        for bound in (1, 2, 3):
+            elliptic.cusp_form(key, bound)
+    assert sorted(weights) == [8, 10, 12]
+
+
+@pytest.mark.parametrize("key", CUSP_FORMS, ids=lambda key: f"{key[0]}{key[1] or ''}/{key[2]}")
+def test_lifted_from_is_kept_by_scale_and_restrict_only(key):
+    k, lat = CUSP_FORMS[key], expansion.lattice_for(*key[:2])
+    g, f = expansion.eisenstein(lat, "G", k, 4), elliptic.cusp_form(key, 4)
+    c = Fraction(-7, 3)
+    for h in (g, f):
+        alpha, constant = h.lifted_from
+        assert type(constant) is Fraction and constant == h.coefficient(lat.zero)
+        assert lift(lat, k, 4, alpha, constant) == h  # the data are the lift's, exactly
+        scaled = exp_scale(c, h)
+        assert scaled.lifted_from == (exp_scale(c, alpha), c * constant)
+        assert lift(lat, k, 4, *scaled.lifted_from) == scaled
+        assert h.restrict(2).lifted_from is h.lifted_from
+        assert lift(lat, k, 2, *h.restrict(2).lifted_from) == h.restrict(2)
+    e = expansion.eisenstein(lat, "E", k, 4)
+    assert e.lifted_from == exp_scale(1 / lat.g_constant(k), g).lifted_from
+    assert e.lifted_from[1] == 1
+    for dropped in (exp_add(g, f), g - f, exp_multiply(g, f), TruncatedExpansion(lat, k, 4, g.coeffs),
+                    exp_parse(exp_serialize(g)), cusp_correction(g), phi_operator(g)):
+        assert dropped.lifted_from is None
 
 
 @pytest.mark.parametrize("lat", [SIEGEL] + [hermitian_lattice(d) for d in CLASS_NUMBER_ONE_DISCRIMINANTS],
