@@ -3,11 +3,11 @@ decomposition of a level-1 form into E4^a E6^b monomials; also the table
 of degree-2 cusp forms c (E_k - Q_k(E4, E6)), Q_k the degree-1 relation and
 c the scale that makes the form's first nonzero alpha 1.  ``_basis`` alone
 multiplies out E4 and E6; the decomposition, ``evaluate``, Delta, the
-Siegel alpha tables (``siegel._jacobi_alpha``) and the cusp forms read it.
-``cusp_form(key, bound)`` takes Q_k from the decomposition of E_k, once per
-weight, and builds each cusp form as a Maass lift over ``lattice_for(space,
-disc)``, from the alpha table and constant term of G_j that the lattice
-carries (``g_alpha_table``, ``g_constant``).  A Maass form F is the pair (phi0,
+Siegel Jacobi levels (``siegel.jacobi_levels``) and the chain rule read it.
+``cusp_form(key, bound)`` lifts the ``cusp_alpha`` of ``lattice_for(space,
+disc)``: Siegel's is read off its Jacobi levels, Hermitian's is the chain rule
+below (``chain_rule_alpha``) on Q_k, decomposed from E_k once per weight, and
+the lattice's G_j (``g_alpha_table``, ``g_constant``).  A Maass form F is the pair (phi0,
 alpha) of its boundary q-series and its coefficients at Fourier-Jacobi index
 1 as a function of det N.  An index of Fourier-Jacobi index 1 splits only as
 diag(i, 0) plus another of index 1, so F -> phi0_F(q^m) + eps alpha_F, with
@@ -166,23 +166,24 @@ def _q_partials(k: int) -> tuple:
             IsobaricPolynomial.from_dict(k - 6, {(a, b - 1): b * c for (a, b), c in terms if b}))
 
 
-@lru_cache(maxsize=None)
-def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
-    """The CUSP_FORMS entry key = (space, disc, name) over the lattice of that space:
-    the lift of alpha_k - dQ/dE4(phi_4, phi_6) alpha_4 - dQ/dE6(phi_4, phi_6) alpha_6,
-    Q = Q_k the decomposition of the degree-1 E_k, scaled so that its first nonzero
-    alpha is 1.  Alpha is built to det at least the Fourier-Jacobi stride m, where
-    that value lies, so that the scale holds at every trace bound."""
-    if key not in CUSP_FORMS:
-        raise UnsupportedFieldForm(f"no cusp form {key[2]!r} over disc {key[1]}")
-    k = CUSP_FORMS[key]
-    lattice = lattice_for(*key[:2])
-    n = max(lattice.alpha_length(trace_bound), lattice.fj_stride)
+def chain_rule_alpha(lattice, k: int, n: int) -> TruncatedExpansion:
+    """alpha of E_k - Q_k(E4, E6) over the lattice to q^n, Q = Q_k the decomposition of the
+    degree-1 E_k: alpha_k - dQ/dE4(phi_4, phi_6) alpha_4 - dQ/dE6(phi_4, phi_6) alpha_6."""
     (phi4, alpha4), (phi6, alpha6), (_, alpha) = (_maass_factor(lattice, j, n) for j in (4, 6, k))
     for d, a in zip(_q_partials(k), (alpha4, alpha6)):
         alpha = exp_add(alpha, exp_scale(-1, exp_multiply(d.evaluate(phi4, phi6), a)))
-    alpha = exp_scale(1 / alpha.coefficient(min(alpha.nums)), alpha)
-    return lift(lattice, k, trace_bound, alpha, 0)
+    return alpha
+
+
+@lru_cache(maxsize=None)
+def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
+    """The CUSP_FORMS entry key = (space, disc, name): the lift of its lattice's ``cusp_alpha`` to
+    det at least the Fourier-Jacobi stride, past the first nonzero alpha, scaled to make that 1."""
+    if key not in CUSP_FORMS:
+        raise UnsupportedFieldForm(f"no cusp form {key[2]!r} over disc {key[1]}")
+    k, lattice = CUSP_FORMS[key], lattice_for(*key[:2])
+    alpha = lattice.cusp_alpha(k, max(lattice.alpha_length(trace_bound), lattice.fj_stride))
+    return lift(lattice, k, trace_bound, exp_scale(1 / alpha.coefficient(min(alpha.nums)), alpha), 0)
 
 
 def isobaric_monomials(k: int) -> list[tuple[int, int]]:

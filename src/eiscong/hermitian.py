@@ -21,7 +21,7 @@ from math import isqrt
 
 from .arith import g_value, generalized_bernoulli, kronecker_character
 from .errors import IntegralityViolation
-from .elliptic import cusp_form
+from .elliptic import chain_rule_alpha, cusp_form
 from .expansion import ELLIPTIC, Degree2Lattice, TruncatedExpansion, eisenstein
 
 CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
@@ -57,6 +57,7 @@ class HermitianLattice(Degree2Lattice):
 
     space = "hermitian"
     zero = (0, 0, 0, 0)
+    cusp_alpha = chain_rule_alpha  # (k, n): Hermitian alpha is no level-1 Jacobi form
 
     def __init__(self, field: ImagQuadField):
         self.field = field

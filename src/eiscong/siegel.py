@@ -7,17 +7,17 @@ alpha of G_k (Cohen's H(k-1, N), Math. Ann. 1975, up to a constant): at
 N > 0, with -N = D f^2 and D a fundamental discriminant,
 B_{k-1,chi_D} / (k-1) * sum_{g | f} mu(g) chi_D(g) g^(k-2) sigma_{2k-3}(f/g),
 tabulated as degree-1 series: alpha_4 is alpha_4(0) (theta^7 - 14 theta^3 F_2),
-alpha_6 is alpha_4 under the heat operator, and past 6 alpha_k is read off J_{k,1}
-= M_{k-4} E_{4,1} + M_{k-6} E_{6,1} (Eichler and Zagier, *The Theory of Jacobi
-Forms*, §3).  The public builders here are one call into ``expansion.eisenstein``
-and ``elliptic.cusp_form``.
+alpha_6 is alpha_4 under the heat operator, and past 6 alpha_k is fitted on the
+cached levels of J_{k,1} = M_{k-4} E_{4,1} + M_{k-6} E_{6,1} (Eichler and Zagier,
+*The Theory of Jacobi Forms*, §3), whose level-0 cusp generator is the alpha of
+X10 and X12.  The public builders are one call into ``eisenstein`` or ``cusp_form``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import isqrt
 
 from .arith import (
@@ -30,7 +30,8 @@ from .arith import (
     kronecker_character,
     mobius,
 )
-from .elliptic import _basis, _maass_factor, cusp_form
+from .elliptic import _basis, _maass_factor, cusp_form, isobaric_monomials
+from .errors import InvalidWeight
 from .expansion import (ELLIPTIC, Degree2Lattice, TruncatedExpansion, _check_weight, eisenstein,
                         exp_add, exp_multiply, exp_scale, zero_expansion)
 
@@ -82,6 +83,13 @@ class SiegelLattice(Degree2Lattice):
         form = exp_multiply(cube, exp_add(exp_multiply(cube, theta), exp_scale(-14, f2)))
         return exp_scale(self.g_alpha(4, 0), TruncatedExpansion._of(ELLIPTIC, 4, n, 1, form.nums))
 
+    def cusp_alpha(self, k: int, n: int) -> TruncatedExpansion:
+        """alpha of the weight-k cusp form to q^n: the level-0 cusp generator of ``jacobi_levels``,
+        only where it is the whole cusp part, dim M_{k-4} + dim M_{k-6} = 2 (k = 10, 12, 14)."""
+        if len(isobaric_monomials(k - 4)) + len(isobaric_monomials(k - 6)) != 2:
+            raise InvalidWeight(f"the Siegel cusp part of weight {k} is not one Jacobi generator")
+        return jacobi_levels(k, max(n, k))[0][1][1].restrict(n)
+
     def __repr__(self):
         return "SiegelLattice()"
 
@@ -98,14 +106,17 @@ def _cohen_alpha(k: int, D: int, f: int) -> Fraction:
     return generalized_bernoulli(k - 1, D) / (k - 1) * inner
 
 
-def _jacobi_alpha(k: int, n: int) -> TruncatedExpansion:
-    """alpha_k, even k >= 6, to q^max(n, k), past every pivot, level by level: level
-    j holds u_j(q^4) alpha_4, v_j(q^4) alpha_6 or both (u, v the ``_basis`` of M_{k-4},
-    M_{k-6}), zero below 4j.  The first fits g_alpha at 4j; a second, less the multiple
-    of the first that clears 4j, at 4j + 3, as 1728^j [[alpha_4(0), alpha_6(0)],
-    [alpha_4(3), alpha_6(3)]] is nonsingular.  k = 6 is one level, E2(q^4) alpha_4 and
-    N alpha_4 (the heat operator), with E2 = 1 - 24 sum sigma_1(i) q^i."""
-    n = max(n, k)
+@lru_cache(maxsize=64)
+def jacobi_levels(k: int, n: int) -> tuple:
+    """The triangular basis of J_{k,1}, even k >= 6, to q^n past every pivot (callers pass
+    max(n, k)): level j is (pivot, generator) pairs, u_j(q^4) alpha_4, v_j(q^4) alpha_6 or both
+    (u, v the ``_basis`` of M_{k-4}, M_{k-6}), zero below 4j, the first at 4j and a second, less
+    the multiple of the first that clears 4j, at 4j + 3: 1728^j [[alpha_4(0), alpha_6(0)],
+    [alpha_4(3), alpha_6(3)]] is nonsingular.  Past 6 all generators but the first span the cusp
+    part (Eichler and Zagier, §5-6); k = 6 is one level, E2(q^4) alpha_4 and N alpha_4 (the heat
+    operator), with E2 = 1 - 24 sum sigma_1(i) q^i."""
+    if n < k:
+        raise ValueError(f"jacobi_levels expects n >= k, got n = {n} < k = {k}")
     if k == 6:
         _, a4 = _maass_factor(SIEGEL, 4, n)
         e2 = {4 * i: -24 * s if i else 1 for i, s in enumerate(divisor_power_sums(1, n // 4))}
@@ -116,14 +127,21 @@ def _jacobi_alpha(k: int, n: int) -> TruncatedExpansion:
         (e4, a4), (e6, a6) = (_maass_factor(SIEGEL, j, n) for j in (4, 6))
         us, vs = ([exp_multiply(b, a) for b in _basis(e4, e6, k - j)]
                   for j, a in ((4, a4), (6, a6)))
-    alpha = zero_expansion(ELLIPTIC, k, n)
+    levels = []
     for j, level in enumerate(zip_longest(us, vs)):
         first, *rest = (g for g in level if g is not None)
         rest = [exp_add(g, exp_scale(-g.coefficient(4 * j) / first.coefficient(4 * j), first))
                 for g in rest]
-        for N, g in zip((4 * j, 4 * j + 3), (first, *rest)):
-            c = (SIEGEL.g_alpha(k, N) - alpha.coefficient(N)) / g.coefficient(N)
-            alpha = exp_add(alpha, exp_scale(c, g))
+        levels.append(tuple(zip((4 * j, 4 * j + 3), (first, *rest))))
+    return tuple(levels)
+
+
+def _jacobi_alpha(k: int, n: int) -> TruncatedExpansion:
+    """alpha_k, even k >= 6, to q^max(n, k): each ``jacobi_levels`` generator fit at its pivot."""
+    alpha = zero_expansion(ELLIPTIC, k, max(n, k))
+    for N, g in chain.from_iterable(jacobi_levels(k, max(n, k))):
+        c = (SIEGEL.g_alpha(k, N) - alpha.coefficient(N)) / g.coefficient(N)
+        alpha = exp_add(alpha, exp_scale(c, g))
     return alpha
 
 

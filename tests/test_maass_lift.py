@@ -9,9 +9,9 @@ from math import gcd
 
 import pytest
 
-from eiscong import arith, elliptic, expansion
+from eiscong import arith, elliptic, expansion, siegel
 from eiscong.congruence import cusp_correction
-from eiscong.elliptic import CUSP_FORMS
+from eiscong.elliptic import CUSP_FORMS, chain_rule_alpha
 from eiscong.errors import InvalidWeight
 from eiscong.expansion import (
     TruncatedExpansion, exp_add, exp_multiply, exp_parse, exp_scale, exp_serialize, lift,
@@ -139,6 +139,52 @@ def test_igusa_forms_are_the_product_built_forms(build, key):
     assert build(12) == oracle_cusp_form(key, 12)
 
 
+@pytest.mark.parametrize("bound", [*range(13), 16])
+def test_siegel_cusp_forms_from_the_levels_are_the_chain_rule_forms(monkeypatch, bound):
+    # X10 and X12 lift the level-0 cusp generator of G_k's Jacobi levels; the chain rule on
+    # Q_k, which the Hermitian rows keep, applied to SIEGEL builds the same forms
+    keys = [key for key in CUSP_FORMS if key[0] == "siegel"]
+    levels = [elliptic.cusp_form(key, bound) for key in keys]
+    with monkeypatch.context() as patched:
+        patched.setattr(SiegelLattice, "cusp_alpha", chain_rule_alpha)
+        elliptic.cusp_form.cache_clear()
+        chain = [elliptic.cusp_form(key, bound) for key in keys]
+    elliptic.cusp_form.cache_clear()
+    for f, g in zip(levels, chain):
+        assert f == g and exp_serialize(f) == exp_serialize(g)
+        assert f.lifted_from == g.lifted_from
+
+
+def test_siegel_cusp_alpha_is_the_one_cusp_generator_or_refused():
+    # k = 10, 12 and 14 have a cusp part of dimension 1, the weights below and k >= 16 have
+    # none or more; k = 6 has two generators of quasimodular forms, but no cusp part
+    for k in range(41):
+        if k not in (10, 12, 14):
+            with pytest.raises(InvalidWeight, match=f"weight {k} is not one Jacobi generator"):
+                SIEGEL.cusp_alpha(k, 40)
+            continue
+        levels, chain = SIEGEL.cusp_alpha(k, 40), chain_rule_alpha(SIEGEL, k, 40)
+        assert levels.trace_bound == 40 and levels.coefficient(0) == 0
+        assert exp_scale(1 / levels.coefficient(3), levels) == exp_scale(1 / chain.coefficient(3), chain)
+
+
+@pytest.mark.parametrize("bound, keys", [(1, [(10, 10), (12, 12)]), (12, [(10, 144), (12, 144)])])
+def test_siegel_g_and_its_cusp_form_build_the_levels_once(monkeypatch, bound, keys):
+    # G_k's alpha table and X_k read one cached entry per weight, keyed on max(n, k): at
+    # trace bound 1, G_k asks for alpha to q^1 and X_k to q^4, the Fourier-Jacobi stride.
+    # The levels of weight 6 are G_6's alpha table, which the levels of G_k read.
+    real, asked = siegel.jacobi_levels, []
+    monkeypatch.setattr(siegel, "jacobi_levels", lambda k, n: asked.append((k, n)) or real(k, n))
+    for cache in (real, SiegelLattice.g_alpha_table, expansion.eisenstein, elliptic.cusp_form):
+        cache.cache_clear()
+    for k, cusp in ((10, igusa_x10), (12, igusa_x12)):
+        siegel_expansion("G", k, bound)
+        cusp(bound)
+    assert sorted(key for key in set(asked) if key[0] > 6) == keys
+    assert [asked.count(key) for key in keys] == [2, 2]
+    assert real.cache_info().misses == len(set(asked))
+
+
 @pytest.mark.parametrize("name, disc", [("CHI8", -4), ("F10", -4), ("F10", -3), ("F12", -3)])
 def test_hermitian_cusp_forms_are_the_product_built_forms(name, disc):
     assert hermitian_cusp_form(name, disc, 8) == oracle_cusp_form(("hermitian", disc, name), 8)
@@ -224,14 +270,18 @@ def test_cusp_forms_build_without_degree_2_products(monkeypatch):
     assert lifts == [(space, disc) for space, disc, _ in CUSP_FORMS]
 
 
-@pytest.mark.parametrize("key, most", [(key, 6 if k == 12 else 3) for key, k in CUSP_FORMS.items()],
+@pytest.mark.parametrize("key, most", [(key, 0 if key[0] == "siegel" else 6 if k == 12 else 3)
+                                       for key, k in CUSP_FORMS.items()],
                          ids=lambda v: v if isinstance(v, int) else "-".join(map(str, v)))
 def test_cusp_form_degree_1_products(monkeypatch, key, most):
-    # with the alpha tables of G_4, G_6 and G_k warm: dQ/dE4 and dQ/dE6 on the basis
+    # with G_4, G_6 and G_k built from cleared caches: a Siegel row lifts G_k's cached level-0
+    # cusp generator, with no product; a Hermitian row takes dQ/dE4 and dQ/dE6 on the basis
     # (E4^2 at weight 12), their two products with alpha_4 and alpha_6, and the
     # decomposition of the degree-1 E_k (E4^3 and E6^2 at weight 12)
     space, disc, _ = key
     bound, lat = (12 if space == "siegel" else 7), expansion.lattice_for(space, disc)
+    for cache in (expansion.eisenstein, type(lat).g_alpha_table, siegel.jacobi_levels):
+        cache.cache_clear()
     for j in {4, 6, CUSP_FORMS[key]}:
         expansion.eisenstein(lat, "G", j, bound)
     real, calls = expansion.exp_multiply, []
@@ -250,15 +300,19 @@ def test_cusp_form_degree_1_products(monkeypatch, key, most):
 
 
 def test_cusp_form_decomposes_each_weight_once(monkeypatch):
-    # Q_k, and so dQ/dE4 and dQ/dE6, depend on k alone: one decomposition per weight
+    # Q_k, and so dQ/dE4 and dQ/dE6, depend on k alone: one decomposition per weight, all
+    # from the Hermitian rows, as the Siegel rows read the Jacobi levels
     real, weights = elliptic.decompose_into_e4_e6, []
     monkeypatch.setattr(elliptic, "decompose_into_e4_e6",
                         lambda f, k: weights.append(k) or real(f, k))
     elliptic._q_partials.cache_clear()
     elliptic.cusp_form.cache_clear()
-    for key in CUSP_FORMS:
-        for bound in (1, 2, 3):
-            elliptic.cusp_form(key, bound)
+    for space in ("siegel", "hermitian"):
+        for key in (key for key in CUSP_FORMS if key[0] == space):
+            for bound in (1, 2, 3):
+                elliptic.cusp_form(key, bound)
+        if space == "siegel":
+            assert weights == []
     assert sorted(weights) == [8, 10, 12]
 
 
@@ -307,17 +361,25 @@ def test_siegel_weight_4_table_is_the_theta_series(n):
 
 
 def test_building_the_benchmark_forms_leaves_the_cached_alpha_tables_unchanged(monkeypatch):
-    # consumers read the cached tables in place: record each one handed out while the
-    # benchmark workloads' forms are built, then compare it with a build from cleared caches
+    # consumers read the cached alpha tables and Jacobi levels in place: record each one handed
+    # out while the benchmark workloads' forms are built, then compare it with a build from
+    # cleared caches
     tables = (SiegelLattice.g_alpha_table, HermitianLattice.g_alpha_table)
-    caches = (elliptic.cusp_form, expansion.eisenstein, *tables)
+    levels = siegel.jacobi_levels
+    caches = (elliptic.cusp_form, expansion.eisenstein, levels, *tables)
     handed = []
     for cls, cached in zip((SiegelLattice, HermitianLattice), tables):
         def recorded(self, k, n, cached=cached):
-            handed.append((cached, self, k, n, cached(self, k, n)))
+            handed.append((cached, (self, k, n), cached(self, k, n)))
             return handed[-1][-1]
 
         monkeypatch.setattr(cls, "g_alpha_table", recorded)
+
+    def recorded_levels(k, n):
+        handed.append((levels, (k, n), levels(k, n)))
+        return handed[-1][-1]
+
+    monkeypatch.setattr(siegel, "jacobi_levels", recorded_levels)
     for cache in caches:
         cache.cache_clear()
     for bound in (8, 12):
@@ -329,11 +391,11 @@ def test_building_the_benchmark_forms_leaves_the_cached_alpha_tables_unchanged(m
             cusp_correction(hermitian_expansion("G", disc, k, bound))
             hermitian_cusp_form(data["cusp_form"], disc, bound)
     cusp_correction(hermitian_expansion("G", -163, 10, 3))
-    assert len(handed) > 20
+    assert len(handed) > 20 and sum(cached is levels for cached, *_ in handed) >= 4
     for cache in caches:
         cache.cache_clear()
-    for cached, lat, k, n, table in handed:
-        assert table == cached(lat, k, n)
+    for cached, args, value in handed:
+        assert value == cached(*args)
 
 
 @pytest.mark.parametrize("lat", [SIEGEL, hermitian_lattice(-3), hermitian_lattice(-4)], ids=repr)
@@ -350,6 +412,9 @@ def test_siegel_table_refuses_a_weight_without_jacobi_forms():
     for k in (2, 5, 7):
         with pytest.raises(InvalidWeight):
             SIEGEL.g_alpha_table(k, 10)
+    # the levels stop at q^n, below the pivots past n: callers pass n >= k, past every pivot
+    with pytest.raises(ValueError, match=r"jacobi_levels expects n >= k, got n = 1 < k = 16"):
+        siegel.jacobi_levels(16, 1)
 
 
 def test_siegel_tables_read_three_generalized_bernoulli_numbers():
