@@ -2,8 +2,9 @@
 decomposition of a level-1 form into E4^a E6^b monomials; also the table
 of degree-2 cusp forms c (E_k - Q_k(E4, E6)), Q_k the degree-1 relation and
 c the scale that makes the form's first nonzero alpha 1.  ``_basis`` alone
-multiplies out E4 and E6; the decomposition, ``evaluate``, Delta, the
-Siegel Jacobi levels (``siegel.jacobi_levels``) and the chain rule read it.
+multiplies out E4 and E6; the decomposition, ``evaluate``, the Siegel
+Jacobi levels (``siegel.jacobi_levels``) and the chain rule read it.  Delta
+takes no E4 or E6: it is q J^8 by Jacobi's identity for J = prod (1 - q^n)^3.
 ``cusp_form(key, bound)`` lifts the ``cusp_alpha`` of ``lattice_for(space,
 disc)``: Siegel's is read off its Jacobi levels, Hermitian's is the chain rule
 below (``chain_rule_alpha``) on Q_k, decomposed from E_k once per weight, and
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb
+from math import comb, isqrt
 
 from .arith import bernoulli, divisor_power_sums
 from .errors import InsufficientTruncation, InvalidWeight, NotInSpace, UnsupportedFieldForm
@@ -56,16 +57,22 @@ def elliptic_eisenstein(k: int, n_max: int) -> TruncatedExpansion:
 
 @lru_cache(maxsize=None)
 def delta_expansion(n_max: int) -> TruncatedExpansion:
-    """Delta = x / 1728, x = E4^3 - E6^2 the u_1 of ``_basis(E4, E6, 12)``."""
-    _, x = _basis(elliptic_eisenstein(4, n_max), elliptic_eisenstein(6, n_max), 12)
-    return exp_scale(Fraction(1, 1728), x)
+    """Delta = q J^8 to q^n_max, J = prod (1 - q^n)^3 = sum_{m >= 0} (-1)^m (2m + 1)
+    q^(m(m+1)/2) to q^(n_max - 1) (Jacobi's identity), squared three times: three
+    ``exp_multiply`` calls, and no E4 or E6."""
+    top = max(n_max - 1, 0)
+    j = TruncatedExpansion._of(ELLIPTIC, 0, top, 1, {
+        m * (m + 1) // 2: (-1) ** m * (2 * m + 1) for m in range((isqrt(8 * top + 1) + 1) // 2)})
+    for _ in range(3):
+        j = exp_multiply(j, j)
+    return TruncatedExpansion._of(ELLIPTIC, 12, n_max, 1, {e + 1: c for e, c in j.nums.items() if e < n_max})
 
 
 _delta_bound = 0  # bound of the Delta expansion ramanujan_tau reads
 
 
 def ramanujan_tau(n: int) -> Fraction:
-    """tau(n) from one shared Delta expansion, regrown to max(n, 2 * bound)."""
+    """tau(n) from one shared Delta expansion, Jacobi's q J^8, regrown to max(n, 2 * bound)."""
     global _delta_bound
     bound = _delta_bound
     if n > bound:

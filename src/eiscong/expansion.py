@@ -28,9 +28,9 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import count, repeat
+from itertools import compress, count, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, lshift, mul, sub
+from operator import add, floordiv, itemgetter, lshift, mod, mul, sub
 from types import MappingProxyType
 
 from .arith import bernoulli, divisors, format_rational, parse_ratio
@@ -336,12 +336,16 @@ def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpan
     """f * g, exact inside the truncation, by Kronecker substitution
     (Harvey, J. Symbolic Comput. 2009).  A degree-2 index splits into a row,
     every entry but ``t[1]``, and the column ``t[1]``, so that rows and
-    columns each add componentwise and the trace is row[0] + row[-1]; the
-    elliptic lattice has one row, with column t.  Each row of f or g packs
-    into the integer sum of n 2^(s (col - lo)) over its terms, lo its least
-    column, and one big-integer product per pair of rows whose traces add
-    up to at most the bound, shifted into its target row, sums every pair
-    of their terms at once.
+    columns each add componentwise and the trace is row[0] + row[-1].  Each
+    row of f or g packs into the integer sum of n 2^(s (col - lo)) over its
+    terms, lo its least column, and one big-integer product per pair of
+    rows whose traces add up to at most the bound, shifted into its target
+    row, sums every pair of their terms at once.  In degree 1 the operand
+    of larger stride m, the gcd of its exponent gaps, is one row with
+    column t div m, and the other has a row per residue class t mod m: each
+    class multiplies at 1/m of the slots (E_j(q^4) alpha in the Siegel
+    Jacobi levels, phi_j(q^m) in the chain rule), and only the slots at or
+    below the bound are read, n + 1 of the 2n + 1 of a square to q^n.
 
     The slot width s is the least multiple of 8 bits with
     s >= bits(max|f|) + bits(max|g|) + bits(|f| |g|) + 1: a slot of a
@@ -358,9 +362,8 @@ def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpan
     if not (fn and gn):
         return zero_expansion(lat, f.weight + g.weight, bound)
     s = 8 * ((_bits(fn) + _bits(gn) + (len(fn) * len(gn)).bit_length() + 8) // 8)
-    if lat is ELLIPTIC:  # one row, whose slots past the bound are dropped
-        (flo, fp), (glo, gp) = (_pack(repeat(0), h, h.values(), s)[0] for h in (fn, gn))
-        nums = dict(zip(range(flo + glo, bound + 1), _unpack(fp * gp, s)))
+    if lat is ELLIPTIC:
+        nums = _multiply_classes(fn, gn, bound, s)
     else:
         row_of = itemgetter(0, *range(2, len(lat.zero)))
         k = (2 * bound).bit_length() + 1  # a product's row entries lie in [-2 bound, 2 bound]
@@ -397,13 +400,41 @@ def _pack(rows, cols, values, s: int) -> dict:
     return acc
 
 
-def _unpack(v: int, s: int) -> list:
-    """The slots c of v = sum c 2^(s k), |c| < 2^(s - 1), from k = 0 up:
-    v plus 2^(s - 1) in every slot, read s / 8 bytes at a time."""
-    w, slots = s // 8, v.bit_length() // s + 1
-    b = (v + int.from_bytes((bytes(w - 1) + b"\x80") * slots, "little")).to_bytes(slots * w, "little")
+def _unpack(v: int, s: int, slots: int) -> list:
+    """The first slots c of v = sum c 2^(s k), |c| < 2^(s - 1), from k = 0 up:
+    v plus 2^(s - 1) in each of them, mod 2^(s slots), read s / 8 bytes at a time."""
+    w = s // 8
+    b = ((v + int.from_bytes((bytes(w - 1) + b"\x80") * slots, "little"))
+         & ((1 << s * slots) - 1)).to_bytes(slots * w, "little")
     return list(map(sub, [int.from_bytes(b[i:i + w], "little") for i in range(0, len(b), w)],
                     repeat(1 << (s - 1))))
+
+
+def _stride(nums: dict) -> int:
+    """The gcd of the exponent gaps of a degree-1 support: 0 for one term."""
+    e = next(iter(nums))
+    return gcd(*map(sub, nums, repeat(e)))
+
+
+def _multiply_classes(fn: dict, gn: dict, bound: int, s: int) -> dict:
+    """Degree-1 f g to q^bound: f, of stride m >= g's, is one row r + m col;
+    each class r' mod m of g packs the same way, and its product with f,
+    from q^(r + r' + m (lo + lo')) on in steps of m, is read up to q^top, top
+    the bound or the product's last exponent.  The numerators come back in
+    ascending order, zeros dropped."""
+    if _stride(fn) < _stride(gn):
+        fn, gn = gn, fn
+    m = _stride(fn) or 1
+    fclass, gclasses = (_pack(map(mod, h, repeat(m)), map(floordiv, h, repeat(m)), h.values(), s)
+                        for h in (fn, gn))
+    ((r, (flo, fp)),) = fclass.items()
+    base, top = min(fn) + min(gn), min(bound, max(fn) + max(gn))
+    out = [0] * (top - base + 1)
+    for rg, (glo, gp) in gclasses.items():
+        start = r + rg + m * (flo + glo)
+        if start <= top:
+            out[start - base::m] = _unpack(fp * gp, s, (top - start) // m + 1)
+    return dict(compress(zip(count(base), out), out))
 
 
 def _rows(nums: dict, row_of, s: int, k: int) -> list:
@@ -429,7 +460,8 @@ def _multiply_rows(frows: list, grows: list, bound: int, s: int) -> dict:
     nums = {}
     for code, (lo, v) in acc.items():
         a, *rest = map(add, *targets[code])
-        nums.update(zip(zip(repeat(a), count(lo), *map(repeat, rest)), _unpack(v, s)))
+        slots = _unpack(v, s, v.bit_length() // s + 1)
+        nums.update(zip(zip(repeat(a), count(lo), *map(repeat, rest)), slots))
     return nums
 
 

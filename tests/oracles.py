@@ -4,8 +4,9 @@ These deliberately take different routes than the library: Bernoulli
 numbers via the binomial-sum recurrence (``bernoulli_binomial_recurrence``,
 the library's route before it built its table from tangent numbers), via
 the Akiyama-Tanigawa triangle and via Seidel's zigzag triangle, Delta via
-the eta product, dim M_k(SL2(Z)) by its classical formula
-(``dim_level_one``), decompositions into E4^a E6^b by Gauss-Jordan
+the eta product and as (E4^3 - E6^2) / 1728 on the triangular basis
+(``delta_by_basis``, the library's route before Jacobi's identity), dim
+M_k(SL2(Z)) by its classical formula (``dim_level_one``), decompositions into E4^a E6^b by Gauss-Jordan
 elimination on the monomials' coefficients (``decompose_by_elimination``,
 the library's route before it substituted forward on a triangular basis),
 polynomials in E4 and E6 evaluated monomial by monomial
@@ -72,7 +73,7 @@ from eiscong.arith import (
     p_valuation,
 )
 from eiscong.congruence import CongruenceReport
-from eiscong.elliptic import IsobaricPolynomial, elliptic_eisenstein, isobaric_monomials
+from eiscong.elliptic import IsobaricPolynomial, _basis, elliptic_eisenstein, isobaric_monomials
 from eiscong.errors import (
     AllZeroRhs, InsufficientTruncation, NonIntegralCoefficient, NonInvertibleReference, NotInSpace,
 )
@@ -263,6 +264,12 @@ def delta_eta_product(n_max: int) -> list[int]:
     for i in range(1, n_max + 1):
         out[i] = poly[i - 1]
     return out
+
+
+def delta_by_basis(n_max: int) -> TruncatedExpansion:
+    """Delta = x / 1728, x = E4^3 - E6^2 the u_1 of ``_basis(E4, E6, 12)``."""
+    _, x = _basis(elliptic_eisenstein(4, n_max), elliptic_eisenstein(6, n_max), 12)
+    return exp_scale(Fraction(1, 1728), x)
 
 
 def dim_level_one(k: int) -> int:

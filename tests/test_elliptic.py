@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eiscong import elliptic
+from eiscong.arith import divisor_power_sums
 from eiscong.elliptic import (
     IsobaricPolynomial,
     decompose_into_e4_e6,
@@ -25,6 +28,7 @@ from eiscong.siegel import SIEGEL
 from .oracles import (
     _BOUNDARY_RELATIONS,
     decompose_by_elimination,
+    delta_by_basis,
     delta_eta_product,
     dim_level_one,
     evaluate_by_monomials,
@@ -77,6 +81,31 @@ class TestDelta:
         eta = delta_eta_product(30)
         for n in range(31):
             assert d.coefficient(n) == eta[n]
+
+    @pytest.mark.parametrize("top, ns", [(64, range(65)), (200, [200])], ids=["n<=64", "n=200"])
+    def test_jacobi_delta_against_basis_and_eta_product(self, top, ns):
+        eta = delta_eta_product(top)
+        for n in ns:
+            d = delta_expansion(n)
+            assert d == delta_by_basis(n)
+            assert [d.coefficient(i) for i in range(n + 1)] == eta[:n + 1]
+
+    def test_tau_loop_builds_delta_by_three_squarings(self, monkeypatch):
+        """A shuffled tau loop to 80 from a cold Delta builds no E_k, and each Delta build
+        is three ``exp_multiply`` calls."""
+        products, eisenstein_calls = [], []
+        monkeypatch.setattr(elliptic, "_delta_bound", 0)
+        monkeypatch.setattr(elliptic, "delta_expansion", lru_cache(maxsize=None)(delta_expansion.__wrapped__))
+        monkeypatch.setattr(elliptic, "exp_multiply", lambda f, g: products.append(1) or exp_multiply(f, g))
+        monkeypatch.setattr(elliptic, "elliptic_eisenstein", lambda *a: eisenstein_calls.append(a))
+        order = list(range(1, 81))
+        random.Random(80).shuffle(order)
+        sigma = divisor_power_sums(11, 80)
+        for n in order:
+            assert (ramanujan_tau(n) - sigma[n]) % 691 == 0
+        builds = elliptic.delta_expansion.cache_info().misses
+        assert builds >= 1 and len(products) == 3 * builds
+        assert eisenstein_calls == []
 
     def test_tau_values(self):
         assert ramanujan_tau(1) == 1

@@ -649,6 +649,63 @@ class TestProductKernel:
             (101, b, 100 + c): -(b + 21) * c for b in range(-20, 20) for c in range(1, 41)}
         assert SIEGEL.indices.cache_info() == before
 
+    # Degree-1 products pack the operand of larger stride m as one row, the other one class
+    # mod m at a time, each class read up to the bound.  The cases below kill these mutants
+    # of the kernel: the class offset r or r' dropped from a class's first exponent, and a
+    # class unpacked one slot long or one slot short.
+
+    @pytest.mark.parametrize("lo", [1, 2, 7])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_strided_times_full(self, m, lo):
+        """q^lo sum c_i q^(m i) times a full series: an unpack one slot short misses
+        q^bound, one slot long writes past it."""
+        check_both_orders(series(4, 30, range(lo, 31, m)), series(6, 30, range(31)))
+
+    def test_q4_series_times_the_two_alpha_classes(self):
+        """E_j(q^4) alpha, the shape of a Siegel Jacobi level: alpha lives on N = 0, 3
+        mod 4, so a dropped class offset puts the 3 mod 4 class on 0 mod 4."""
+        check_both_orders(series(4, 48, range(0, 49, 4)),
+                          series(6, 48, (N for N in range(49) if N % 4 in (0, 3))))
+
+    @pytest.mark.parametrize("other", [[9], range(21), range(3, 21, 6)], ids=["one", "full", "strided"])
+    def test_one_term_operands(self, other):
+        """A one-term operand has stride 0: the other one sets m, or m = 1 for two one-term
+        operands."""
+        check_both_orders(series(4, 20, [5]), series(6, 20, other))
+        f, g = series(4, 20, [11]), series(6, 20, [9])
+        assert exp_multiply(f, g).nums == {20: f.nums[11] * g.nums[9]}
+        assert exp_multiply(f, series(6, 20, [10])).nums == {}
+        f, g = series(4, 10**6, [400000]), series(6, 10**6, [400001])  # read from q^800001, not q^0
+        assert exp_multiply(f, g).nums == {800001: f.nums[400000] * g.nums[400001]}
+
+    def test_class_first_slot_at_and_past_the_bound(self):
+        """f on 2 mod 4; g with a class 2 mod 4 from q^18 and a class 3 mod 4 from q^19.
+        Their products start at q^20, the bound, where one slot is kept and none if the
+        unpack is one short, and at q^21, which is skipped; g's q^1 class fills 3 mod 4."""
+        f = series(4, 20, [2, 6, 10])
+        check_both_orders(f, series(6, 20, [1, 5, 18, 19]))
+        g = series(6, 20, [18, 19])
+        assert exp_multiply(f, g).nums == exp_multiply(g, f).nums == {20: f.nums[2] * g.nums[18]}
+
+    def test_larger_stride_packs_either_side(self):
+        check_both_orders(series(4, 40, range(3, 41, 6)), series(6, 40, range(1, 41, 2)))
+
+
+def series(weight, bound, exponents):
+    """A degree-1 operand on the given exponents up to the bound, with numerators of
+    both signs and of up to 90 bits."""
+    return TruncatedExpansion(ELLIPTIC, weight, bound, {
+        e: (-1) ** e * (3 * e + 1) * 2 ** (e * 7 % 90) for e in exponents if e <= bound})
+
+
+def check_both_orders(f, g):
+    """f g and g f equal ``reference_product``, well formed, with ascending exponents."""
+    for a, b in ((f, g), (g, f)):
+        ab = exp_multiply(a, b)
+        assert ab == reference_product(a, b)
+        assert list(ab.nums) == sorted(ab.nums)
+        assert_well_formed(ab)
+
 
 def assert_well_formed(f):
     """What every expansion stores: one positive denominator and nonzero
