@@ -2,18 +2,19 @@
 multiplier solving, divisibility scanners, non-triviality witnesses, and
 the cusp-correction construction.
 
-``solve_lambda`` and ``verify_congruence`` walk every index of trace <= B,
-except between two lifts the library built (``TruncatedExpansion.lifted_from``).
-A weight-k lift has a(T) = sum over d | content(T) of d^(k-1) alpha(det(T) / d^2)
-at T != 0 (Eichler and Zagier, §6; Krieg, Math. Ann. 1991), and every det at
-trace <= B is at most ``alpha_length(B)``.  So for lifts f and g of one weight
-on one lattice, with the denominators of both alpha series and both constant
-terms prime to m, every coefficient is m-integral, and f - lambda g, the lift
-of (alpha_f - lambda alpha_g, c_f - lambda c_g), is 0 mod m at every index once
-c_f = lambda c_g and alpha_f(N) = lambda alpha_g(N) mod m for every N <=
-``alpha_length(B)``: 37 to 145 values at Hermitian B = 7 and Siegel B = 12.  The
-condition is sufficient, not necessary: where it fails, or lambda cannot be
-read off, the walk gives the report or the error.
+``solve_lambda`` reads lambda at the first canonical index where the reference
+does not vanish mod m, and ``verify_congruence`` decides: between two lifts the
+library built (``TruncatedExpansion.lifted_from``) it checks their alpha series
+through ``_check_at``, else it walks every index of trace <= B.  A weight-k lift
+has a(T) = sum over d | content(T) of d^(k-1) alpha(det(T) / d^2) at T != 0
+(Eichler and Zagier, §6; Krieg, Math. Ann. 1991), and every det at trace <= B is
+at most ``alpha_length(B)``.  So for lifts f and g of one weight on one lattice,
+with the denominators of both alpha series and both constant terms prime to m,
+every coefficient is m-integral, and f - lambda g, the lift of (alpha_f - lambda
+alpha_g, c_f - lambda c_g), is 0 mod m at every index once c_f = lambda c_g and
+alpha_f(N) = lambda alpha_g(N) mod m for every N <= ``alpha_length(B)``: 37 to
+145 values at Hermitian B = 7 and Siegel B = 12.  The condition is sufficient,
+not necessary: where it fails, the walk gives the report or the error.
 
 The condition-B scanner factors numerators of B_{k-1,chi} up to 10^7.
 It divides out 2, 3, 5 and 7, splits the rest with Brent's variant of
@@ -51,7 +52,7 @@ from .errors import (
     WitnessSearchExhausted,
 )
 from .expansion import (
-    TruncatedExpansion, _check_compatible, eisenstein, exp_add, exp_scale, phi_operator,
+    ELLIPTIC, TruncatedExpansion, _check_compatible, eisenstein, exp_add, exp_scale, phi_operator,
 )
 
 
@@ -82,10 +83,15 @@ class WitnessReport(namedtuple("WitnessReport", "q chi_value pow_residue method"
     __slots__ = ()
 
 
-def _residue(num: int, den: int, modulus: int, key):
+def _require_modulus(modulus: int):
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+
+
+def _residue(num: int, den: int, modulus: int, lat, idx):
     g = gcd(num, den)
     if gcd(den // g, modulus) != 1:
-        raise NonIntegralCoefficient(key, modulus)
+        raise NonIntegralCoefficient(lat.key_string(idx), modulus)
     return num // g * pow(den // g, -1, modulus) % modulus
 
 
@@ -98,8 +104,7 @@ def _residues(modulus: int, *expansions) -> list:
     its own coefficient, so a canonical walk raises NonIntegralCoefficient
     where a walk of per-index reductions would.
     """
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    _require_modulus(modulus)
     lookups = []
     for f in expansions:
         if gcd(f.den, modulus) == 1:
@@ -107,7 +112,7 @@ def _residues(modulus: int, *expansions) -> list:
             lookups.append({idx: n * inverse % modulus for idx, n in f.nums.items()}.get)
         else:
             lookups.append(lambda idx, _, f=f: _residue(
-                f.nums.get(idx, 0), f.den, modulus, f.lattice.key_string(idx)))
+                f.nums.get(idx, 0), f.den, modulus, f.lattice, idx))
     return lookups
 
 
@@ -130,42 +135,31 @@ def _check_at(lat, modulus, multiplier, lhs_at, rhs_at, indices) -> CongruenceRe
     return CongruenceReport(modulus, multiplier, failure is None, len(indices), failure)
 
 
-def _lift_report(f, g, modulus: int, multiplier=None):
+def _lift_report(f, g, modulus: int, multiplier: int):
     """The verified report of f = multiplier * g mod modulus on the data of two
-    lifts (module docstring), the multiplier read as the walk reads it when None;
-    None, for the walk, wherever the data do not decide."""
+    lifts (module docstring): the constant terms, and the alpha series through
+    ``_check_at``; None, for the walk, wherever the data do not decide."""
     if f.lifted_from is None or g.lifted_from is None or modulus < 1:
         return None
     (f_alpha, f_const), (g_alpha, g_const) = f.lifted_from, g.lifted_from
     if any(gcd(d, modulus) != 1
            for d in (f_alpha.den, g_alpha.den, f_const.denominator, g_const.denominator)):
         return None
+    multiplier %= modulus
     bound = min(f.trace_bound, g.trace_bound)
-    indices = f.lattice.indices(bound)
-    if multiplier is None:  # f.den and g.den divide the data's: both are units
-        idx = next((t for t in indices if g.nums.get(t, 0) % modulus), None)
-        if idx is None:
-            return None
-        rhs = g.nums[idx] * pow(g.den, -1, modulus) % modulus
-        if gcd(rhs, modulus) != 1:
-            return None
-        multiplier = f.nums.get(idx, 0) * pow(f.den * rhs, -1, modulus) % modulus
-    else:
-        multiplier %= modulus
-    fn, gn, fd, gd = f_alpha.nums, g_alpha.nums, f_alpha.den, g_alpha.den
-    if (f_const - multiplier * g_const).numerator % modulus or any(
-            (fn.get(N, 0) * gd - multiplier * gn.get(N, 0) * fd) % modulus
-            for N in range(f.lattice.alpha_length(bound) + 1)):
+    if (f_const - multiplier * g_const).numerator % modulus or not _check_at(
+            ELLIPTIC, modulus, multiplier, *_residues(modulus, f_alpha, g_alpha),
+            range(f.lattice.alpha_length(bound) + 1)).verified:
         return None
-    return CongruenceReport(modulus, multiplier, True, len(indices))
+    return CongruenceReport(modulus, multiplier, True, len(f.lattice.indices(bound)))
 
 
 def verify_congruence(
     f: TruncatedExpansion, g: TruncatedExpansion, modulus: int, multiplier: int
 ) -> CongruenceReport:
-    """Check f = multiplier * g mod modulus at every in-bound index: on the
-    alpha series and constants of two lifts where they suffice (the module
-    docstring gives the condition and its proof), else index by index."""
+    """Check f = multiplier * g mod modulus at every in-bound index: on the data
+    of two lifts where they decide (``_lift_report``; the module docstring gives
+    the condition and its proof), else by walking the indices."""
     _check_compatible(f, g)
     report = _lift_report(f, g, modulus, multiplier)
     if report is not None:
@@ -178,27 +172,22 @@ def verify_congruence(
 def solve_lambda(
     f: TruncatedExpansion, g: TruncatedExpansion, modulus: int
 ) -> CongruenceReport:
-    """Pick the multiplier from the first index (canonical order) where g
-    does not vanish mod modulus, then verify everywhere: on the alpha series
-    and constants of two lifts where they suffice (the module docstring gives
-    the condition and its proof), else index by index."""
+    """Read the multiplier at the first index (canonical order) where g does
+    not vanish mod modulus, as f's residue there over g's, and return
+    ``verify_congruence`` with it."""
     _check_compatible(f, g)
-    report = _lift_report(f, g, modulus)
-    if report is not None:
-        return report
+    _require_modulus(modulus)
     lat = f.lattice
-    lhs_at, rhs_at = _residues(modulus, f, g)
-    indices = lat.indices(min(f.trace_bound, g.trace_bound))
-    for idx in indices:
-        rhs = rhs_at(idx, 0)
+    for idx in lat.indices(min(f.trace_bound, g.trace_bound)):
+        rhs = _residue(g.nums.get(idx, 0), g.den, modulus, lat, idx)
         if rhs == 0:
             continue
         if gcd(rhs, modulus) != 1:
             raise NonInvertibleReference(
                 f"reference coefficient at {lat.key_string(idx)} is not invertible mod {modulus}"
             )
-        lam = lhs_at(idx, 0) * pow(rhs, -1, modulus) % modulus
-        return _check_at(lat, modulus, lam, lhs_at, rhs_at, indices)
+        lhs = _residue(f.nums.get(idx, 0), f.den, modulus, lat, idx)
+        return verify_congruence(f, g, modulus, lhs * pow(rhs, -1, modulus) % modulus)
     raise AllZeroRhs(f"rhs vanishes identically mod {modulus}")
 
 
@@ -453,8 +442,7 @@ def nontriviality_witness(
 def bruinier_search(k: int, p: int, max_abs_disc: int) -> int | None:
     """Smallest |D0| with D0 < 0 fundamental and p not dividing the
     numerator of the (k-1)-th generalized Bernoulli number of chi_D0."""
-    if p < 1:
-        raise ValueError(f"modulus must be >= 1, got {p}")
+    _require_modulus(p)
     for n in range(3, max_abs_disc + 1):
         d0 = -n
         if not is_fundamental_discriminant(d0):

@@ -250,25 +250,41 @@ class TestLiftRoute:
         assert self.both(f, g, m, mult) == walk == (
             text_outcome(solve_lambda_by_index, f, g, m),
             text_outcome(verify_congruence_by_index, f, g, m, mult))
+        # solve reads the multiplier and nothing more: verify on it gives the same report
+        if not isinstance(walk[0], tuple):
+            report = solve_lambda(f, g, m)
+            assert verify_congruence(f, g, m, report.multiplier) == report
 
     @pytest.mark.parametrize("key, p, lam", PUBLISHED,
                              ids=[f"{key[0]}{key[1] or ''}/{key[2]}" for key, _, _ in PUBLISHED])
     def test_published_pairs_read_no_index_walk(self, monkeypatch, key, p, lam):
-        # at the benchmark's trace bounds the lifts decide; a parsed file, which
-        # carries no lifted_from, takes the walk
+        # at the benchmark's trace bounds the lifts decide, and _residues and
+        # _check_at read only alpha series; a parsed file, which carries no
+        # lifted_from, takes the walk over the degree-2 indices once
         k, lat = CUSP_FORMS[key], lattice_for(*key[:2])
         bound = 12 if key[0] == "siegel" else 7
-        calls = []
-        for name in ("_residues", "_check_at"):
-            real = getattr(congruence, name)
-            monkeypatch.setattr(congruence, name,
-                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        residues, walks = [], []
+        real_residues, real_check_at = congruence._residues, congruence._check_at
+
+        def recorded_residues(modulus, *expansions):
+            residues.append(tuple(e.lattice.space for e in expansions))
+            return real_residues(modulus, *expansions)
+
+        def recorded_check_at(walk_lat, *args):
+            walks.append(walk_lat.space)
+            return real_check_at(walk_lat, *args)
+
+        monkeypatch.setattr(congruence, "_residues", recorded_residues)
+        monkeypatch.setattr(congruence, "_check_at", recorded_check_at)
         g, f = eisenstein(lat, "G", k, bound), cusp_form(key, bound)
         solved, verified = solve_lambda(g, f, p), verify_congruence(g, f, p, lam)
         assert solved == verified == CongruenceReport(p, lam, True, len(lat.indices(bound)))
-        assert calls == []
+        assert residues and walks
+        assert {*walks, *itertools.chain(*residues)} == {"elliptic"}
+        residues.clear()
+        walks.clear()
         assert solve_lambda(g, exp_parse(exp_serialize(f)), p) == solved
-        assert calls == ["_residues", "_check_at"]
+        assert residues == [(lat.space, lat.space)] and walks == [lat.space]
 
     @pytest.mark.parametrize("lat", [SIEGEL, hermitian_lattice(-3)], ids=repr)
     def test_every_datum_is_checked(self, lat):
