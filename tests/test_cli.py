@@ -11,6 +11,7 @@ import eiscong
 from eiscong import cli
 from eiscong.arith import bernoulli, parse_rational
 from eiscong.cli import main
+from eiscong.errors import ParseError
 from eiscong.elliptic import CUSP_FORMS
 from eiscong.expansion import exp_parse, exp_serialize
 from eiscong.hermitian import (
@@ -423,6 +424,20 @@ class TestCongruence:
         code, _, err = run(capsys, "cusp-correct", "--in", str(bad))
         assert code == 3
         assert err.startswith(f"invalid expansion file {bad}: line ")
+
+    def test_missing_header_field_is_a_parse_error_at_line_1(self, tmp_path, capsys):
+        text = "space siegel\nweight 4\ncoefficients\n"
+        with pytest.raises(ParseError, match="missing header field 'trace_bound'") as exc:
+            exp_parse(text)
+        assert exc.value.line == 1
+        bad = tmp_path / "no-bound.exp"
+        bad.write_text(text)
+        good, _ = self.make_files(tmp_path, capsys)
+        code, _, err = run(capsys, "congruence", "solve", "--lhs", str(good),
+                           "--rhs", str(bad), "--mod", "43867")
+        assert code == 3
+        assert err.startswith(f"invalid expansion file {bad}: line 1: ")
+        assert "'trace_bound'" in err
 
     @pytest.mark.parametrize("data, line", [
         (b"\xff\xfe\x00bad", 1),

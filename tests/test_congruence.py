@@ -690,6 +690,13 @@ class TestBoundedFactoring:
         for p in sorted(window - {2, 3, 5, 7}):
             assert congruence._trial_walk(p * big, 10**7) == {p}, p
 
+    def test_walk_keeps_a_prime_cofactor_up_to_the_bound(self):
+        # 11 leaves the prime 9999991 <= 10**7 as the cofactor; a prime n
+        # itself has no factor up to sqrt(n) and is kept at the end
+        assert congruence._trial_walk(11 * 9999991, 10**7) == {11, 9999991}
+        assert congruence._trial_walk(9999991, 10**7) == {9999991}
+        assert congruence._trial_walk(9999991, 10**6) == set()
+
     #: the walk's segment starts: 10 + 1680 (2^j - 1) while segments double
     #: from 8 steps of 210, then 2^10 steps apart once they reach the cap
     STARTS = [10 + 1680 * (2**j - 1) for j in range(8)] + [

@@ -99,6 +99,31 @@ class TestContainer:
         with pytest.raises(NotPositiveSemidefinite):
             lat.coefficient(10, bad)
 
+    def test_constructor_refuses_an_index_past_the_bound(self):
+        with pytest.raises(OutOfTruncation, match=r"index \(2, 0, 2\) exceeds trace bound 3"):
+            TruncatedExpansion(SIEGEL, 10, 3, {(2, 0, 2): 1})
+        with pytest.raises(OutOfTruncation, match="index 4 exceeds trace bound 3"):
+            TruncatedExpansion(ELLIPTIC, 4, 3, {4: Fraction(1, 2)})
+
+    def test_repr_names_the_space_and_counts_the_terms(self):
+        assert (repr(small_elliptic(4, 3, [1, 0, 2, 0]))
+                == "<TruncatedExpansion elliptic weight=4 bound=3 terms=2>")
+        assert (repr(hermitian_expansion("G", -3, 10, 1))
+                == "<TruncatedExpansion hermitian[-3] weight=10 bound=1 terms=3>")
+        assert (repr(zero_expansion(SIEGEL, 6, 2))
+                == "<TruncatedExpansion siegel weight=6 bound=2 terms=0>")
+
+    def test_scalar_products_on_either_side(self):
+        f = small_elliptic(4, 3, [1, 2, 0, 3])
+        assert 3 * f == f * 3 == exp_scale(3, f) == small_elliptic(4, 3, [3, 6, 0, 9])
+        assert f * Fraction(1, 2) == small_elliptic(4, 3, [Fraction(1, 2), 1, 0, Fraction(3, 2)])
+        assert (0 * f).is_zero() and (0 * f).den == 1
+        g = siegel_expansion("G", 10, 2)
+        alpha, constant = g.lifted_from
+        for h in (-2 * g, g * -2):
+            assert h == exp_scale(-2, g)
+            assert h.lifted_from == (exp_scale(-2, alpha), -2 * constant)
+
     def test_restrict(self):
         f = small_elliptic(4, 5, [1, 2, 3, 4, 5, 6])
         g = f.restrict(2)
