@@ -29,8 +29,9 @@ unfactored cofactor (see ``_prime_factors_bounded``).
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, isqrt
+from operator import mod, mul, ne
 
 from .arith import (
     _odd_sieve,
@@ -52,7 +53,8 @@ from .errors import (
     WitnessSearchExhausted,
 )
 from .expansion import (
-    ELLIPTIC, TruncatedExpansion, _check_compatible, eisenstein, exp_add, exp_scale, phi_operator,
+    ELLIPTIC, TruncatedExpansion, _check_compatible, eisenstein, exp_add, exp_scale,
+    phi_operator,
 )
 
 
@@ -88,51 +90,48 @@ def _require_modulus(modulus: int):
         raise ValueError(f"modulus must be >= 1, got {modulus}")
 
 
-def _residue(num: int, den: int, modulus: int, lat, idx):
+def _reduced(num: int, den: int, modulus: int) -> int:
+    """num / den mod modulus, or -1 where its reduced denominator meets the modulus."""
     g = gcd(num, den)
-    if gcd(den // g, modulus) != 1:
-        raise NonIntegralCoefficient(lat.key_string(idx), modulus)
-    return num // g * pow(den // g, -1, modulus) % modulus
+    return -1 if gcd(den // g, modulus) != 1 else num // g * pow(den // g, -1, modulus) % modulus
 
 
 def _residues(modulus: int, *expansions) -> list:
-    """For each expansion, a lookup ``at(idx, 0)`` of its coefficient mod
-    ``modulus`` (a ValueError below 1), 0 off the support.
-
-    When the expansion's denominator is prime to the modulus, one inverse
-    of it reduces every numerator up front.  Otherwise each lookup reduces
-    its own coefficient, so a canonical walk raises NonIntegralCoefficient
-    where a walk of per-index reductions would.
-    """
+    """For each expansion, its coefficients mod ``modulus`` (a ValueError
+    below 1) as a list aligned with its vector.  When the denominator is
+    prime to the modulus, one inverse of it reduces every numerator;
+    otherwise each is reduced on its own, and NonIntegralCoefficient is
+    raised at the first index of trace <= the least bound where one of them
+    is not m-integral, as a walk of per-index reductions would."""
     _require_modulus(modulus)
-    lookups = []
+    out = []
     for f in expansions:
         if gcd(f.den, modulus) == 1:
             inverse = pow(f.den, -1, modulus)
-            lookups.append({idx: n * inverse % modulus for idx, n in f.nums.items()}.get)
+            out.append(list(map(mod, map(mul, f.vec, repeat(inverse)), repeat(modulus))))
         else:
-            lookups.append(lambda idx, _, f=f: _residue(
-                f.nums.get(idx, 0), f.den, modulus, f.lattice, idx))
-    return lookups
+            out.append(list(map(_reduced, f.vec, repeat(f.den), repeat(modulus))))
+    indices = expansions[0].lattice.indices(min(f.trace_bound for f in expansions))
+    if bad := [r.index(-1) for r in out if -1 in r[:len(indices)]]:
+        raise NonIntegralCoefficient(indices.lattice.key_string(indices[min(bad)]), modulus)
+    return out
 
 
 def reduce_mod_p(f: TruncatedExpansion, modulus: int) -> dict:
     """Reduce every in-bound coefficient to [0, modulus); raises
     NonIntegralCoefficient at the first index whose denominator meets the
     modulus."""
-    [at] = _residues(modulus, f)
-    return {idx: at(idx, 0) for idx in f.lattice.indices(f.trace_bound)}
+    return dict(zip(f.lattice.indices(f.trace_bound), *_residues(modulus, f)))
 
 
-def _check_at(lat, modulus, multiplier, lhs_at, rhs_at, indices) -> CongruenceReport:
-    """The report of lhs = multiplier * rhs mod modulus over the indices."""
-    failure = None
-    for idx in indices:
-        lhs = lhs_at(idx, 0)
-        rhs = rhs_at(idx, 0) * multiplier % modulus
-        if lhs != rhs and failure is None:
-            failure = (lat.key_string(idx), lhs, rhs)
-    return CongruenceReport(modulus, multiplier, failure is None, len(indices), failure)
+def _check_at(lat, modulus, multiplier, lhs, rhs, indices) -> CongruenceReport:
+    """The report of lhs = multiplier * rhs mod modulus over the indices, from
+    residue lists aligned with them: one ``zip`` in C, to the first failure."""
+    scaled = map(mod, map(mul, rhs, repeat(multiplier)), repeat(modulus))
+    i = next(compress(range(len(indices)), map(ne, lhs, scaled)), None)
+    failure = None if i is None else (
+        lat.key_string(indices[i]), lhs[i], rhs[i] * multiplier % modulus)
+    return CongruenceReport(modulus, multiplier, i is None, len(indices), failure)
 
 
 def _lift_report(f, g, modulus: int, multiplier: int):
@@ -164,9 +163,9 @@ def verify_congruence(
     report = _lift_report(f, g, modulus, multiplier)
     if report is not None:
         return report
-    lhs_at, rhs_at = _residues(modulus, f, g)
+    lhs, rhs = _residues(modulus, f, g)
     indices = f.lattice.indices(min(f.trace_bound, g.trace_bound))
-    return _check_at(f.lattice, modulus, multiplier % modulus, lhs_at, rhs_at, indices)
+    return _check_at(f.lattice, modulus, multiplier % modulus, lhs, rhs, indices)
 
 
 def solve_lambda(
@@ -178,15 +177,16 @@ def solve_lambda(
     _check_compatible(f, g)
     _require_modulus(modulus)
     lat = f.lattice
-    for idx in lat.indices(min(f.trace_bound, g.trace_bound)):
-        rhs = _residue(g.nums.get(idx, 0), g.den, modulus, lat, idx)
+    for idx, gn, fn in zip(lat.indices(min(f.trace_bound, g.trace_bound)), g.vec, f.vec):
+        rhs = _reduced(gn, g.den, modulus)
         if rhs == 0:
             continue
-        if gcd(rhs, modulus) != 1:
+        if rhs > 0 and gcd(rhs, modulus) != 1:
             raise NonInvertibleReference(
-                f"reference coefficient at {lat.key_string(idx)} is not invertible mod {modulus}"
-            )
-        lhs = _residue(f.nums.get(idx, 0), f.den, modulus, lat, idx)
+                f"reference coefficient at {lat.key_string(idx)} is not invertible mod {modulus}")
+        lhs = _reduced(fn, f.den, modulus)
+        if min(lhs, rhs) < 0:  # -1: not m-integral
+            raise NonIntegralCoefficient(lat.key_string(idx), modulus)
         return verify_congruence(f, g, modulus, lhs * pow(rhs, -1, modulus) % modulus)
     raise AllZeroRhs(f"rhs vanishes identically mod {modulus}")
 
@@ -434,9 +434,7 @@ def nontriviality_witness(
             r = pow(q, k - 2, p)
             if chi(q) == -1 and r != 1:
                 return WitnessReport(q, -1, r, "crt-construction")
-    raise WitnessSearchExhausted(
-        f"no witness within {progression_cap} progression steps"
-    )
+    raise WitnessSearchExhausted(f"no witness within {progression_cap} progression steps")
 
 
 def bruinier_search(k: int, p: int, max_abs_disc: int) -> int | None:

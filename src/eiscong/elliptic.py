@@ -50,9 +50,9 @@ def elliptic_eisenstein(k: int, n_max: int) -> TruncatedExpansion:
     if k < 4 or k % 2 == 1:
         raise InvalidWeight(f"elliptic Eisenstein series needs even k >= 4, got {k}")
     scale = Fraction(-2 * k) / bernoulli(k)
-    nums = {n: scale.numerator * s for n, s in enumerate(divisor_power_sums(k - 1, n_max))}
-    nums[0] = scale.denominator
-    return TruncatedExpansion._of(ELLIPTIC, k, n_max, scale.denominator, nums)
+    vec = [scale.numerator * s for s in divisor_power_sums(k - 1, n_max)]
+    vec[0] = scale.denominator
+    return TruncatedExpansion._of(ELLIPTIC, k, n_max, scale.denominator, vec)
 
 
 @lru_cache(maxsize=None)
@@ -61,11 +61,11 @@ def delta_expansion(n_max: int) -> TruncatedExpansion:
     q^(m(m+1)/2) to q^(n_max - 1) (Jacobi's identity), squared three times: three
     ``exp_multiply`` calls, and no E4 or E6."""
     top = max(n_max - 1, 0)
-    j = TruncatedExpansion._of(ELLIPTIC, 0, top, 1, {
+    j = TruncatedExpansion(ELLIPTIC, 0, top, {
         m * (m + 1) // 2: (-1) ** m * (2 * m + 1) for m in range((isqrt(8 * top + 1) + 1) // 2)})
     for _ in range(3):
         j = exp_multiply(j, j)
-    return TruncatedExpansion._of(ELLIPTIC, 12, n_max, 1, {e + 1: c for e, c in j.nums.items() if e < n_max})
+    return TruncatedExpansion._of(ELLIPTIC, 12, n_max, 1, [0, *j.vec[:n_max]])
 
 
 _delta_bound = 0  # bound of the Delta expansion ramanujan_tau reads
@@ -107,8 +107,7 @@ class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "weight terms")):
             if a < 0 or b < 0:
                 raise ValueError(f"monomial ({a},{b}) has a negative exponent")
             if 4 * a + 6 * b != weight:
-                raise ValueError(f"monomial ({a},{b}) has weight {4*a+6*b}, "
-                                 f"expected {weight}")
+                raise ValueError(f"monomial ({a},{b}) has weight {4*a+6*b}, expected {weight}")
         return super().__new__(cls, weight, terms)
 
     @classmethod
@@ -125,9 +124,6 @@ class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "weight terms")):
 
     def as_dict(self) -> dict:
         return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def evaluate(self, e4: TruncatedExpansion, e6: TruncatedExpansion) -> TruncatedExpansion:
         """sum_j c_j u_j over ``_basis`` on weight-4 / weight-6 expansions of any space,
@@ -160,7 +156,9 @@ def _maass_factor(lattice, j: int, n: int):
     the lattice's cached ``g_alpha_table`` of G_j, scaled into a new expansion."""
     m = lattice.fj_stride
     phi = elliptic_eisenstein(j, n // m)
-    return (TruncatedExpansion._of(ELLIPTIC, j, n, phi.den, {m * i: v for i, v in phi.nums.items()}),
+    vec = [0] * (n + 1)
+    vec[::m] = phi.vec
+    return (TruncatedExpansion._of(ELLIPTIC, j, n, phi.den, vec),
             exp_scale(1 / lattice.g_constant(j), lattice.g_alpha_table(j, n)))
 
 
@@ -190,14 +188,12 @@ def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
         raise UnsupportedFieldForm(f"no cusp form {key[2]!r} over disc {key[1]}")
     k, lattice = CUSP_FORMS[key], lattice_for(*key[:2])
     alpha = lattice.cusp_alpha(k, max(lattice.alpha_length(trace_bound), lattice.fj_stride))
-    return lift(lattice, k, trace_bound, exp_scale(1 / alpha.coefficient(min(alpha.nums)), alpha), 0)
+    return lift(lattice, k, trace_bound, exp_scale(1 / alpha.coefficient(alpha.support()[0]), alpha), 0)
 
 
 def isobaric_monomials(k: int) -> list[tuple[int, int]]:
     """All (a, b) with 4a + 6b = k, ordered by decreasing a."""
-    return [(a, (k - 4 * a) // 6)
-            for a in range(k // 4, -1, -1)
-            if (k - 4 * a) % 6 == 0]
+    return [(a, (k - 4 * a) // 6) for a in range(k // 4, -1, -1) if (k - 4 * a) % 6 == 0]
 
 
 def decompose_into_e4_e6(f: TruncatedExpansion, k: int) -> IsobaricPolynomial:
@@ -220,6 +216,6 @@ def decompose_into_e4_e6(f: TruncatedExpansion, k: int) -> IsobaricPolynomial:
         cs.append(rest.coefficient(j) / 1728**j)
         rest = exp_add(rest, exp_scale(-cs[j], u))
     if not rest.is_zero():
-        raise NotInSpace(f"residual does not vanish at q^{min(rest.nums)}")
+        raise NotInSpace(f"residual does not vanish at q^{rest.support()[0]}")
     return IsobaricPolynomial.from_dict(k, {
         m: (-1) ** i * sum(comb(j, i) * c for j, c in enumerate(cs)) for i, m in enumerate(monos)})

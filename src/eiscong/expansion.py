@@ -1,12 +1,14 @@
 """Truncated Fourier expansions over an abstract psd lattice index.
 
 A lattice object enumerates its indices in canonical order (trace, then
-the index); an expansion is a finite map index -> integer numerator over
-one denominator, truncated at a trace bound.  Multiplication packs each row
-of an operand's support (the index without its entry ``t[1]``) into one
-integer, Kronecker substitution, and multiplies every pair of rows whose
-traces add up to at most the bound: exact inside the truncation, as
-psd + psd is psd and trace is additive.
+the index); an expansion truncated at a trace bound B is a vector of integer
+numerators aligned with ``indices(B)``, 0 where a coefficient vanishes, over
+one denominator.  In degree 1 the position is the exponent.  Canonical order
+sorts by trace first, so the vector at a smaller bound is a prefix.
+Multiplication packs each row of an operand's support (the index without its
+entry ``t[1]``) into one integer, Kronecker substitution, and multiplies
+every pair of rows whose traces add up to at most the bound: exact inside
+the truncation, as psd + psd is psd and trace is additive.
 
 Every degree-2 form here is a Maass lift (Maass 1979; Eichler and Zagier,
 *The Theory of Jacobi Forms*, §6; Krieg, Math. Ann. 1991): for T != 0,
@@ -48,7 +50,8 @@ from .errors import (
 class IndexTable(tuple):
     """``lattice.indices(bound)``: every index of trace <= bound in canonical order,
     as ``lattice.enumerate_all(bound)`` yields it (the table does not sort), with
-    its ``dets``, ``contents`` (0 at zero) and key strings, built on first use."""
+    its ``dets``, ``contents`` (0 at zero), key strings and ``pos`` (index ->
+    position), each built on first use."""
 
     def __new__(cls, lattice, bound):
         self = super().__new__(cls, lattice.enumerate_all(bound))
@@ -58,7 +61,7 @@ class IndexTable(tuple):
     dets = cached_property(lambda self: tuple(map(self.lattice.det, self)))
     contents = cached_property(lambda self: tuple(gcd(*t) for t in self))
     keys = cached_property(lambda self: tuple(map(self.lattice.key_string, self)))
-    lookup = cached_property(lambda self: dict(zip(self.keys, self)))  # key -> index
+    pos = cached_property(lambda self: dict(zip(self, count())))  # index -> position
     __reduce__ = lambda self: (tuple, (tuple(self),))  # copies and pickles are plain tuples
 
 
@@ -171,18 +174,19 @@ def _same_lattice(a, b):
 
 
 class TruncatedExpansion:
-    """Finite Fourier expansion: the coefficient at idx is nums[idx] / den,
-    with ``nums`` nonzero integers at psd indices of trace at most the
-    bound, and nothing else, over one denominator den > 0 such that
-    gcd(den, *nums) == 1 (den = 1 for zero).  ``coeffs`` is a read-only
-    view index -> Fraction, built on each access.  Lookups beyond the trace
+    """Finite Fourier expansion: ``vec`` is a list of integer numerators aligned
+    position by position with ``indices(trace_bound)`` (in degree 1 the
+    position is the exponent), 0 where a coefficient vanishes, over one
+    denominator den > 0 such that gcd(den, *vec) == 1 (den = 1 for zero).
+    ``nums`` (index -> nonzero numerator) and ``coeffs`` (index -> Fraction)
+    are read-only views, built on each access.  Lookups beyond the trace
     bound raise OutOfTruncation rather than returning a silent zero.
 
     The public constructor takes untrusted input: it converts every value
     to a Fraction and checks each index, raising NotPositiveSemidefinite or
     OutOfTruncation.  Ring results (sums, scalings, products, restrictions,
     lifts, the builders and the parser) hold by construction, so they go
-    through ``_of``, which only drops zeros and divides out the gcd.
+    through ``_of``, which only divides out the gcd.
 
     ``lifted_from`` is (alpha, constant) of a lift the library built, else
     None: ``lift`` sets it, ``exp_scale`` scales it, ``restrict`` keeps it and
@@ -192,54 +196,63 @@ class TruncatedExpansion:
     prime to m: ``congruence.solve_lambda`` checks that first.
     """
 
-    __slots__ = ("lattice", "weight", "trace_bound", "den", "nums", "lifted_from")
+    __slots__ = ("lattice", "weight", "trace_bound", "den", "vec", "lifted_from")
 
     def __init__(self, lattice, weight: int, trace_bound: int, coeffs: Mapping):
-        values = dict(zip(coeffs, map(Fraction, coeffs.values())))
-        den = lcm(*(v.denominator for v in values.values()))
-        self._fill(lattice, weight, trace_bound, den,
-                   {idx: v.numerator * (den // v.denominator) for idx, v in values.items()})
-        for idx in self.nums:
+        values = {idx: v for idx, v in zip(coeffs, map(Fraction, coeffs.values())) if v}
+        if trace_bound < 0:
+            raise ValueError("trace_bound must be >= 0")
+        for idx in values:
             if not lattice.is_psd(idx):
                 raise NotPositiveSemidefinite(f"index {idx} is not psd")
             if lattice.trace(idx) > trace_bound:
                 raise OutOfTruncation(f"index {idx} exceeds trace bound {trace_bound}")
+        den, tab = lcm(*(v.denominator for v in values.values())), lattice.indices(trace_bound)
+        vec, pos = [0] * len(tab), tab.pos
+        for idx, v in values.items():
+            vec[pos[idx]] = v.numerator * (den // v.denominator)
+        self._fill(lattice, weight, trace_bound, den, vec)
 
     @classmethod
-    def _of(cls, lattice, weight: int, trace_bound: int, den: int, nums: Mapping):
-        """nums[idx] / den at psd indices within the bound, unchecked."""
+    def _of(cls, lattice, weight: int, trace_bound: int, den: int, vec: list):
+        """vec[i] / den at the i-th index of ``indices(trace_bound)``, unchecked."""
         self = object.__new__(cls)
-        self._fill(lattice, weight, trace_bound, den, nums)
+        self._fill(lattice, weight, trace_bound, den, vec)
         return self
 
-    def _fill(self, lattice, weight, trace_bound, den, nums):
+    def _fill(self, lattice, weight, trace_bound, den, vec):
         if trace_bound < 0:
             raise ValueError("trace_bound must be >= 0")
-        g = gcd(den, *nums.values())
+        g = gcd(den, *vec)
         self.lattice, self.weight, self.trace_bound = lattice, weight, trace_bound
         self.lifted_from = None
         self.den = den // g
-        self.nums = (dict(nums) if g == 1 and all(nums.values())  # canonical: copy at C speed
-                     else {idx: n // g for idx, n in nums.items() if n})
+        self.vec = vec if g == 1 else list(map(floordiv, vec, repeat(g)))
+
+    def _terms(self):
+        """(index, numerator) at each nonzero coefficient, in canonical order."""
+        return compress(zip(self.lattice.indices(self.trace_bound), self.vec), self.vec)
+
+    @property
+    def nums(self) -> Mapping:
+        return MappingProxyType(dict(self._terms()))
 
     @property
     def coeffs(self) -> Mapping:
-        return MappingProxyType({idx: Fraction(n, self.den) for idx, n in self.nums.items()})
+        return MappingProxyType({idx: Fraction(n, self.den) for idx, n in self._terms()})
 
     def coefficient(self, idx) -> Fraction:
         if not self.lattice.is_psd(idx):
             raise NotPositiveSemidefinite(f"index {idx} is not psd")
         if self.lattice.trace(idx) > self.trace_bound:
-            raise OutOfTruncation(
-                f"index {idx} is beyond trace bound {self.trace_bound}"
-            )
-        return Fraction(self.nums.get(idx, 0), self.den)
+            raise OutOfTruncation(f"index {idx} is beyond trace bound {self.trace_bound}")
+        return Fraction(self.vec[self.lattice.indices(self.trace_bound).pos[idx]], self.den)
 
     def support(self) -> list:
-        return sorted(self.nums, key=self.lattice.sort_key)
+        return list(compress(self.lattice.indices(self.trace_bound), self.vec))
 
     def is_zero(self) -> bool:
-        return not self.nums
+        return not any(self.vec)
 
     def restrict(self, trace_bound: int) -> "TruncatedExpansion":
         if trace_bound > self.trace_bound:
@@ -252,18 +265,12 @@ class TruncatedExpansion:
     def __eq__(self, other):
         if not isinstance(other, TruncatedExpansion):
             return NotImplemented
-        return (
-            _same_lattice(self.lattice, other.lattice)
-            and self.weight == other.weight
-            and self.trace_bound == other.trace_bound
-            and self.den == other.den
-            and self.nums == other.nums
-        )
+        return _same_lattice(self.lattice, other.lattice) and (
+            (self.weight, self.trace_bound, self.den, self.vec)
+            == (other.weight, other.trace_bound, other.den, other.vec))
 
     def __hash__(self):
-        return hash(
-            (self.lattice.space, self.lattice.disc, self.weight, self.trace_bound)
-        )
+        return hash((self.lattice.space, self.lattice.disc, self.weight, self.trace_bound))
 
     def __add__(self, other):
         return exp_add(self, other)
@@ -279,29 +286,24 @@ class TruncatedExpansion:
     __rmul__ = __mul__
 
     def __repr__(self):
-        tag = self.lattice.space
-        if self.lattice.disc is not None:
-            tag += f"[{self.lattice.disc}]"
-        return (
-            f"<TruncatedExpansion {tag} weight={self.weight} "
-            f"bound={self.trace_bound} terms={len(self.nums)}>"
-        )
+        tag = self.lattice.space + ("" if self.lattice.disc is None else f"[{self.lattice.disc}]")
+        return (f"<TruncatedExpansion {tag} weight={self.weight} bound={self.trace_bound} "
+                f"terms={len(self.vec) - self.vec.count(0)}>")
 
 
 def zero_expansion(lattice, weight, trace_bound) -> TruncatedExpansion:
-    return TruncatedExpansion._of(lattice, weight, trace_bound, 1, {})
+    return TruncatedExpansion._of(
+        lattice, weight, trace_bound, 1, [0] * len(lattice.indices(trace_bound)))
 
 
-def constant_one(lattice, trace_bound) -> TruncatedExpansion:
-    return TruncatedExpansion._of(lattice, 0, trace_bound, 1, {lattice.zero: 1})
+def constant_one(lattice, trace_bound) -> TruncatedExpansion:  # the zero index comes first
+    return TruncatedExpansion._of(
+        lattice, 0, trace_bound, 1, [1] + [0] * (len(lattice.indices(trace_bound)) - 1))
 
 
-def _within(f: TruncatedExpansion, bound: int) -> dict:
-    """The numerators of f at trace <= bound (f's own dict when that is all)."""
-    if f.trace_bound <= bound:
-        return f.nums
-    trace = f.lattice.trace
-    return {i: n for i, n in f.nums.items() if trace(i) <= bound}
+def _within(f: TruncatedExpansion, bound: int) -> list:
+    """The numerators of f at trace <= bound: a prefix of its vector (f's own when that is all)."""
+    return f.vec if f.trace_bound <= bound else f.vec[:len(f.lattice.indices(bound))]
 
 
 def _check_compatible(f: TruncatedExpansion, g: TruncatedExpansion):
@@ -316,17 +318,17 @@ def exp_add(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpansion:
     bound = min(f.trace_bound, g.trace_bound)
     den = lcm(f.den, g.den)
     a, b = den // f.den, den // g.den
-    nums = {idx: a * n for idx, n in _within(f, bound).items()}
-    for idx, n in _within(g, bound).items():
-        nums[idx] = nums.get(idx, 0) + b * n
-    return TruncatedExpansion._of(f.lattice, f.weight, bound, den, nums)
+    fv, gv = _within(f, bound), _within(g, bound)
+    vec = list(map(add, fv if a == 1 else map(mul, fv, repeat(a)),
+                   gv if b == 1 else map(mul, gv, repeat(b))))
+    return TruncatedExpansion._of(f.lattice, f.weight, bound, den, vec)
 
 
 def exp_scale(c, f: TruncatedExpansion) -> TruncatedExpansion:
     c = Fraction(c)
     p = c.numerator
-    nums = {idx: p * n for idx, n in f.nums.items()} if p else {}
-    h = TruncatedExpansion._of(f.lattice, f.weight, f.trace_bound, c.denominator * f.den, nums)
+    vec = f.vec if p == 1 else list(map(mul, f.vec, repeat(p)))
+    h = TruncatedExpansion._of(f.lattice, f.weight, f.trace_bound, c.denominator * f.den, vec)
     if f.lifted_from is not None:
         h.lifted_from = exp_scale(c, f.lifted_from[0]), c * f.lifted_from[1]
     return h
@@ -351,52 +353,41 @@ def exp_multiply(f: TruncatedExpansion, g: TruncatedExpansion) -> TruncatedExpan
     s >= bits(max|f|) + bits(max|g|) + bits(|f| |g|) + 1: a slot of a
     target row sums at most |f| |g| term products, so its value c has
     |c| < 2^(s-1), and adding 2^(s-1) to every slot leaves each in
-    [0, 2^s) with no carry between them, to be read off as bytes.  Only
-    the supports are walked, never ``indices(bound)``, and every product,
-    however small, is packed; an empty operand gives zero at once."""
+    [0, 2^s) with no carry between them, to be read off as bytes.  Only the
+    supports, read through ``compress``, are packed, every product however small;
+    an empty operand gives zero at once."""
     if not _same_lattice(f.lattice, g.lattice):
         raise SpaceMismatch(f"{f.lattice} vs {g.lattice}")
     lat = f.lattice
     bound = min(f.trace_bound, g.trace_bound)
-    fn, gn = _within(f, bound), _within(g, bound)
-    if not (fn and gn):
+    fv, gv = _within(f, bound), _within(g, bound)
+    fsize, gsize = len(fv) - fv.count(0), len(gv) - gv.count(0)
+    if not (fsize and gsize):
         return zero_expansion(lat, f.weight + g.weight, bound)
-    s = 8 * ((_bits(fn) + _bits(gn) + (len(fn) * len(gn)).bit_length() + 8) // 8)
+    s = 8 * ((_bits(fv) + _bits(gv) + (fsize * gsize).bit_length() + 8) // 8)
     if lat is ELLIPTIC:
-        nums = _multiply_classes(fn, gn, bound, s)
+        vec = _multiply_classes(fv, gv, bound, s)
     else:
+        tab = lat.indices(bound)
         row_of = itemgetter(0, *range(2, len(lat.zero)))
         k = (2 * bound).bit_length() + 1  # a product's row entries lie in [-2 bound, 2 bound]
-        nums = _multiply_rows(_rows(fn, row_of, s, k), _rows(gn, row_of, s, k), bound, s)
-    return TruncatedExpansion._of(lat, f.weight + g.weight, bound, f.den * g.den, nums)
+        vec = _multiply_rows(*(_rows(tab, v, row_of, s, k) for v in (fv, gv)), bound, s, tab)
+    return TruncatedExpansion._of(lat, f.weight + g.weight, bound, f.den * g.den, vec)
 
 
-def _bits(nums: dict) -> int:
-    return max(max(nums.values()), -min(nums.values())).bit_length()
-
-
-def _add_at(acc: dict, key, lo: int, p: int, s: int):
-    """Add p 2^(s lo) to acc[key] = [lo', v], which stands for v 2^(s lo'),
-    lo' the least lo added."""
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = [lo, p]
-    elif lo >= cur[0]:
-        cur[1] += p << s * (lo - cur[0])
-    else:
-        cur[0], cur[1] = lo, p + (cur[1] << s * (cur[0] - lo))
+def _bits(vec: list) -> int:
+    return max(max(vec), -min(vec)).bit_length()
 
 
 def _pack(rows, cols, values, s: int) -> dict:
     """row -> [lo, P] with P = sum n 2^(s (col - lo)) over the terms n at
-    (row, col) and lo their least column."""
+    (row, col), which come in canonical order, so that lo is a row's first column."""
     acc = {}
     for row, col, n in zip(rows, cols, values):
-        cur = acc.get(row)
-        if cur is not None and col >= cur[0]:  # always, for terms in canonical order
-            cur[1] += n << s * (col - cur[0])
+        if (cur := acc.get(row)) is None:
+            acc[row] = [col, n]
         else:
-            _add_at(acc, row, col, n, s)
+            cur[1] += n << s * (col - cur[0])
     return acc
 
 
@@ -410,59 +401,65 @@ def _unpack(v: int, s: int, slots: int) -> list:
                     repeat(1 << (s - 1))))
 
 
-def _stride(nums: dict) -> int:
-    """The gcd of the exponent gaps of a degree-1 support: 0 for one term."""
-    e = next(iter(nums))
-    return gcd(*map(sub, nums, repeat(e)))
+def _stride(exponents: list) -> int:
+    """The gcd of the gaps of a degree-1 support: 0 for one term."""
+    return gcd(*map(sub, exponents, repeat(exponents[0])))
 
 
-def _multiply_classes(fn: dict, gn: dict, bound: int, s: int) -> dict:
+def _multiply_classes(fv: list, gv: list, bound: int, s: int) -> list:
     """Degree-1 f g to q^bound: f, of stride m >= g's, is one row r + m col;
     each class r' mod m of g packs the same way, and its product with f,
     from q^(r + r' + m (lo + lo')) on in steps of m, is read up to q^top, top
-    the bound or the product's last exponent.  The numerators come back in
-    ascending order, zeros dropped."""
-    if _stride(fn) < _stride(gn):
-        fn, gn = gn, fn
-    m = _stride(fn) or 1
-    fclass, gclasses = (_pack(map(mod, h, repeat(m)), map(floordiv, h, repeat(m)), h.values(), s)
-                        for h in (fn, gn))
+    the bound or the product's last exponent, into that slice of the result."""
+    fe, ge = (list(compress(range(len(v)), v)) for v in (fv, gv))
+    if _stride(fe) < _stride(ge):
+        fv, gv, fe, ge = gv, fv, ge, fe
+    m = _stride(fe) or 1
+    fclass, gclasses = (_pack(map(mod, e, repeat(m)), map(floordiv, e, repeat(m)),
+                              compress(v, v), s) for e, v in ((fe, fv), (ge, gv)))
     ((r, (flo, fp)),) = fclass.items()
-    base, top = min(fn) + min(gn), min(bound, max(fn) + max(gn))
-    out = [0] * (top - base + 1)
+    top = min(bound, fe[-1] + ge[-1])
+    out = [0] * (bound + 1)
     for rg, (glo, gp) in gclasses.items():
         start = r + rg + m * (flo + glo)
         if start <= top:
-            out[start - base::m] = _unpack(fp * gp, s, (top - start) // m + 1)
-    return dict(compress(zip(count(base), out), out))
+            out[start:top + 1:m] = _unpack(fp * gp, s, (top - start) // m + 1)
+    return out
 
 
-def _rows(nums: dict, row_of, s: int, k: int) -> list:
-    """(trace, code, row, lo, P) for each row of the support, in trace
-    order: (lo, P) the packed row, and code = sum row[i] 2^(k i), which adds
-    as the rows do and tells apart rows whose entries lie in (-2^(k-1), 2^(k-1))."""
-    rows = _pack(map(row_of, nums), map(itemgetter(1), nums), nums.values(), s)
+def _rows(tab, vec: list, row_of, s: int, k: int) -> list:
+    """(trace, code, row, lo, P) for each row of the support of vec, aligned
+    with tab, in trace order: (lo, P) the packed row, and code = sum row[i]
+    2^(k i), which adds as the rows do and tells apart rows whose entries
+    lie in (-2^(k-1), 2^(k-1))."""
+    support = list(compress(tab, vec))
+    rows = _pack(map(row_of, support), map(itemgetter(1), support), compress(vec, vec), s)
     return sorted((row[0] + row[-1], sum(map(lshift, row, range(0, k * len(row), k))), row, lo, p)
                   for row, (lo, p) in rows.items())
 
 
-def _multiply_rows(frows: list, grows: list, bound: int, s: int) -> dict:
-    """The packed products of every pair of rows within the bound, summed
-    per target row, then unpacked."""
+def _multiply_rows(frows: list, grows: list, bound: int, s: int, tab) -> list:
+    """The packed products of every pair of rows within the bound, summed per
+    target row, then unpacked into a vector aligned with tab, by its ``pos``."""
     acc, targets = {}, {}  # target code -> [lo, P]; -> an (f row, g row) pair adding up to it
     for ft, fc, fr, flo, fp in frows:
         for gt, gc, gr, glo, gp in grows:
             if ft + gt > bound:
                 break
-            if fc + gc not in targets:
-                targets[fc + gc] = fr, gr
-            _add_at(acc, fc + gc, flo + glo, fp * gp, s)
-    nums = {}
+            code, lo, p = fc + gc, flo + glo, fp * gp  # add p 2^(s lo), lo' the least lo so far
+            if (cur := acc.get(code)) is None:
+                acc[code], targets[code] = [lo, p], (fr, gr)
+            elif lo >= cur[0]:
+                cur[1] += p << s * (lo - cur[0])
+            else:
+                cur[0], cur[1] = lo, p + (cur[1] << s * (cur[0] - lo))
+    out, pos = [0] * len(tab), tab.pos
     for code, (lo, v) in acc.items():
         a, *rest = map(add, *targets[code])
         slots = _unpack(v, s, v.bit_length() // s + 1)
-        nums.update(zip(zip(repeat(a), count(lo), *map(repeat, rest)), slots))
-    return nums
+        for n, i in zip(slots, map(pos.__getitem__, zip(repeat(a), count(lo), *map(repeat, rest)))):
+            out[i] = n
+    return out
 
 
 def lift_coefficient(lattice, k: int, t, alpha):
@@ -476,22 +473,25 @@ def lift_coefficient(lattice, k: int, t, alpha):
 def lift(lattice, k: int, trace_bound: int, alpha, constant) -> TruncatedExpansion:
     """The weight-k Maass lift over every index of alpha, a degree-1 expansion read
     in place, which must reach q^n, n = ``lattice.alpha_length(trace_bound)``: a
-    shorter one raises InsufficientTruncation.  Integer sums over one denominator;
-    the result keeps (alpha, constant) as its ``lifted_from``."""
+    shorter one raises InsufficientTruncation.  Integer sums over one denominator:
+    alpha(det) at every index through the table's ``dets``, then the divisor sum at
+    each index of content > 1; the result keeps (alpha, constant) as ``lifted_from``."""
     n = lattice.alpha_length(trace_bound)
     if alpha.trace_bound < n:
         raise InsufficientTruncation(f"trace bound {trace_bound} reads alpha to q^{n}, "
                                      f"not q^{alpha.trace_bound}")
     constant = Fraction(constant)
     den = lcm(alpha.den, constant.denominator)
-    top, scale = constant.numerator * (den // constant.denominator), den // alpha.den
-    table = [alpha.nums.get(N, 0) * scale for N in range(n + 1)]
+    scale = den // alpha.den
+    table = alpha.vec[:n + 1] if scale == 1 else list(map(mul, alpha.vec[:n + 1], repeat(scale)))
     tab = lattice.indices(trace_bound)
-    terms = {e: [(d ** (k - 1), d * d) for d in divisors(e)] for e in set(tab.contents) if e > 1}
-    nums = {t: table[N] if e == 1 else sum(c * table[N // q] for c, q in terms[e])
-            for t, N, e in zip(tab, tab.dets, tab.contents) if e}
-    nums[lattice.zero] = top
-    f = TruncatedExpansion._of(lattice, k, trace_bound, den, nums)
+    dets, contents = tab.dets, tab.contents
+    vec = list(map(table.__getitem__, dets))
+    terms = {e: [(d ** (k - 1), d * d) for d in divisors(e)] for e in set(contents) if e > 1}
+    for i in compress(range(len(tab)), map((1).__lt__, contents)):
+        vec[i] = sum(c * table[dets[i] // q] for c, q in terms[contents[i]])
+    vec[0] = constant.numerator * (den // constant.denominator)  # the zero index comes first
+    f = TruncatedExpansion._of(lattice, k, trace_bound, den, vec)
     f.lifted_from = alpha, constant
     return f
 
@@ -513,8 +513,9 @@ def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:
     t-th coefficient sits at the index diag(t, 0)."""
     if f.lattice.space == "elliptic":
         raise ValueError("phi_operator expects a degree-2 expansion")
-    nums = {t: f.nums.get((t, *f.lattice.zero[1:]), 0) for t in range(f.trace_bound + 1)}
-    return TruncatedExpansion._of(ELLIPTIC, f.weight, f.trace_bound, f.den, nums)
+    pos, rest = f.lattice.indices(f.trace_bound).pos, f.lattice.zero[1:]
+    vec = [f.vec[pos[(t, *rest)]] for t in range(f.trace_bound + 1)]
+    return TruncatedExpansion._of(ELLIPTIC, f.weight, f.trace_bound, f.den, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +533,13 @@ def exp_serialize(f: TruncatedExpansion) -> str:
     disc = [] if f.lattice.disc is None else [f"disc {f.lattice.disc}"]
     lines = [f"space {f.lattice.space}", *disc, f"weight {f.weight}",
              f"trace_bound {f.trace_bound}", _SENTINEL]
-    nums, den, tab = f.nums, f.den, f.lattice.indices(f.trace_bound)
-    for t, key in zip(tab, tab.keys):
-        if n := nums.get(t):
-            g = gcd(n, den)
-            try:
-                lines.append(f"{key} {n // g}" if g == den else f"{key} {n // g}/{den // g}")
-            except ValueError:  # past the int-to-str digit limit
-                lines.append(f"{key} {format_rational(Fraction(n, den))}")
+    den, keys = f.den, f.lattice.indices(f.trace_bound).keys
+    for key, n in compress(zip(keys, f.vec), f.vec):
+        g = gcd(n, den)
+        try:
+            lines.append(f"{key} {n // g}" if g == den else f"{key} {n // g}/{den // g}")
+        except ValueError:  # past the int-to-str digit limit
+            lines.append(f"{key} {format_rational(Fraction(n, den))}")
     return "\n".join(lines) + "\n"
 
 
@@ -566,11 +566,11 @@ def exp_parse(text: str) -> TruncatedExpansion:
     nonzero denominator, reduced or not; a common denominator past 10**4300
     or one whose bits times the body's lines pass 1200 per character of text
     is refused; and each fault is a ParseError with its line number.  Two
-    routes, one contract: a canonical body, every key found in ``indices(bound)``
-    and every value of the grammar, is read in bulk; any other body goes to
-    the line loop, which alone raises ParseError and takes ``parse_key`` for a
-    key spelled otherwise.  The table costs O(|indices|) once per process, as
-    for exp_serialize, solve, verify, reduce and cusp-correct."""
+    routes, one contract: a canonical body, its keys those of ``indices(bound)``
+    in table order and its values of the grammar, is read in bulk; any other
+    body goes to the line loop, which alone raises ParseError and reads every
+    key with ``parse_key``.  Both fill a vector aligned with ``indices(bound)``,
+    which costs O(|indices|) as for every expansion."""
     header: dict[str, tuple[int, str]] = {}  # field -> (line number, value)
     lines = text.splitlines()
     body_start = None
@@ -613,18 +613,19 @@ def exp_parse(text: str) -> TruncatedExpansion:
         raise ParseError(header[at][0], str(exc)) from None
     if lat.disc != disc:  # exp_serialize writes a disc on Hermitian files only
         raise ParseError(header["disc"][0], f"a {space} file has no disc")
-    den, nums = (_parse_canonical(lat.indices(bound).lookup, lines, body_start, len(text))
-                 or _parse_lines(lat, bound, lines, body_start, text))
-    return TruncatedExpansion._of(lat, weight, bound, den, nums)
+    den, vec = (_parse_canonical(lat.indices(bound).keys, lines, body_start, len(text))
+                or _parse_lines(lat, bound, lines, body_start, text))
+    return TruncatedExpansion._of(lat, weight, bound, den, vec)
 
 
-def _parse_canonical(lookup, lines, start, size):
-    """(den, nums) read in bulk from the body lines[start:] of a text of ``size``
-    characters; None, for the line loop, unless the lcm of the distinct
-    denominators keeps within the loop's bounds as it grows and each nonblank
-    line is a key of ``lookup``, never repeated, and a value of the grammar."""
+def _parse_canonical(keys, lines, start, size):
+    """(den, vec) read in bulk from the body lines[start:] of a text of ``size``
+    characters, ``keys`` the table's key strings; None, for the line loop, unless
+    the lcm of the distinct denominators keeps within the loop's bounds as it grows
+    and the nonblank lines are values of the grammar at keys of the table in its
+    order, each found past its predecessor's position, so that none repeats."""
     rows, den = lines[start:], 1
-    try:  # a ValueError past the int-to-str digit limit, a KeyError at a key spelled otherwise
+    try:  # a ValueError past the int-to-str digit limit or at a key not found in order
         for d in map(int, dict.fromkeys(re.findall(r"/([0-9]+)", "\n".join(rows)))):
             if den % d:  # a ZeroDivisionError at d = 0
                 den = lcm(den, d)
@@ -633,22 +634,26 @@ def _parse_canonical(lookup, lines, start, size):
         body = list(filter(None, map(str.split, rows)))
         if set(map(len, body)) != {2}:
             return None
-        keys, values = zip(*body)
-        if not re.fullmatch(_VALUES, "\n".join(values) + "\n") or len(set(keys)) < len(keys):
+        names, values = zip(*body)
+        if not re.fullmatch(_VALUES, "\n".join(values) + "\n"):
             return None
-        idxs = list(map(lookup.__getitem__, keys))
         if den == 1:
-            return 1, dict(zip(idxs, map(int, values)))
-        ns, _, ds = zip(*map(str.partition, values, repeat("/")))
-        scale = {s: den // int(s or 1) for s in dict.fromkeys(ds)}
-        return den, dict(zip(idxs, map(mul, map(int, ns), map(scale.get, ds))))
-    except (KeyError, ValueError, ZeroDivisionError):
+            nums = map(int, values)
+        else:
+            ns, _, ds = zip(*map(str.partition, values, repeat("/")))
+            scale = {s: den // int(s or 1) for s in dict.fromkeys(ds)}
+            nums = map(mul, map(int, ns), map(scale.get, ds))
+        vec, at, find = [0] * len(keys), -1, keys.index
+        for name, n in zip(names, nums):
+            at = find(name, at + 1)
+            vec[at] = n
+        return den, vec
+    except (ValueError, ZeroDivisionError):
         return None
 
 
 def _parse_lines(lat, bound, lines, body_start, text):
-    """(den, nums) read line by line, with a ParseError at the first faulty line."""
-    lookup = lat.indices(bound).lookup  # a hit is a psd index within the bound
+    """(den, vec) read line by line, with a ParseError at the first faulty line."""
     seen, den = {}, 1  # index -> (n, d), with d | den when n != 0
     for lineno, line in enumerate(lines[body_start:], body_start + 1):
         parts = line.split()
@@ -656,11 +661,8 @@ def _parse_lines(lat, bound, lines, body_start, text):
             continue
         if len(parts) != 2:
             raise ParseError(lineno, f"malformed coefficient line {line.strip()!r}")
-        idx = lookup.get(parts[0])
         try:
-            if miss := idx is None:
-                idx = lat.parse_key(parts[0])
-            n, d = parse_ratio(parts[1])
+            idx, (n, d) = lat.parse_key(parts[0]), parse_ratio(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(lineno, str(exc)) from None
         if idx in seen:
@@ -668,9 +670,9 @@ def _parse_lines(lat, bound, lines, body_start, text):
         seen[idx] = n, d
         if not n:  # dropped, unchecked, as the public constructor does
             continue
-        if miss and not lat.is_psd(idx):
+        if not lat.is_psd(idx):
             raise ParseError(lineno, f"index {idx} is not psd")
-        if miss and lat.trace(idx) > bound:
+        if lat.trace(idx) > bound:
             raise ParseError(lineno, f"index {idx} exceeds trace bound {bound}")
         if den % d:  # a new denominator, which every numerator will carry: bound it
             g = gcd(n, d)
@@ -681,4 +683,9 @@ def _parse_lines(lat, bound, lines, body_start, text):
             # a file printing den on every line keeps under log2(10) bits per character
             if den.bit_length() * (len(lines) - body_start) > 1200 * len(text):
                 raise ParseError(lineno, "common denominator too large for the file's size")
-    return den, {idx: n * (den // d) for idx, (n, d) in seen.items()}
+    tab = lat.indices(bound)
+    vec, pos = [0] * len(tab), tab.pos
+    for idx, (n, d) in seen.items():
+        if n:  # a zero may sit at any index
+            vec[pos[idx]] = n * (den // d)
+    return den, vec

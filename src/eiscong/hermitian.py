@@ -107,13 +107,13 @@ class HermitianLattice(Degree2Lattice):
             for q in range(1, n // d + 1):
                 acc[d * q] += (chi[d] - chi[q]) * power
         top = self.g_alpha(k, 0)
-        nums = {0: top.numerator}
+        vec = [top.numerator]
         for N in range(1, n + 1):
             q, r = divmod(acc[N], 1 + abs(chi[N]))
             if r:
                 raise IntegralityViolation(f"g_value({self.disc}, {k - 2}, {N}) is not integral")
-            nums[N] = q * top.denominator
-        return TruncatedExpansion._of(ELLIPTIC, k, n, top.denominator, nums)
+            vec.append(q * top.denominator)
+        return TruncatedExpansion._of(ELLIPTIC, k, n, top.denominator, vec)
 
     def __repr__(self):
         return f"HermitianLattice(disc={self.disc})"

@@ -76,12 +76,12 @@ class SiegelLattice(Degree2Lattice):
             raise ValueError(f"g_alpha_table expects n >= 0, got {n}")
         if _check_weight(k) > 4:
             return _jacobi_alpha(k, n).restrict(n)
-        theta, f2 = (TruncatedExpansion._of(ELLIPTIC, 0, n, 1, nums) for nums in (
-            {m * m: 2 - (m == 0) for m in range(isqrt(n) + 1)},
-            {i: s for i, s in enumerate(divisor_power_sums(1, n)) if i % 2}))
+        theta, f2 = (TruncatedExpansion._of(ELLIPTIC, 0, n, 1, vec) for vec in (
+            [(isqrt(i) ** 2 == i) * (2 - (i == 0)) for i in range(n + 1)],
+            [s if i % 2 else 0 for i, s in enumerate(divisor_power_sums(1, n))]))
         cube = exp_multiply(exp_multiply(theta, theta), theta)
         form = exp_multiply(cube, exp_add(exp_multiply(cube, theta), exp_scale(-14, f2)))
-        return exp_scale(self.g_alpha(4, 0), TruncatedExpansion._of(ELLIPTIC, 4, n, 1, form.nums))
+        return exp_scale(self.g_alpha(4, 0), TruncatedExpansion._of(ELLIPTIC, 4, n, 1, form.vec))
 
     def cusp_alpha(self, k: int, n: int) -> TruncatedExpansion:
         """alpha of the weight-k cusp form to q^n: the level-0 cusp generator of ``jacobi_levels``,
@@ -120,9 +120,8 @@ def jacobi_levels(k: int, n: int) -> tuple:
     if k == 6:
         _, a4 = _maass_factor(SIEGEL, 4, n)
         e2 = {4 * i: -24 * s if i else 1 for i, s in enumerate(divisor_power_sums(1, n // 4))}
-        heat = {N: N * a for N, a in a4.nums.items()}
-        us = [exp_multiply(TruncatedExpansion._of(ELLIPTIC, 2, n, 1, e2), a4)]
-        vs = [TruncatedExpansion._of(ELLIPTIC, 6, n, a4.den, heat)]
+        us = [exp_multiply(TruncatedExpansion(ELLIPTIC, 2, n, e2), a4)]
+        vs = [TruncatedExpansion._of(ELLIPTIC, 6, n, a4.den, [N * a for N, a in enumerate(a4.vec)])]
     else:
         (e4, a4), (e6, a6) = (_maass_factor(SIEGEL, j, n) for j in (4, 6))
         us, vs = ([exp_multiply(b, a) for b in _basis(e4, e6, k - j)]
