@@ -731,13 +731,16 @@ def check_both_orders(f, g):
 
 
 def assert_well_formed(f):
-    """What every expansion stores: one positive denominator and nonzero
-    integer numerators at psd indices within the bound, with no factor
-    common to all of them; its ``coeffs`` view reads the same values as
-    Fractions."""
+    """What every expansion stores: one positive denominator and a vector of
+    integer numerators aligned with the index table, with no factor common to
+    all of them; its ``nums`` view holds the nonzero ones at psd indices within
+    the bound, and its ``coeffs`` view reads the same values as Fractions."""
     lat = f.lattice
     assert type(f.den) is int and f.den > 0, f.den
-    assert math.gcd(f.den, *f.nums.values()) == 1
+    assert type(f.vec) is list and len(f.vec) == len(lat.indices(f.trace_bound))
+    assert all(type(n) is int for n in f.vec)
+    assert math.gcd(f.den, *f.vec) == 1
+    assert f.nums == {t: n for t, n in zip(lat.indices(f.trace_bound), f.vec) if n}
     for t, n in f.nums.items():
         assert type(n) is int and n != 0, (t, n)
         assert lat.is_psd(t) and lat.trace(t) <= f.trace_bound, t

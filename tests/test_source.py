@@ -33,3 +33,27 @@ def test_the_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def attribute_reads(source: str, attr: str) -> list:
+    """The lines that read the attribute ``attr`` of anything, outside the
+    body of a function of that name, where the attribute is defined."""
+    tree = ast.parse(source)
+    inside = {id(n) for d in ast.walk(tree) if isinstance(d, ast.FunctionDef) and d.name == attr
+              for n in ast.walk(d)}
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                  and n.attr == attr and isinstance(n.ctx, ast.Load) and id(n) not in inside)
+
+
+def test_the_scan_finds_attribute_reads():
+    source = ("class F:\n    @property\n    def nums(self):\n        return dict(self.nums)\n"
+              "f.nums = 1\nprint(f.nums, f.vec)\n")
+    assert attribute_reads(source, "nums") == [6]
+    assert attribute_reads(source, "vec") == [6]
+
+
+@pytest.mark.parametrize("path", sorted(Path(eiscong.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reads_the_nums_view(path):
+    # an expansion stores one vector; the index -> numerator view is for the tests
+    assert attribute_reads(path.read_text(), "nums") == []
