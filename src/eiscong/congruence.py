@@ -97,12 +97,11 @@ def _reduced(num: int, den: int, modulus: int) -> int:
 
 
 def _residues(modulus: int, *expansions) -> list:
-    """For each expansion, its coefficients mod ``modulus`` (a ValueError
-    below 1) as a list aligned with its vector.  When the denominator is
-    prime to the modulus, one inverse of it reduces every numerator;
-    otherwise each is reduced on its own, and NonIntegralCoefficient is
-    raised at the first index of trace <= the least bound where one of them
-    is not m-integral, as a walk of per-index reductions would."""
+    """Each expansion's coefficients mod ``modulus`` (a ValueError below 1),
+    aligned with its vector: one inverse reduces every numerator over a
+    denominator prime to the modulus, else each is reduced alone, and
+    NonIntegralCoefficient names the first index of trace <= the least bound
+    where one is not m-integral, as a walk of per-index reductions would."""
     _require_modulus(modulus)
     out = []
     for f in expansions:
@@ -434,7 +433,9 @@ def nontriviality_witness(
             r = pow(q, k - 2, p)
             if chi(q) == -1 and r != 1:
                 return WitnessReport(q, -1, r, "crt-construction")
-    raise WitnessSearchExhausted(f"no witness within {progression_cap} progression steps")
+    raise WitnessSearchExhausted(
+        f"no witness within {progression_cap} progression steps"
+    )
 
 
 def bruinier_search(k: int, p: int, max_abs_disc: int) -> int | None:

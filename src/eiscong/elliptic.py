@@ -107,7 +107,8 @@ class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "weight terms")):
             if a < 0 or b < 0:
                 raise ValueError(f"monomial ({a},{b}) has a negative exponent")
             if 4 * a + 6 * b != weight:
-                raise ValueError(f"monomial ({a},{b}) has weight {4*a+6*b}, expected {weight}")
+                raise ValueError(f"monomial ({a},{b}) has weight {4*a+6*b}, "
+                                 f"expected {weight}")
         return super().__new__(cls, weight, terms)
 
     @classmethod
@@ -193,7 +194,9 @@ def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
 
 def isobaric_monomials(k: int) -> list[tuple[int, int]]:
     """All (a, b) with 4a + 6b = k, ordered by decreasing a."""
-    return [(a, (k - 4 * a) // 6) for a in range(k // 4, -1, -1) if (k - 4 * a) % 6 == 0]
+    return [(a, (k - 4 * a) // 6)
+            for a in range(k // 4, -1, -1)
+            if (k - 4 * a) % 6 == 0]
 
 
 def decompose_into_e4_e6(f: TruncatedExpansion, k: int) -> IsobaricPolynomial:

@@ -83,9 +83,6 @@ class EllipticLattice:
 
     indices = lru_cache(maxsize=32)(IndexTable)  # indices(bound), one cached table
 
-    def sort_key(self, t):
-        return (t, (t,))
-
     def key_string(self, t):
         return str(t)
 
@@ -105,7 +102,7 @@ class Degree2Lattice:
     ``fj_stride`` and, for G_k, ``g_alpha(k, N)`` and its table
     ``g_alpha_table(k, n)``; ``is_psd`` and ``g_constant`` follow from
     ``det`` and alpha(0).  ``enumerate_all(bound)`` lists every index of
-    trace <= bound in canonical (``sort_key``) order, which ``indices``
+    trace <= bound in canonical order (trace, then the index), which ``indices``
     keeps without sorting."""
 
     def trace(self, t):
@@ -126,9 +123,6 @@ class Degree2Lattice:
         return self.fj_stride * trace_bound**2 // 4
 
     indices = lru_cache(maxsize=32)(IndexTable)  # indices(bound), one cached table
-
-    def sort_key(self, t):
-        return (t[0] + t[-1], t)
 
     def key_string(self, t):
         return ",".join(map(str, t))
@@ -270,7 +264,9 @@ class TruncatedExpansion:
             == (other.weight, other.trace_bound, other.den, other.vec))
 
     def __hash__(self):
-        return hash((self.lattice.space, self.lattice.disc, self.weight, self.trace_bound))
+        return hash(
+            (self.lattice.space, self.lattice.disc, self.weight, self.trace_bound)
+        )
 
     def __add__(self, other):
         return exp_add(self, other)

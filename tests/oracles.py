@@ -478,16 +478,22 @@ def reference_product(f: TruncatedExpansion, g: TruncatedExpansion) -> Truncated
     return TruncatedExpansion(lat, f.weight + g.weight, bound, coeffs)
 
 
+def canonical(lat, indices) -> list:
+    """The indices sorted in canonical order: by trace, then by the index itself."""
+    return sorted(indices, key=lambda t: (lat.trace(t), t))
+
+
 def serialize_by_sorting(f: TruncatedExpansion) -> str:
     """exp_serialize's text by the library's route before it walked the index
-    table: the support sorted by ``sort_key``, each key joined by
+    table: the support sorted in canonical order, each key joined by
     ``key_string`` and each value a Fraction through ``format_rational``."""
     lines = [f"space {f.lattice.space}"]
     if f.lattice.disc is not None:
         lines.append(f"disc {f.lattice.disc}")
     lines += [f"weight {f.weight}", f"trace_bound {f.trace_bound}", "coefficients"]
-    for idx in f.support():
-        lines.append(f"{f.lattice.key_string(idx)} {format_rational(Fraction(f.nums[idx], f.den))}")
+    nums = f.nums
+    for idx in canonical(f.lattice, nums):
+        lines.append(f"{f.lattice.key_string(idx)} {format_rational(Fraction(nums[idx], f.den))}")
     return "\n".join(lines) + "\n"
 
 
@@ -651,7 +657,7 @@ def _residue(value: Fraction, modulus: int, key):
 def reduce_mod_p_by_index(f: TruncatedExpansion, modulus: int) -> dict:
     lat = f.lattice
     out = {}
-    for idx in sorted(lat.enumerate_all(f.trace_bound), key=lat.sort_key):
+    for idx in canonical(lat, lat.enumerate_all(f.trace_bound)):
         out[idx] = _residue(f.coefficient(idx), modulus, lat.key_string(idx))
     return out
 
@@ -665,7 +671,7 @@ def verify_congruence_by_index(
     multiplier %= modulus
     checked = 0
     failure = None
-    for idx in sorted(lat.enumerate_all(bound), key=lat.sort_key):
+    for idx in canonical(lat, lat.enumerate_all(bound)):
         key = lat.key_string(idx)
         lhs = _residue(f.coefficient(idx), modulus, key)
         rhs = _residue(g.coefficient(idx), modulus, key) * multiplier % modulus
@@ -681,7 +687,7 @@ def solve_lambda_by_index(
     _check_compatible(f, g)
     lat = f.lattice
     bound = min(f.trace_bound, g.trace_bound)
-    for idx in sorted(lat.enumerate_all(bound), key=lat.sort_key):
+    for idx in canonical(lat, lat.enumerate_all(bound)):
         key = lat.key_string(idx)
         rhs = _residue(g.coefficient(idx), modulus, key)
         if rhs == 0:
