@@ -168,13 +168,13 @@ def _same_lattice(a, b):
 
 
 class TruncatedExpansion:
-    """Finite Fourier expansion: ``vec`` is a list of integer numerators aligned
-    position by position with ``indices(trace_bound)`` (in degree 1 the
-    position is the exponent), 0 where a coefficient vanishes, over one
-    denominator den > 0 such that gcd(den, *vec) == 1 (den = 1 for zero).
-    ``nums`` (index -> nonzero numerator) and ``coeffs`` (index -> Fraction)
-    are read-only views, built on each access.  Lookups beyond the trace
-    bound raise OutOfTruncation rather than returning a silent zero.
+    """Finite Fourier expansion: ``vec``, a list that results may share and no
+    code mutates, holds integer numerators aligned position by position with
+    ``indices(trace_bound)`` (in degree 1 the position is the exponent), 0 where
+    a coefficient vanishes, over one denominator den > 0 with gcd(den, *vec) == 1
+    (den = 1 for zero).  ``nums`` (index -> nonzero numerator) and ``coeffs``
+    (index -> Fraction) are read-only views, built on each access.  Lookups
+    beyond the trace bound raise OutOfTruncation rather than a silent zero.
 
     The public constructor takes untrusted input: it converts every value
     to a Fraction and checks each index, raising NotPositiveSemidefinite or
