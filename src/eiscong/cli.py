@@ -126,7 +126,7 @@ def _resolve(space, disc, form, weight, bound):
         key = (space, lattice.disc, form)
         if key not in CUSP_FORMS:
             over = "" if lattice.disc is None else f" over disc {disc}"
-            raise ValueError(f"form {form} is not a {space} form{over}")
+            raise ValueError(f"no {space} form {form}{over}")
         expected = CUSP_FORMS[key]
         if weight is not None and weight != expected:
             raise ValueError(f"form {form} has weight {expected}")

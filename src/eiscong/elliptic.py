@@ -5,7 +5,8 @@ c the scale that makes the form's first nonzero alpha 1.  ``_basis`` alone
 multiplies out E4 and E6; the decomposition, ``evaluate``, the Siegel
 Jacobi levels (``siegel.jacobi_levels``) and the chain rule read it.  Delta
 takes no E4 or E6: it is q J^8 by Jacobi's identity for J = prod (1 - q^n)^3.
-``cusp_form(key, bound)`` lifts the ``cusp_alpha`` of ``lattice_for(space,
+E_k and Delta are held at their largest bound (``expansion._held``).
+``cusp_form(key, bound)``, uncached, lifts the ``cusp_alpha`` of ``lattice_for(space,
 disc)``: Siegel's is read off its Jacobi levels, Hermitian's is the chain rule
 below (``chain_rule_alpha``) on Q_k, decomposed from E_k once per weight, and
 the lattice's G_j (``g_alpha_table``, ``g_constant``).  A Maass form F is the pair (phi0,
@@ -34,6 +35,7 @@ from .errors import InsufficientTruncation, InvalidWeight, NotInSpace, Unsupport
 from .expansion import (
     ELLIPTIC,
     TruncatedExpansion,
+    _held,
     constant_one,
     exp_add,
     exp_multiply,
@@ -44,7 +46,7 @@ from .expansion import (
 )
 
 
-@lru_cache(maxsize=None)
+@_held
 def elliptic_eisenstein(k: int, n_max: int) -> TruncatedExpansion:
     """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, truncated at n_max."""
     if k < 4 or k % 2 == 1:
@@ -55,7 +57,7 @@ def elliptic_eisenstein(k: int, n_max: int) -> TruncatedExpansion:
     return TruncatedExpansion._of(ELLIPTIC, k, n_max, scale.denominator, vec)
 
 
-@lru_cache(maxsize=None)
+@_held
 def delta_expansion(n_max: int) -> TruncatedExpansion:
     """Delta = q J^8 to q^n_max, J = prod (1 - q^n)^3 = sum_{m >= 0} (-1)^m (2m + 1)
     q^(m(m+1)/2) to q^(n_max - 1) (Jacobi's identity), squared three times: three
@@ -68,16 +70,12 @@ def delta_expansion(n_max: int) -> TruncatedExpansion:
     return TruncatedExpansion._of(ELLIPTIC, 12, n_max, 1, [0, *j.vec[:n_max]])
 
 
-_delta_bound = 0  # bound of the Delta expansion ramanujan_tau reads
+_held_delta = delta_expansion.largest  # the held Delta, of bound >= n, with no copy
 
 
 def ramanujan_tau(n: int) -> Fraction:
-    """tau(n) from one shared Delta expansion, Jacobi's q J^8, regrown to max(n, 2 * bound)."""
-    global _delta_bound
-    bound = _delta_bound
-    if n > bound:
-        bound = _delta_bound = max(n, 2 * bound)
-    return delta_expansion(bound).coefficient(n)
+    """tau(n) off the held Delta, Jacobi's q J^8: a larger n rebuilds it at least twice as long."""
+    return _held_delta(max(n, 0)).coefficient(n)
 
 
 def _basis(e4: TruncatedExpansion, e6: TruncatedExpansion, k: int):
@@ -154,7 +152,7 @@ CUSP_FORMS = {
 def _maass_factor(lattice, j: int, n: int):
     """The degree-2 E_j as its pair (phi0(q^m), alpha) of degree-1
     expansions truncated at n, m the lattice's Fourier-Jacobi stride: alpha is
-    the lattice's cached ``g_alpha_table`` of G_j, scaled into a new expansion."""
+    the lattice's held ``g_alpha_table`` of G_j, scaled into a new expansion."""
     m = lattice.fj_stride
     phi = elliptic_eisenstein(j, n // m)
     vec = [0] * (n + 1)
@@ -181,7 +179,6 @@ def chain_rule_alpha(lattice, k: int, n: int) -> TruncatedExpansion:
     return alpha
 
 
-@lru_cache(maxsize=None)
 def cusp_form(key, trace_bound: int) -> TruncatedExpansion:
     """The CUSP_FORMS entry key = (space, disc, name): the lift of its lattice's ``cusp_alpha`` to
     det at least the Fourier-Jacobi stride, past the first nonzero alpha, scaled to make that 1."""

@@ -18,7 +18,8 @@ degree-2 lattice (a ``Degree2Lattice``: ``siegel.SIEGEL`` and
 ``hermitian.hermitian_lattice(d)``) carries the alpha table of its
 Eisenstein series G_k, whose alpha(0) fixes the constant term a(0) =
 -B_k / (2k) alpha(0), so ``eisenstein`` builds G_k and E_k on every
-lattice, and ``elliptic.cusp_form`` every cusp form.  The lifts, the
+lattice, and ``elliptic.cusp_form`` every cusp form, uncached: they lift degree-1
+series held at their largest bound (``_held``).  The lifts, the
 mod-p walks and the text format read one cached ``IndexTable``, ``indices(bound)``,
 which keeps the lattice's enumeration as it comes: nothing sorts the table.
 ``exp_parse`` reads a canonical body in bulk and any other line by line.
@@ -29,11 +30,11 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, update_wrapper
 from itertools import compress, count, repeat
 from math import gcd, lcm
 from operator import add, floordiv, itemgetter, lshift, mod, mul, sub
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from .arith import bernoulli, divisors, format_rational, parse_ratio
 from .errors import (
@@ -240,7 +241,8 @@ class TruncatedExpansion:
             raise NotPositiveSemidefinite(f"index {idx} is not psd")
         if self.lattice.trace(idx) > self.trace_bound:
             raise OutOfTruncation(f"index {idx} is beyond trace bound {self.trace_bound}")
-        return Fraction(self.vec[self.lattice.indices(self.trace_bound).pos[idx]], self.den)
+        at = idx if self.lattice is ELLIPTIC else self.lattice.indices(self.trace_bound).pos[idx]
+        return Fraction(self.vec[at], self.den)
 
     def support(self) -> list:
         return list(compress(self.lattice.indices(self.trace_bound), self.vec))
@@ -492,9 +494,46 @@ def lift(lattice, k: int, trace_bound: int, alpha, constant) -> TruncatedExpansi
     return f
 
 
-@lru_cache(maxsize=None)
+def _bound(v) -> int:  # an expansion's trace bound, or that of a tuple's last entry
+    return v.trace_bound if isinstance(v, TruncatedExpansion) else _bound(v[-1])
+
+
+def _cut(v, n: int):  # v to q^n: an expansion by restrict, a tuple entry by entry
+    if isinstance(v, TruncatedExpansion):
+        return v.restrict(n)
+    return tuple(_cut(w, n) for w in v) if isinstance(v, tuple) else v
+
+
+def _held(build):
+    """``build(*key, n)``, n >= 0 a bound, held once per key as its largest build, of bound
+    ``_bound``.  A smaller n is served by the held build cut to q^n (at its bound, the build
+    itself); a larger one builds at max(n, 2 held) and replaces it.  ``largest(*key, n)`` is
+    the held build, of bound >= n, uncopied: bind it to a private name, as a tracer may rebind
+    the public one.  ``cache_info()`` counts ``misses`` and ``builds`` per key."""
+    held = {}  # key -> (builds, the largest build)
+
+    def largest(*args):
+        key, n = args[:-1], args[-1]
+        if n < 0:
+            raise ValueError(f"{build.__name__} expects n >= 0, got {n}")
+        builds, value = held.get(key, (0, None))
+        if not builds or n > _bound(value):
+            value = build(*key, max(n, 2 * _bound(value)) if builds else n)
+            held[key] = builds + 1, value
+        return value
+
+    def cached(*args):
+        value = largest(*args)
+        return value if _bound(value) == args[-1] else _cut(value, args[-1])
+
+    cached.largest, cached.cache_clear = largest, held.clear
+    cached.cache_info = lambda: SimpleNamespace(misses=sum(b for b, _ in held.values()),
+                                                builds={key: b for key, (b, _) in held.items()})
+    return update_wrapper(cached, build)
+
+
 def eisenstein(lattice, form: str, k: int, trace_bound: int) -> TruncatedExpansion:
-    """G_k, or E_k = G_k / G_k(0), over a degree-2 lattice."""
+    """G_k, or E_k = G_k / G_k(0), over a degree-2 lattice: the lift of its held alpha table."""
     if form not in ("G", "E"):
         raise ValueError(f"form must be 'G' or 'E', got {form!r}")
     _check_weight(k)

@@ -22,7 +22,7 @@ from math import isqrt
 from .arith import g_value, generalized_bernoulli, kronecker_character
 from .errors import IntegralityViolation
 from .elliptic import chain_rule_alpha, cusp_form
-from .expansion import ELLIPTIC, Degree2Lattice, TruncatedExpansion, eisenstein
+from .expansion import ELLIPTIC, Degree2Lattice, TruncatedExpansion, _held, eisenstein
 
 CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
@@ -94,12 +94,10 @@ class HermitianLattice(Degree2Lattice):
             return -generalized_bernoulli(k - 1, self.disc) / (2 * k - 2)
         return Fraction(g_value(self.disc, k - 2, N))
 
-    @lru_cache(maxsize=64)
+    @_held
     def g_alpha_table(self, k: int, n: int) -> TruncatedExpansion:
         """g_alpha(k, 0..n) as a degree-1 expansion of weight k to q^n, sieving
         N = d q <= n: integers over alpha(0)'s denominator."""
-        if n < 0:
-            raise ValueError(f"g_alpha_table expects n >= 0, got {n}")
         chi = [*map(kronecker_character(self.disc), range(n + 1))]
         acc = [0] * (n + 1)
         for d in range(1, n + 1):

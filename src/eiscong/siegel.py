@@ -8,15 +8,15 @@ N > 0, with -N = D f^2 and D a fundamental discriminant,
 B_{k-1,chi_D} / (k-1) * sum_{g | f} mu(g) chi_D(g) g^(k-2) sigma_{2k-3}(f/g),
 tabulated as degree-1 series: alpha_4 is alpha_4(0) (theta^7 - 14 theta^3 F_2),
 alpha_6 is alpha_4 under the heat operator, and past 6 alpha_k is fitted on the
-cached levels of J_{k,1} = M_{k-4} E_{4,1} + M_{k-6} E_{6,1} (Eichler and Zagier,
+held levels of J_{k,1} = M_{k-4} E_{4,1} + M_{k-6} E_{6,1} (Eichler and Zagier,
 *The Theory of Jacobi Forms*, §3), whose level-0 cusp generator is the alpha of
-X10 and X12.  The public builders are one call into ``eisenstein`` or ``cusp_form``.
+X10 and X12; tables and levels are held at their largest bound (``expansion._held``).
+The public builders are one call into ``eisenstein`` or ``cusp_form``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, zip_longest
 from math import isqrt
 
@@ -32,8 +32,8 @@ from .arith import (
 )
 from .elliptic import _basis, _maass_factor, cusp_form, isobaric_monomials
 from .errors import InvalidWeight
-from .expansion import (ELLIPTIC, Degree2Lattice, TruncatedExpansion, _check_weight, eisenstein,
-                        exp_add, exp_multiply, exp_scale, zero_expansion)
+from .expansion import (ELLIPTIC, Degree2Lattice, TruncatedExpansion, _check_weight, _held,
+                        eisenstein, exp_add, exp_multiply, exp_scale, zero_expansion)
 
 
 class SiegelLattice(Degree2Lattice):
@@ -64,18 +64,21 @@ class SiegelLattice(Degree2Lattice):
             return Fraction(0)
         return _cohen_alpha(k, *fundamental_decomposition(-N))
 
-    @lru_cache(maxsize=64)
+    @_held
     def g_alpha_table(self, k: int, n: int) -> TruncatedExpansion:
-        """g_alpha(k, 0..n), even k >= 4, as a degree-1 expansion of weight k to q^n:
-        ``_jacobi_alpha`` past 4, and at 4 alpha_4(0) theta^3 (theta^4 - 14 F_2), with
-        theta = sum_{m in Z} q^(m^2) and F_2 = sum_{i odd} sigma_1(i) q^i.  Kohnen's plus
-        space of M_{7/2}(Gamma_0(4)), where alpha_4 lies (Math. Ann. 1980), is the line
-        of its basis theta^7, theta^3 F_2 (Koblitz, *Introduction to Elliptic Curves and
-        Modular Forms*, IV §1) that vanishes at q^1."""
-        if n < 0:
-            raise ValueError(f"g_alpha_table expects n >= 0, got {n}")
+        """g_alpha(k, 0..n), even k >= 4, as a degree-1 expansion of weight k to q^n: past 4,
+        each generator of the held levels fit at its pivot; at 4, alpha_4(0) theta^3 (theta^4 -
+        14 F_2), with theta = sum_{m in Z} q^(m^2) and F_2 = sum_{i odd} sigma_1(i) q^i.  Kohnen's
+        plus space of M_{7/2}(Gamma_0(4)), where alpha_4 lies (Math. Ann. 1980), is the line of
+        its basis theta^7, theta^3 F_2 (Koblitz, *Introduction to Elliptic Curves and Modular
+        Forms*, IV §1) that vanishes at q^1."""
         if _check_weight(k) > 4:
-            return _jacobi_alpha(k, n).restrict(n)
+            pairs = [*chain.from_iterable(_held_levels(k, n))]
+            alpha = zero_expansion(ELLIPTIC, k, pairs[0][1].trace_bound)
+            for N, g in pairs:
+                alpha = exp_add(alpha, exp_scale((self.g_alpha(k, N) - alpha.coefficient(N))
+                                                 / g.coefficient(N), g))
+            return alpha.restrict(n)
         theta, f2 = (TruncatedExpansion._of(ELLIPTIC, 0, n, 1, vec) for vec in (
             [(isqrt(i) ** 2 == i) * (2 - (i == 0)) for i in range(n + 1)],
             [s if i % 2 else 0 for i, s in enumerate(divisor_power_sums(1, n))]))
@@ -88,7 +91,7 @@ class SiegelLattice(Degree2Lattice):
         only where it is the whole cusp part, dim M_{k-4} + dim M_{k-6} = 2 (k = 10, 12, 14)."""
         if len(isobaric_monomials(k - 4)) + len(isobaric_monomials(k - 6)) != 2:
             raise InvalidWeight(f"the Siegel cusp part of weight {k} is not one Jacobi generator")
-        return jacobi_levels(k, max(n, k))[0][1][1].restrict(n)
+        return _held_levels(k, n)[0][1][1].restrict(n)
 
     def __repr__(self):
         return "SiegelLattice()"
@@ -106,17 +109,16 @@ def _cohen_alpha(k: int, D: int, f: int) -> Fraction:
     return generalized_bernoulli(k - 1, D) / (k - 1) * inner
 
 
-@lru_cache(maxsize=64)
+@_held
 def jacobi_levels(k: int, n: int) -> tuple:
-    """The triangular basis of J_{k,1}, even k >= 6, to q^n past every pivot (callers pass
-    max(n, k)): level j is (pivot, generator) pairs, u_j(q^4) alpha_4, v_j(q^4) alpha_6 or both
+    """The triangular basis of J_{k,1}, even k >= 6, to q^n, built to q^max(n, k) past every
+    pivot: level j is (pivot, generator) pairs, u_j(q^4) alpha_4, v_j(q^4) alpha_6 or both
     (u, v the ``_basis`` of M_{k-4}, M_{k-6}), zero below 4j, the first at 4j and a second, less
     the multiple of the first that clears 4j, at 4j + 3: 1728^j [[alpha_4(0), alpha_6(0)],
     [alpha_4(3), alpha_6(3)]] is nonsingular.  Past 6 all generators but the first span the cusp
     part (Eichler and Zagier, §5-6); k = 6 is one level, E2(q^4) alpha_4 and N alpha_4 (the heat
     operator), with E2 = 1 - 24 sum sigma_1(i) q^i."""
-    if n < k:
-        raise ValueError(f"jacobi_levels expects n >= k, got n = {n} < k = {k}")
+    n = max(n, k)
     if k == 6:
         _, a4 = _maass_factor(SIEGEL, 4, n)
         e2 = {4 * i: -24 * s if i else 1 for i, s in enumerate(divisor_power_sums(1, n // 4))}
@@ -135,13 +137,7 @@ def jacobi_levels(k: int, n: int) -> tuple:
     return tuple(levels)
 
 
-def _jacobi_alpha(k: int, n: int) -> TruncatedExpansion:
-    """alpha_k, even k >= 6, to q^max(n, k): each ``jacobi_levels`` generator fit at its pivot."""
-    alpha = zero_expansion(ELLIPTIC, k, max(n, k))
-    for N, g in chain.from_iterable(jacobi_levels(k, max(n, k))):
-        c = (SIEGEL.g_alpha(k, N) - alpha.coefficient(N)) / g.coefficient(N)
-        alpha = exp_add(alpha, exp_scale(c, g))
-    return alpha
+_held_levels = jacobi_levels.largest  # the held levels, of bound >= max(n, k), with no copy
 
 
 def siegel_g_coefficient(k: int, t) -> Fraction:

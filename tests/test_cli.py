@@ -324,6 +324,15 @@ class TestExpand:
         assert code == 2
         assert "computation error" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--space", "elliptic", "--form", "X12"), "no elliptic form X12"),
+        (("--space", "hermitian", "--disc", "-4", "--form", "X10"),
+         "no hermitian form X10 over disc -4"),
+        (("--space", "elliptic", "--form", "G", "--weight", "4"), "elliptic supports only form E"),
+    ])
+    def test_unserved_request_prints_its_usage_error(self, capsys, argv, message):
+        assert run(capsys, "expand", *argv, "--trace-bound", "1") == (2, "", f"error: {message}\n")
+
     def test_hermitian_without_disc_fails(self, capsys):
         code, _, _ = run(
             capsys, "expand", "--space", "hermitian", "--form", "E",
@@ -566,6 +575,10 @@ class TestTablesAndReproduce:
         code, out, _ = run(capsys, "tables", "--disc", "-4")
         assert code == 0
         assert "-1/2" in out  # B_{1,chi}
+
+    def test_tables_refuse_a_field_outside_the_nine(self, capsys):
+        assert run(capsys, "tables", "--disc", "-5") == (
+            2, "", "--disc must be one of (-3, -4, -7, -8, -11, -19, -43, -67, -163)\n")
 
     def test_tables_report_unfactored_cofactor(self, capsys):
         code, out, _ = run(capsys, "tables", "--disc", "-67")

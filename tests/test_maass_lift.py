@@ -147,9 +147,7 @@ def test_siegel_cusp_forms_from_the_levels_are_the_chain_rule_forms(monkeypatch,
     levels = [elliptic.cusp_form(key, bound) for key in keys]
     with monkeypatch.context() as patched:
         patched.setattr(SiegelLattice, "cusp_alpha", chain_rule_alpha)
-        elliptic.cusp_form.cache_clear()
         chain = [elliptic.cusp_form(key, bound) for key in keys]
-    elliptic.cusp_form.cache_clear()
     for f, g in zip(levels, chain):
         assert f == g and exp_serialize(f) == exp_serialize(g)
         assert f.lifted_from == g.lifted_from
@@ -168,21 +166,32 @@ def test_siegel_cusp_alpha_is_the_one_cusp_generator_or_refused():
         assert exp_scale(1 / levels.coefficient(3), levels) == exp_scale(1 / chain.coefficient(3), chain)
 
 
-@pytest.mark.parametrize("bound, keys", [(1, [(10, 10), (12, 12)]), (12, [(10, 144), (12, 144)])])
-def test_siegel_g_and_its_cusp_form_build_the_levels_once(monkeypatch, bound, keys):
-    # G_k's alpha table and X_k read one cached entry per weight, keyed on max(n, k): at
-    # trace bound 1, G_k asks for alpha to q^1 and X_k to q^4, the Fourier-Jacobi stride.
-    # The levels of weight 6 are G_6's alpha table, which the levels of G_k read.
-    real, asked = siegel.jacobi_levels, []
-    monkeypatch.setattr(siegel, "jacobi_levels", lambda k, n: asked.append((k, n)) or real(k, n))
-    for cache in (real, SiegelLattice.g_alpha_table, expansion.eisenstein, elliptic.cusp_form):
+@pytest.mark.parametrize("bound, builds, reach", [
+    (1, {6: 2, 10: 1, 12: 1}, {6: 20, 10: 10, 12: 12}),
+    (12, {6: 1, 10: 1, 12: 1}, {6: 144, 10: 144, 12: 144}),
+])
+def test_siegel_g_and_its_cusp_form_build_the_levels_once(bound, builds, reach):
+    # G_k's alpha table and X_k read one held entry per weight, built to q^max(n, k) at least:
+    # at trace bound 1, G_k asks for alpha to q^1 and X_k to q^4, the Fourier-Jacobi stride.
+    # The levels of weight 6 are G_6's alpha table, which the levels of G_k read: G10's to
+    # q^10, then G12's to q^12, which rebuilds them at twice 10
+    for cache in (siegel.jacobi_levels, SiegelLattice.g_alpha_table):
         cache.cache_clear()
     for k, cusp in ((10, igusa_x10), (12, igusa_x12)):
         siegel_expansion("G", k, bound)
         cusp(bound)
-    assert sorted(key for key in set(asked) if key[0] > 6) == keys
-    assert [asked.count(key) for key in keys] == [2, 2]
-    assert real.cache_info().misses == len(set(asked))
+    assert siegel.jacobi_levels.cache_info().builds == {(k,): m for k, m in builds.items()}
+    assert {k: expansion._bound(siegel._held_levels(k, 0)) for k in reach} == reach
+
+
+def test_siegel_g12_then_g10_build_the_weight_6_levels_once():
+    # G12's levels read G_6's alpha table to q^12; G10's read it to q^10, cut from the held one
+    for cache in (siegel.jacobi_levels, SiegelLattice.g_alpha_table):
+        cache.cache_clear()
+    siegel_expansion("G", 12, 1)
+    siegel_expansion("G", 10, 1)
+    assert siegel.jacobi_levels.cache_info().builds[(6,)] == 1
+    assert SiegelLattice.g_alpha_table.cache_info().builds[(SIEGEL, 6)] == 1
 
 
 @pytest.mark.parametrize("name, disc", [("CHI8", -4), ("F10", -4), ("F10", -3), ("F12", -3)])
@@ -257,9 +266,7 @@ def test_cusp_forms_build_without_degree_2_products(monkeypatch):
         if name.startswith("eiscong") and getattr(module, "lift", None) is real_lift:
             monkeypatch.setattr(module, "lift", counted_lift)
     assert elliptic.exp_multiply is counted and elliptic.lift is counted_lift
-    # the caches sit in cusp_form and eisenstein: clear them so every form is built
-    elliptic.cusp_form.cache_clear()
-    expansion.eisenstein.cache_clear()
+    # no degree-2 form is cached: each call builds its form
     for space, disc, name in CUSP_FORMS:
         if space == "siegel":
             (igusa_x10 if name == "X10" else igusa_x12)(4)
@@ -280,7 +287,7 @@ def test_cusp_form_degree_1_products(monkeypatch, key, most):
     # decomposition of the degree-1 E_k (E4^3 and E6^2 at weight 12)
     space, disc, _ = key
     bound, lat = (12 if space == "siegel" else 7), expansion.lattice_for(space, disc)
-    for cache in (expansion.eisenstein, type(lat).g_alpha_table, siegel.jacobi_levels):
+    for cache in (type(lat).g_alpha_table, siegel.jacobi_levels):
         cache.cache_clear()
     for j in {4, 6, CUSP_FORMS[key]}:
         expansion.eisenstein(lat, "G", j, bound)
@@ -293,7 +300,6 @@ def test_cusp_form_degree_1_products(monkeypatch, key, most):
     for name, module in list(sys.modules.items()):
         if name.startswith("eiscong") and getattr(module, "exp_multiply", None) is real:
             monkeypatch.setattr(module, "exp_multiply", counted)
-    elliptic.cusp_form.cache_clear()
     elliptic.cusp_form(key, bound)
     assert calls.count("elliptic") <= most
     assert calls.count(space) == 0
@@ -306,7 +312,6 @@ def test_cusp_form_decomposes_each_weight_once(monkeypatch):
     monkeypatch.setattr(elliptic, "decompose_into_e4_e6",
                         lambda f, k: weights.append(k) or real(f, k))
     elliptic._q_partials.cache_clear()
-    elliptic.cusp_form.cache_clear()
     for space in ("siegel", "hermitian"):
         for key in (key for key in CUSP_FORMS if key[0] == space):
             for bound in (1, 2, 3):
@@ -361,25 +366,25 @@ def test_siegel_weight_4_table_is_the_theta_series(n):
 
 
 def test_building_the_benchmark_forms_leaves_the_cached_alpha_tables_unchanged(monkeypatch):
-    # consumers read the cached alpha tables and Jacobi levels in place: record each one handed
-    # out while the benchmark workloads' forms are built, then compare it with a build from
-    # cleared caches
+    # consumers read the held alpha tables and Jacobi levels in place: record each one handed
+    # out while the benchmark workloads' forms are built, then compare it with a build at its
+    # own bound from cleared caches
     tables = (SiegelLattice.g_alpha_table, HermitianLattice.g_alpha_table)
-    levels = siegel.jacobi_levels
-    caches = (elliptic.cusp_form, expansion.eisenstein, levels, *tables)
+    levels, held_levels = siegel.jacobi_levels, siegel._held_levels
+    caches = (levels, *tables)
     handed = []
     for cls, cached in zip((SiegelLattice, HermitianLattice), tables):
         def recorded(self, k, n, cached=cached):
-            handed.append((cached, (self, k, n), cached(self, k, n)))
+            handed.append((cached.__wrapped__, (self, k), cached(self, k, n)))
             return handed[-1][-1]
 
         monkeypatch.setattr(cls, "g_alpha_table", recorded)
 
     def recorded_levels(k, n):
-        handed.append((levels, (k, n), levels(k, n)))
+        handed.append((levels.__wrapped__, (k,), held_levels(k, n)))
         return handed[-1][-1]
 
-    monkeypatch.setattr(siegel, "jacobi_levels", recorded_levels)
+    monkeypatch.setattr(siegel, "_held_levels", recorded_levels)
     for cache in caches:
         cache.cache_clear()
     for bound in (8, 12):
@@ -391,11 +396,12 @@ def test_building_the_benchmark_forms_leaves_the_cached_alpha_tables_unchanged(m
             cusp_correction(hermitian_expansion("G", disc, k, bound))
             hermitian_cusp_form(data["cusp_form"], disc, bound)
     cusp_correction(hermitian_expansion("G", -163, 10, 3))
-    assert len(handed) > 20 and sum(cached is levels for cached, *_ in handed) >= 4
+    assert len(handed) > 20 and sum(build is levels.__wrapped__ for build, *_ in handed) >= 4
+    monkeypatch.undo()
     for cache in caches:
         cache.cache_clear()
-    for cached, args, value in handed:
-        assert value == cached(*args)
+    for build, key, value in handed:
+        assert value == build(*key, expansion._bound(value))
 
 
 @pytest.mark.parametrize("lat", [SIEGEL, hermitian_lattice(-3), hermitian_lattice(-4)], ids=repr)
@@ -412,9 +418,13 @@ def test_siegel_table_refuses_a_weight_without_jacobi_forms():
     for k in (2, 5, 7):
         with pytest.raises(InvalidWeight):
             SIEGEL.g_alpha_table(k, 10)
-    # the levels stop at q^n, below the pivots past n: callers pass n >= k, past every pivot
-    with pytest.raises(ValueError, match=r"jacobi_levels expects n >= k, got n = 1 < k = 16"):
-        siegel.jacobi_levels(16, 1)
+    # the levels are built past every pivot, to q^16 at weight 16, and a call at q^1 is served
+    # cut from that one build; the readers take the held levels, and no build is refused
+    siegel.jacobi_levels.cache_clear()
+    cut, held = siegel.jacobi_levels(16, 1), siegel._held_levels(16, 1)
+    assert expansion._bound(held) == 16 and cut == expansion._cut(held, 1)
+    assert siegel.jacobi_levels.cache_info().builds == {(16,): 1}
+    assert siegel.jacobi_levels(16, 16) is held
 
 
 def test_siegel_tables_read_three_generalized_bernoulli_numbers():
