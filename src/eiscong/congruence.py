@@ -112,7 +112,7 @@ def _residues(modulus: int, *expansions) -> list:
             out.append(list(map(_reduced, f.vec, repeat(f.den), repeat(modulus))))
     indices = expansions[0].lattice.indices(min(f.trace_bound for f in expansions))
     if bad := [r.index(-1) for r in out if -1 in r[:len(indices)]]:
-        raise NonIntegralCoefficient(indices.lattice.key_string(indices[min(bad)]), modulus)
+        raise NonIntegralCoefficient(expansions[0].lattice.key_string(indices[min(bad)]), modulus)
     return out
 
 

@@ -3,8 +3,8 @@
 A lattice object enumerates its indices in canonical order (trace, then
 the index); an expansion truncated at a trace bound B is a vector of integer
 numerators aligned with ``indices(B)``, 0 where a coefficient vanishes, over
-one denominator.  In degree 1 the position is the exponent.  Canonical order
-sorts by trace first, so the vector at a smaller bound is a prefix.
+one denominator; in degree 1 ``indices(B)`` is ``range(B + 1)``.  Canonical
+order sorts by trace first, so the vector at a smaller bound is a prefix.
 Multiplication packs each row of an operand's support (the index without its
 entry ``t[1]``) into one integer, Kronecker substitution, and multiplies
 every pair of rows whose traces add up to at most the bound: exact inside
@@ -19,9 +19,9 @@ degree-2 lattice (a ``Degree2Lattice``: ``siegel.SIEGEL`` and
 Eisenstein series G_k, whose alpha(0) fixes the constant term a(0) =
 -B_k / (2k) alpha(0), so ``eisenstein`` builds G_k and E_k on every
 lattice, and ``elliptic.cusp_form`` every cusp form, uncached: they lift degree-1
-series held at their largest bound (``_held``).  The lifts, the
-mod-p walks and the text format read one cached ``IndexTable``, ``indices(bound)``,
-which keeps the lattice's enumeration as it comes: nothing sorts the table.
+series held at their largest bound (``_held``).  The lifts, the mod-p walks and the
+text format read ``indices(bound)`` and its O(1) ``index(t)``: a cached ``IndexTable``
+in degree 2, which keeps the enumeration as it comes (nothing sorts it), else a range.
 ``exp_parse`` reads a canonical body in bulk and any other line by line.
 """
 
@@ -49,10 +49,10 @@ from .errors import (
 
 
 class IndexTable(tuple):
-    """``lattice.indices(bound)``: every index of trace <= bound in canonical order,
-    as ``lattice.enumerate_all(bound)`` yields it (the table does not sort), with
-    its ``dets``, ``contents`` (0 at zero), key strings and ``pos`` (index ->
-    position), each built on first use."""
+    """A degree-2 ``lattice.indices(bound)``: every index of trace <= bound in canonical
+    order, as ``lattice.enumerate_all(bound)`` yields it (the table does not sort), with
+    its ``dets``, ``contents`` (0 at zero), key strings and ``index`` (index -> position,
+    a dict's lookup in place of ``tuple.index``), each built on first use."""
 
     def __new__(cls, lattice, bound):
         self = super().__new__(cls, lattice.enumerate_all(bound))
@@ -62,12 +62,12 @@ class IndexTable(tuple):
     dets = cached_property(lambda self: tuple(map(self.lattice.det, self)))
     contents = cached_property(lambda self: tuple(gcd(*t) for t in self))
     keys = cached_property(lambda self: tuple(map(self.lattice.key_string, self)))
-    pos = cached_property(lambda self: dict(zip(self, count())))  # index -> position
+    index = cached_property(lambda self: dict(zip(self, count())).__getitem__)
     __reduce__ = lambda self: (tuple, (tuple(self),))  # copies and pickles are plain tuples
 
 
 class EllipticLattice:
-    """Degree-1 index lattice: t in Z>=0, the classical q-expansion index."""
+    """Degree-1 index lattice: t in Z>=0, the q-expansion index, its own position."""
 
     space = "elliptic"
     disc = None
@@ -79,10 +79,8 @@ class EllipticLattice:
     def is_psd(self, t):
         return isinstance(t, int) and t >= 0
 
-    def enumerate_all(self, bound):
-        return list(range(bound + 1))
-
-    indices = lru_cache(maxsize=32)(IndexTable)  # indices(bound), one cached table
+    def indices(self, bound):
+        return range(bound + 1)
 
     def key_string(self, t):
         return str(t)
@@ -98,13 +96,11 @@ ELLIPTIC = EllipticLattice()
 
 
 class Degree2Lattice:
-    """Degree-2 indices: integer tuples with the diagonal entries first and
-    last.  A subclass gives ``zero``, ``det``, ``enumerate_all``,
-    ``fj_stride`` and, for G_k, ``g_alpha(k, N)`` and its table
-    ``g_alpha_table(k, n)``; ``is_psd`` and ``g_constant`` follow from
-    ``det`` and alpha(0).  ``enumerate_all(bound)`` lists every index of
-    trace <= bound in canonical order (trace, then the index), which ``indices``
-    keeps without sorting."""
+    """Degree-2 indices: integer tuples with the diagonal entries first and last.  A
+    subclass gives ``zero``, ``det``, ``enumerate_all``, ``fj_stride`` and, for G_k,
+    ``g_alpha(k, N)`` and its table ``g_alpha_table(k, n)``; ``is_psd`` and ``g_constant``
+    follow from ``det`` and alpha(0).  ``enumerate_all(bound)`` lists every index of trace
+    <= bound in canonical order (trace, then the index): ``indices`` is its ``IndexTable``."""
 
     def trace(self, t):
         return t[0] + t[-1]
@@ -171,7 +167,7 @@ def _same_lattice(a, b):
 class TruncatedExpansion:
     """Finite Fourier expansion: ``vec``, a list that results may share and no
     code mutates, holds integer numerators aligned position by position with
-    ``indices(trace_bound)`` (in degree 1 the position is the exponent), 0 where
+    ``indices(trace_bound)`` (in degree 1 ``range(trace_bound + 1)``), 0 where
     a coefficient vanishes, over one denominator den > 0 with gcd(den, *vec) == 1
     (den = 1 for zero).  ``nums`` (index -> nonzero numerator) and ``coeffs``
     (index -> Fraction) are read-only views, built on each access.  Lookups
@@ -203,9 +199,9 @@ class TruncatedExpansion:
             if lattice.trace(idx) > trace_bound:
                 raise OutOfTruncation(f"index {idx} exceeds trace bound {trace_bound}")
         den, tab = lcm(*(v.denominator for v in values.values())), lattice.indices(trace_bound)
-        vec, pos = [0] * len(tab), tab.pos
+        vec, at = [0] * len(tab), tab.index
         for idx, v in values.items():
-            vec[pos[idx]] = v.numerator * (den // v.denominator)
+            vec[at(idx)] = v.numerator * (den // v.denominator)
         self._fill(lattice, weight, trace_bound, den, vec)
 
     @classmethod
@@ -241,8 +237,7 @@ class TruncatedExpansion:
             raise NotPositiveSemidefinite(f"index {idx} is not psd")
         if self.lattice.trace(idx) > self.trace_bound:
             raise OutOfTruncation(f"index {idx} is beyond trace bound {self.trace_bound}")
-        at = idx if self.lattice is ELLIPTIC else self.lattice.indices(self.trace_bound).pos[idx]
-        return Fraction(self.vec[at], self.den)
+        return Fraction(self.vec[self.lattice.indices(self.trace_bound).index(idx)], self.den)
 
     def support(self) -> list:
         return list(compress(self.lattice.indices(self.trace_bound), self.vec))
@@ -438,7 +433,7 @@ def _rows(tab, vec: list, row_of, s: int, k: int) -> list:
 
 def _multiply_rows(frows: list, grows: list, bound: int, s: int, tab) -> list:
     """The packed products of every pair of rows within the bound, summed per
-    target row, then unpacked into a vector aligned with tab, by its ``pos``."""
+    target row, then unpacked into a vector aligned with tab, by its ``index``."""
     acc, targets = {}, {}  # target code -> [lo, P]; -> an (f row, g row) pair adding up to it
     for ft, fc, fr, flo, fp in frows:
         for gt, gc, gr, glo, gp in grows:
@@ -451,11 +446,11 @@ def _multiply_rows(frows: list, grows: list, bound: int, s: int, tab) -> list:
                 cur[1] += p << s * (lo - cur[0])
             else:
                 cur[0], cur[1] = lo, p + (cur[1] << s * (cur[0] - lo))
-    out, pos = [0] * len(tab), tab.pos
+    out = [0] * len(tab)
     for code, (lo, v) in acc.items():
         a, *rest = map(add, *targets[code])
         slots = _unpack(v, s, v.bit_length() // s + 1)
-        for n, i in zip(slots, map(pos.__getitem__, zip(repeat(a), count(lo), *map(repeat, rest)))):
+        for n, i in zip(slots, map(tab.index, zip(repeat(a), count(lo), *map(repeat, rest)))):
             out[i] = n
     return out
 
@@ -548,8 +543,8 @@ def phi_operator(f: TruncatedExpansion) -> TruncatedExpansion:
     t-th coefficient sits at the index diag(t, 0)."""
     if f.lattice.space == "elliptic":
         raise ValueError("phi_operator expects a degree-2 expansion")
-    pos, rest = f.lattice.indices(f.trace_bound).pos, f.lattice.zero[1:]
-    vec = [f.vec[pos[(t, *rest)]] for t in range(f.trace_bound + 1)]
+    at, rest = f.lattice.indices(f.trace_bound).index, f.lattice.zero[1:]
+    vec = [f.vec[at((t, *rest))] for t in range(f.trace_bound + 1)]
     return TruncatedExpansion._of(ELLIPTIC, f.weight, f.trace_bound, f.den, vec)
 
 
@@ -563,12 +558,16 @@ _MAX_DEN = 10**_MAX_DEN_DIGITS
 _VALUES = r"(?:-?[0-9]+(?:/[0-9]+)?\n)*"  # value tokens, one a line; compiled on first use
 
 
+def _keys(tab) -> tuple:  # the key strings of indices(bound); a range's are its exponents
+    return tuple(map(str, tab)) if isinstance(tab, range) else tab.keys
+
+
 def exp_serialize(f: TruncatedExpansion) -> str:
     """Byte-deterministic canonical text form of an expansion."""
     disc = [] if f.lattice.disc is None else [f"disc {f.lattice.disc}"]
     lines = [f"space {f.lattice.space}", *disc, f"weight {f.weight}",
              f"trace_bound {f.trace_bound}", _SENTINEL]
-    den, keys = f.den, f.lattice.indices(f.trace_bound).keys
+    den, keys = f.den, _keys(f.lattice.indices(f.trace_bound))
     for key, n in compress(zip(keys, f.vec), f.vec):
         g = gcd(n, den)
         try:
@@ -648,7 +647,7 @@ def exp_parse(text: str) -> TruncatedExpansion:
         raise ParseError(header[at][0], str(exc)) from None
     if lat.disc != disc:  # exp_serialize writes a disc on Hermitian files only
         raise ParseError(header["disc"][0], f"a {space} file has no disc")
-    den, vec = (_parse_canonical(lat.indices(bound).keys, lines, body_start, len(text))
+    den, vec = (_parse_canonical(_keys(lat.indices(bound)), lines, body_start, len(text))
                 or _parse_lines(lat, bound, lines, body_start, text))
     return TruncatedExpansion._of(lat, weight, bound, den, vec)
 
@@ -719,8 +718,8 @@ def _parse_lines(lat, bound, lines, body_start, text):
             if den.bit_length() * (len(lines) - body_start) > 1200 * len(text):
                 raise ParseError(lineno, "common denominator too large for the file's size")
     tab = lat.indices(bound)
-    vec, pos = [0] * len(tab), tab.pos
+    vec, at = [0] * len(tab), tab.index
     for idx, (n, d) in seen.items():
         if n:  # a zero may sit at any index
-            vec[pos[idx]] = n * (den // d)
+            vec[at(idx)] = n * (den // d)
     return den, vec

@@ -465,7 +465,7 @@ def reference_product(f: TruncatedExpansion, g: TruncatedExpansion) -> Truncated
     difference outside the psd cone is simply absent from g."""
     lat = f.lattice
     bound = min(f.trace_bound, g.trace_bound)
-    indices = lat.enumerate_all(bound)
+    indices = enumerate_by_filtering(lat, bound)
     fc, gc = f.coeffs, g.coeffs  # each a view built on access: read once
     coeffs = {}
     for t in indices:
@@ -657,7 +657,7 @@ def _residue(value: Fraction, modulus: int, key):
 def reduce_mod_p_by_index(f: TruncatedExpansion, modulus: int) -> dict:
     lat = f.lattice
     out = {}
-    for idx in canonical(lat, lat.enumerate_all(f.trace_bound)):
+    for idx in canonical(lat, enumerate_by_filtering(lat, f.trace_bound)):
         out[idx] = _residue(f.coefficient(idx), modulus, lat.key_string(idx))
     return out
 
@@ -671,7 +671,7 @@ def verify_congruence_by_index(
     multiplier %= modulus
     checked = 0
     failure = None
-    for idx in canonical(lat, lat.enumerate_all(bound)):
+    for idx in canonical(lat, enumerate_by_filtering(lat, bound)):
         key = lat.key_string(idx)
         lhs = _residue(f.coefficient(idx), modulus, key)
         rhs = _residue(g.coefficient(idx), modulus, key) * multiplier % modulus
@@ -687,7 +687,7 @@ def solve_lambda_by_index(
     _check_compatible(f, g)
     lat = f.lattice
     bound = min(f.trace_bound, g.trace_bound)
-    for idx in canonical(lat, lat.enumerate_all(bound)):
+    for idx in canonical(lat, enumerate_by_filtering(lat, bound)):
         key = lat.key_string(idx)
         rhs = _residue(g.coefficient(idx), modulus, key)
         if rhs == 0:

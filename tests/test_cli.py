@@ -415,6 +415,22 @@ class TestCongruence:
         assert code == 3
         assert "not invertible mod 4" in err
 
+    @pytest.mark.parametrize("line", ["1,0,1 5 7", "1,0,1"], ids=["three-tokens", "one-token"])
+    def test_malformed_coefficient_line_is_a_parse_error(self, tmp_path, capsys, line):
+        # a body line of other than two tokens leaves the bulk route to the line loop,
+        # which refuses it at its own line number
+        text = f"space siegel\nweight 10\ntrace_bound 3\ncoefficients\n0,0,0 1\n{line}\n"
+        with pytest.raises(ParseError, match="malformed coefficient line") as exc:
+            exp_parse(text)
+        assert exc.value.line == 6
+        bad = tmp_path / "bad-line.exp"
+        bad.write_text(text)
+        good, _ = self.make_files(tmp_path, capsys)
+        code, _, err = run(capsys, "congruence", "solve", "--lhs", str(good),
+                           "--rhs", str(bad), "--mod", "43867")
+        assert code == 3
+        assert err.startswith(f"invalid expansion file {bad}: line 6: malformed coefficient line")
+
     @pytest.mark.parametrize("header", [
         "space hermitian\ndisc x\nweight 4\ntrace_bound 1\n",
         "space siegel\nweight 4\ntrace_bound -1\n",

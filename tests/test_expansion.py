@@ -334,7 +334,7 @@ class TestSerialization:
         # grammar, and the first of them is a ParseError at its line
         lat = data.draw(st.sampled_from(list(KERNEL_LATTICES)))
         bound = data.draw(st.integers(0, KERNEL_LATTICES[lat]))
-        chosen = data.draw(st.lists(st.sampled_from(lat.enumerate_all(bound)),
+        chosen = data.draw(st.lists(st.sampled_from(lat.indices(bound)),
                                     unique=True, max_size=8))
         lines, values, refused = [], {}, []
         for t in chosen:
@@ -413,7 +413,6 @@ class TestSerialization:
         # route bounds it as it grows, before it tokenizes a line
         text = self.elliptic_text([f"1/{10**9 + i}" for i in range(20000)])
         assert 368_000 < len(text.encode()) < 370_000
-        ELLIPTIC.indices(20000).keys  # built once per process, as by any reader
         start = time.perf_counter()
         with pytest.raises(ParseError, match="common denominator exceeds") as exc:
             exp_parse(text)
@@ -463,8 +462,15 @@ class TestIndices:
         bounds = [*range(9), *([16] if lat.disc in (-3, -163) else [])]
         for bound in bounds:
             expected = canonical(lat, enumerate_by_filtering(lat, bound))
-            assert lat.enumerate_all(bound) == expected
             assert list(lat.indices(bound)) == expected
+            if lat is not ELLIPTIC:
+                assert lat.enumerate_all(bound) == expected
+
+    def test_degree_1_indices_are_the_exponents(self):
+        # in degree 1 the position is the exponent: no table, no enumerator, no cache
+        assert [ELLIPTIC.indices(n) for n in (0, 8, 10**6)] == [range(1), range(9), range(10**6 + 1)]
+        assert not hasattr(ELLIPTIC, "enumerate_all")
+        assert not hasattr(type(ELLIPTIC).indices, "cache_info")
 
     def test_degree_2_indices_are_one_shared_tuple_in_a_bounded_cache(self):
         lat = hermitian_lattice(-4)
@@ -524,8 +530,7 @@ refused_token = st.one_of(
 
 @st.composite
 def sparse_expansion(draw, lat, bound, weight):
-    indices = lat.enumerate_all(bound)
-    chosen = draw(st.lists(st.sampled_from(indices), unique=True, max_size=12))
+    chosen = draw(st.lists(st.sampled_from(lat.indices(bound)), unique=True, max_size=12))
     return TruncatedExpansion(lat, weight, bound, {t: draw(sparse_value) for t in chosen})
 
 
@@ -819,12 +824,15 @@ class TestIndexTable:
     def test_table_matches_the_per_index_methods(self, case):
         lat, bound = case
         tab = lat.indices(bound)
-        assert lat.indices(bound) is tab
-        assert tab.keys == tuple(lat.key_string(t) for t in tab)
-        assert [lat.parse_key(key) for key in tab.keys] == list(tab)
-        assert tab.pos == {t: i for i, t in enumerate(tab)}
-        assert copy.deepcopy(tab) == pickle.loads(pickle.dumps(tab)) == tuple(tab)
-        if lat is not ELLIPTIC:
+        keys = expansion._keys(tab)
+        assert keys == tuple(map(lat.key_string, tab))
+        assert [lat.parse_key(key) for key in keys] == list(tab)
+        assert list(map(tab.index, tab)) == list(range(len(tab)))
+        if lat is ELLIPTIC:
+            assert tab == range(bound + 1)
+        else:
+            assert lat.indices(bound) is tab
+            assert copy.deepcopy(tab) == pickle.loads(pickle.dumps(tab)) == tuple(tab)
             assert tab.dets == tuple(lat.det(t) for t in tab)
             assert tab.contents == tuple(0 if t == lat.zero else lat.content(t) for t in tab)
 
@@ -857,7 +865,7 @@ class TestIndexTable:
         lat, bound = data.draw(lattice_and_bound())
         f = data.draw(sparse_expansion(lat, bound, 6))
         if data.draw(st.booleans()):
-            chosen = data.draw(st.lists(st.sampled_from(lat.enumerate_all(bound)),
+            chosen = data.draw(st.lists(st.sampled_from(lat.indices(bound)),
                                         unique=True, min_size=1, max_size=3))
             f = exp_add(f, TruncatedExpansion(lat, 6, bound, {t: data.draw(huge_value)
                                                               for t in chosen}))
@@ -874,7 +882,7 @@ class TestIndexTable:
         disc = "" if lat.disc is None else f"disc {lat.disc}\n"
         header = f"space {lat.space}\n{disc}weight 6\ntrace_bound {bound}\ncoefficients\n"
         entry = st.integers(-2, bound + 2)
-        index = st.one_of(st.sampled_from(lat.enumerate_all(bound)),
+        index = st.one_of(st.sampled_from(lat.indices(bound)),
                           entry if lat is ELLIPTIC else st.tuples(*[entry] * len(lat.zero)))
         lines, values, fault, seen = [], {}, None, set()
         first = header.count("\n") + 1
@@ -917,7 +925,7 @@ def mutated_text(draw):
     lines, then maybe CRLF endings and a truncation."""
     lat, bound = draw(lattice_and_bound())
     f = draw(sparse_expansion(lat, bound, 6))
-    keys = lat.indices(bound).keys
+    keys = tuple(map(lat.key_string, lat.indices(bound)))
     if draw(st.integers(0, 7)) == 0:  # a value past the int <-> str digit limit
         f = exp_add(f, TruncatedExpansion(lat, 6, bound, {draw(st.sampled_from(lat.indices(bound))):
                                                           draw(huge_value)}))

@@ -3,6 +3,7 @@ holds its largest build, a smaller bound is served cut from it, and a larger
 one rebuilds at twice the held bound or more.  Every result equals a fresh
 build at its bound, and no degree-2 form is cached."""
 
+import tracemalloc
 from math import ceil, log2
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from eiscong import elliptic, expansion, siegel
 from eiscong.elliptic import delta_expansion, elliptic_eisenstein
 from eiscong.expansion import (
-    ELLIPTIC, EllipticLattice, TruncatedExpansion, _bound, exp_serialize,
+    ELLIPTIC, TruncatedExpansion, _bound, exp_serialize,
 )
 from eiscong.hermitian import HermitianLattice, hermitian_lattice
 from eiscong.siegel import SIEGEL, SiegelLattice
@@ -72,12 +73,21 @@ def test_a_negative_bound_is_refused_before_the_cache(name):
         cached(*keys[0], -1)
 
 
-def test_a_degree_1_coefficient_reads_the_vector_by_exponent():
-    # in degree 1 the position is the exponent: a read builds and looks up no index table
-    f = TruncatedExpansion._of(ELLIPTIC, 0, 4099, 1, list(range(4100)))
-    before = EllipticLattice.indices.cache_info()
-    assert [f.coefficient(n) for n in (0, 1, 4099)] == [0, 1, 4099]
-    assert EllipticLattice.indices.cache_info() == before
+def test_one_term_series_to_q_to_the_million_hold_only_their_vectors():
+    # degree-1 indices are range(n + 1), the position the exponent: two one-term series
+    # to q^1000000 and their product hold three vectors of 8 MB, and no index table of
+    # 10^6 + 1 ints or position dict
+    tracemalloc.start()
+    try:
+        f = TruncatedExpansion(ELLIPTIC, 0, 10**6, {400000: 3})
+        g = TruncatedExpansion(ELLIPTIC, 0, 10**6, {400001: 5})
+        h = f * g
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert [f.coefficient(n) for n in (0, 400000, 10**6)] == [0, 3, 0]
+    assert (h.coefficient(800001), h.support()) == (15, [800001])
 
 
 def test_degree_2_forms_are_built_on_every_call():

@@ -57,3 +57,9 @@ def test_the_scan_finds_attribute_reads():
 def test_no_module_reads_the_nums_view(path):
     # an expansion stores one vector; the index -> numerator view is for the tests
     assert attribute_reads(path.read_text(), "nums") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_positions_are_read_through_index(path):
+    # a position is indices(bound).index(t), on a degree-2 table and a degree-1 range alike
+    assert attribute_reads(path.read_text(), "pos") == []
